@@ -10,7 +10,6 @@ bytes.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
@@ -18,24 +17,6 @@ import numpy as np
 
 from . import estimator as est_mod
 from . import kernels, market_data, simulation, spectral
-
-_KERNEL_CHOICES = ("flat", "cauchy", "gaussian", "fejer")
-_METHOD_CHOICES = ("psd-factorized", "psd-direct", "classical", "generic")
-
-
-def _threads_from(args) -> int:
-    if args.threads is not None:
-        value = args.threads
-    else:
-        raw = os.environ.get("SPOTVOL_THREADS", "1")
-        try:
-            value = int(raw)
-        except ValueError as exc:
-            raise ValueError(f"SPOTVOL_THREADS={raw!r} is not an integer") from exc
-    if value < 1:
-        raise ValueError("thread count must be a positive integer")
-    return value
-
 
 def _eval_grid(points: int) -> np.ndarray:
     if points < 1:
@@ -103,7 +84,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    threads = _threads_from(args)
     obs = market_data.load_csv(args.input, price_kind=args.price_kind)
     method = args.method.replace("-", "_")
     min_ticks = min(s.n_increments for s in obs.series)
@@ -133,7 +113,7 @@ def _cmd_estimate(args) -> int:
         l=args.L,
         kernel=kernel,
     )
-    path = est_mod.estimate_path(obs, config, threads=threads)
+    path = est_mod.estimate_path(obs, config)
     if args.per_real_time:
         path = est_mod.VolPath(
             times=path.times,
@@ -319,10 +299,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_est.add_argument("--input", required=True, help="tick CSV with header asset,time,price")
     p_est.add_argument("--price-kind", choices=("log", "raw"), default="log")
-    p_est.add_argument("--method", choices=_METHOD_CHOICES, default="psd-factorized")
+    p_est.add_argument("--method", choices=[m.replace("_", "-") for m in est_mod.METHODS],
+                       default="psd-factorized")
     p_est.add_argument("--M", type=int, default=15, help="frequency cutoff")
     p_est.add_argument("--L", type=int, default=None, help="classical smoothing order (default M)")
-    p_est.add_argument("--kernel", choices=_KERNEL_CHOICES, default=None,
+    p_est.add_argument("--kernel", choices=kernels.FAMILIES, default=None,
                        help="smoothing measure family (default gaussian)")
     p_est.add_argument("--gamma", type=float, default=None, help="cauchy scale")
     p_est.add_argument("--l-gauss", dest="l_gauss", type=float, default=None, help="gaussian rate")
@@ -334,7 +315,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="rescale output by 1/time_span for per-real-time units",
     )
-    p_est.add_argument("--threads", type=int, default=None, help="grid parallelism (env SPOTVOL_THREADS)")
     p_est.add_argument("--out", default="vol.csv")
     p_est.set_defaults(fn=_cmd_estimate)
 

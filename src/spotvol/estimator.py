@@ -7,8 +7,9 @@ increment series, all built from windowed Fourier sums of the increments:
   set, a fiber of frequency pairs, and a weight table. Quadratic in the tick
   counts; kept for tests and benchmarks.
 * ``estimate_classical``    kernel-product form
-  (1/(2M+1)) sum_{l,l'} K_{L+1}(t - t^j_l) D_M(t^j_l - t^{j'}_{l'}) dX dX'.
-  Not symmetric in general, hence unsuitable for eigenanalysis.
+  (1/(2M+1)) sum_{l,l'} K_{L+1}(t - t^j_l) D_M(t^j_l - t^{j'}_{l'}) dX dX',
+  evaluated through the shared sums a_j(s) in O(M sum_j N_j + M d^2) per
+  time. Not symmetric in general, hence unsuitable for eigenanalysis.
 * ``estimate_psd_direct``   double frequency sum
   sum_{u,u'} c(u - u') g_j(u) conj(g_{j'}(u')) with a Hermitian PSD weight
   table c; output is PSD with eigenvalues above -1e-10 * trace.
@@ -18,14 +19,14 @@ increment series, all built from windowed Fourier sums of the increments:
   O(M sum_j N_j) precomputation each time point costs O(Q (M d + d^2)).
 
 The per-asset Fourier sums a_j(s) = sum_l e^{-2 pi i s t^j_l} dX^j_l are
-precomputed once per path and shared read-only across evaluation times.
+precomputed once per path and shared by every form except the generic
+reference.
 """
 
 from __future__ import annotations
 
 import csv
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -36,11 +37,10 @@ from .kernels import (
     PSDFunction,
     SpectralMeasure,
     c_from_measure,
-    dirichlet_eval,
     fejer_eval,
     make_measure,
 )
-from .market_data import IncrementTable, ObservationSet, increments
+from .market_data import AssetIncrements, IncrementTable, ObservationSet, increments
 
 METHODS = ("generic", "classical", "psd_direct", "psd_factorized")
 
@@ -266,18 +266,24 @@ def _factorized_at(coeffs: FourierCoefficients, mu: SpectralMeasure, t: float) -
     return np.triu(v) + np.triu(v, 1).T
 
 
-def _classical_at(inc: IncrementTable, m: int, l: int, t: float) -> np.ndarray:
-    assets = inc.assets
-    d = len(assets)
-    smoothed = [fejer_eval(l + 1, t - a.times) * a.dx for a in assets]
-    v = np.empty((d, d))
-    for j in range(d):
-        for jp in range(j, d):
-            dmat = dirichlet_eval(m, assets[j].times[:, None] - assets[jp].times[None, :])
-            v[j, jp] = smoothed[j] @ dmat @ assets[jp].dx
-            if jp != j:
-                v[jp, j] = smoothed[jp] @ dmat.T @ assets[j].dx
-    return v / (2 * m + 1)
+def _classical_at(
+    inc: IncrementTable, coeffs: FourierCoefficients, l: int, t: float
+) -> np.ndarray:
+    """(2m+1)^-1 Re(L a^T) with L_j(s) = sum_l K_{l+1}(t - t^j_l) e^{2 pi i s t^j_l} dX^j_l.
+
+    Expanding D_m(x - x') = sum_{|s| <= m} e^{2 pi i s x} e^{-2 pi i s x'}
+    splits the kernel-product form into time-smoothed sums L_j(s) of the
+    row asset and the shared sums a_{j'}(s) of the column asset. L_j(s) is
+    the Fourier sum of the Fejér-weighted increments at -s.
+    """
+    weighted = IncrementTable(
+        assets=tuple(
+            AssetIncrements(a.asset_id, a.times, fejer_eval(l + 1, t - a.times) * a.dx)
+            for a in inc.assets
+        )
+    )
+    smoothed = fourier_coefficients(weighted, coeffs.order).tables[:, ::-1]
+    return (smoothed @ coeffs.tables.T).real / (2 * coeffs.order + 1)
 
 
 def _generic_at(inc: IncrementTable, spec: GenericSpec, t: float) -> np.ndarray:
@@ -339,7 +345,7 @@ def estimate_classical(inc: IncrementTable, m: int, l: int | None, t: float) -> 
     l_eff = m if l is None else l
     if l_eff < 1:
         raise EstimationError("smoothing order must be a positive integer")
-    return VolMatrix(t=t, entries=_classical_at(inc, m, l_eff, t))
+    return VolMatrix(t=t, entries=_classical_at(inc, fourier_coefficients(inc, m), l_eff, t))
 
 
 def estimate_psd_direct(inc: IncrementTable, c: PSDFunction, t: float) -> VolMatrix:
@@ -364,8 +370,9 @@ def estimate_psd_factorized(inc: IncrementTable, mu: SpectralMeasure, m: int, t:
 
 def _build_evaluator(inc: IncrementTable, config: EstimatorConfig) -> Callable[[float], np.ndarray]:
     if config.method == "classical":
-        m, l = config.m, config.effective_l
-        return lambda t: _classical_at(inc, m, l, t)
+        l = config.effective_l
+        coeffs = fourier_coefficients(inc, config.m)
+        return lambda t: _classical_at(inc, coeffs, l, t)
     if config.method == "psd_factorized":
         mu = make_measure(config.kernel, config.m)
         coeffs = fourier_coefficients(inc, config.m)
@@ -381,12 +388,11 @@ def _build_evaluator(inc: IncrementTable, config: EstimatorConfig) -> Callable[[
     return lambda t: _generic_at(inc, spec, t)
 
 
-def estimate_path(obs: ObservationSet, config: EstimatorConfig, threads: int = 1) -> VolPath:
+def estimate_path(obs: ObservationSet, config: EstimatorConfig) -> VolPath:
     """Apply the configured per-time estimator across the evaluation grid.
 
-    Grid points are evaluated independently; with ``threads > 1`` they are
-    dispatched to a thread pool and gathered by index, so the result does
-    not depend on scheduling order.
+    Per-path work (increments, Fourier sums, measure) is done once; each grid
+    point is then evaluated in order, and a failure names its time.
     """
     inc = increments(obs)
     evaluator = _build_evaluator(inc, config)
@@ -401,14 +407,9 @@ def estimate_path(obs: ObservationSet, config: EstimatorConfig, threads: int = 1
         except Exception as exc:  # attach the offending time
             raise EstimationError(f"estimation failed at t={t}: {exc}") from exc
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            matrices = list(pool.map(at, grid))
-    else:
-        matrices = [at(t) for t in grid]
     return VolPath(
         times=grid.copy(),
-        matrices=np.stack(matrices),
+        matrices=np.stack([at(t) for t in grid]),
         asset_ids=obs.asset_ids,
         config=config,
     )
@@ -448,11 +449,13 @@ def read_vol_csv(file) -> VolPath:
                 continue
             if len(row) != k + 1:
                 raise EstimationError(f"{file}:{lineno}: expected {k + 1} columns")
-            times.append(float(row[0]))
+            vals = np.array([float(x) for x in row])
+            if not np.all(np.isfinite(vals)):
+                raise EstimationError(f"{file}:{lineno}: non-finite time or matrix entry")
+            times.append(vals[0])
             mat = np.zeros((d, d))
-            vals = np.array([float(x) for x in row[1:]])
-            mat[iu, ju] = vals
-            mat[ju, iu] = vals
+            mat[iu, ju] = vals[1:]
+            mat[ju, iu] = vals[1:]
             mats.append(mat)
     if not times:
         raise EstimationError(f"{file}: no data rows")

@@ -1,15 +1,15 @@
 """Symmetric eigendecomposition and dynamic principal component analysis.
 
-The eigensolver is a cyclic Jacobi iteration. At the matrix sizes a
-volatility panel produces (d up to ~100) Jacobi is simple and robust, and
-it delivers eigenvector orthogonality near machine precision, which is what
-the explained-variance ratios downstream depend on.
+Eigenvalues come from LAPACK through numpy: ``pca_ratios`` makes one batched
+``np.linalg.eigvalsh`` call on the whole (n, d, d) stack of a path, and
+``symm_eigen`` wraps ``np.linalg.eigh`` for a single matrix. Both read the
+upper triangle. Every tolerance below is relative to max|A| or to the trace,
+so LAPACK's normwise accuracy is all the explained-variance ratios need.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -19,77 +19,49 @@ if TYPE_CHECKING:  # pragma: no cover
     from .estimator import VolPath
 
 SYMMETRY_RTOL = 1e-10   # gate on max|A - A.T| relative to max|A|
-OFFDIAG_FTOL = 1e-12    # sweep until off-diagonal Frobenius mass is this small
-MAX_SWEEPS = 50
 CLAMP_RTOL = 1e-10      # eigenvalues below -CLAMP_RTOL * trace are an error
 
 
+def _asymmetry(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """max|A - A.T| and max|A| over the last two axes."""
+    asym = np.max(np.abs(mats - np.swapaxes(mats, -1, -2)), axis=(-2, -1))
+    return asym, np.max(np.abs(mats), axis=(-2, -1))
+
+
+def _asymmetry_message(asym: float, scale: float) -> str:
+    return (
+        f"matrix is not symmetric: max|A - A.T| = {asym:.3e} exceeds "
+        f"{SYMMETRY_RTOL:.0e} * max|A| = {SYMMETRY_RTOL * scale:.3e}"
+    )
+
+
 def symm_eigen(a) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a real symmetric matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a real symmetric matrix (LAPACK ``eigh``).
 
     Returns ``(w, q)`` with eigenvalues ``w`` sorted descending and orthonormal
     eigenvectors in the columns of ``q``, so that ``a ~= q @ diag(w) @ q.T``.
-    Each eigenvector is normalized to have its first nonzero component
-    positive, so repeated runs produce identical output.
+    Ties keep LAPACK's order, and each eigenvector is normalized to have its
+    first nonzero component positive, so repeated runs produce identical
+    output.
 
     Raises ``ValueError`` when ``a`` is not symmetric within
-    ``1e-10 * max|a|``.
+    ``1e-10 * max|a|``; a harmless asymmetry below the gate is resolved by
+    reading the upper triangle.
     """
     mat = np.array(a, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    n = mat.shape[0]
-    if n == 0:
+    if mat.shape[0] == 0:
         raise ValueError("expected a nonempty matrix")
-    scale = float(np.max(np.abs(mat)))
-    asym = float(np.max(np.abs(mat - mat.T)))
+    asym, scale = _asymmetry(mat)
     if asym > SYMMETRY_RTOL * scale:
-        raise ValueError(
-            f"matrix is not symmetric: max|A - A.T| = {asym:.3e} exceeds "
-            f"{SYMMETRY_RTOL:.0e} * max|A| = {SYMMETRY_RTOL * scale:.3e}"
-        )
-    # Rounding in the caller may leave a harmless asymmetry below the gate;
-    # the rotations assume exact symmetry, so mirror the upper triangle.
-    mat = np.triu(mat) + np.triu(mat, 1).T
-    vecs = np.eye(n)
-    norm_f = float(np.linalg.norm(mat))
-    if norm_f > 0.0:
-        for _ in range(MAX_SWEEPS):
-            off = math.sqrt(2.0 * float(np.sum(np.triu(mat, 1) ** 2)))
-            if off <= OFFDIAG_FTOL * norm_f:
-                break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = mat[p, q]
-                    if apq == 0.0:
-                        continue
-                    theta = (mat[q, q] - mat[p, p]) / (2.0 * apq)
-                    t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                    c = 1.0 / math.sqrt(1.0 + t * t)
-                    s = t * c
-                    col_p = mat[:, p].copy()
-                    col_q = mat[:, q].copy()
-                    mat[:, p] = c * col_p - s * col_q
-                    mat[:, q] = s * col_p + c * col_q
-                    row_p = mat[p, :].copy()
-                    row_q = mat[q, :].copy()
-                    mat[p, :] = c * row_p - s * row_q
-                    mat[q, :] = s * row_p + c * row_q
-                    mat[p, q] = 0.0
-                    mat[q, p] = 0.0
-                    vec_p = vecs[:, p].copy()
-                    vec_q = vecs[:, q].copy()
-                    vecs[:, p] = c * vec_p - s * vec_q
-                    vecs[:, q] = s * vec_p + c * vec_q
-    eigvals = np.diag(mat).copy()
+        raise ValueError(_asymmetry_message(asym, scale))
+    eigvals, vecs = np.linalg.eigh(mat, UPLO="U")
     order = np.argsort(-eigvals, kind="stable")
-    eigvals = eigvals[order]
-    vecs = vecs[:, order]
-    for col in range(n):
-        v = vecs[:, col]
-        nz = np.flatnonzero(np.abs(v) > 1e-12)
-        if nz.size and v[nz[0]] < 0.0:
-            vecs[:, col] = -v
+    eigvals, vecs = eigvals[order], vecs[:, order]
+    first = np.argmax(np.abs(vecs) > 1e-12, axis=0)
+    flip = vecs[first, np.arange(vecs.shape[1])] < 0.0
+    vecs[:, flip] *= -1.0
     return eigvals, vecs
 
 
@@ -128,35 +100,45 @@ def pca_ratios(path: "VolPath | Sequence", top: int = 3) -> PcaPath:
     """Eigenvalues and cumulative explained-variance ratios along a matrix path.
 
     Eigenvalues in ``[-1e-10 * trace, 0)`` are clamped to zero before the
-    ratios are formed, so every ratio lies in [0, 1]. An eigenvalue below
-    ``-1e-10 * trace`` means the input did not come from a positive
-    semi-definite estimator and raises ``ValueError``, as does a matrix with
-    nonpositive trace.
+    ratios are formed, so every ratio lies in [0, 1]. Each time is checked in
+    turn: a non-finite entry, a nonpositive trace, an asymmetry above
+    ``1e-10 * max|A|``, or an eigenvalue below ``-1e-10 * trace`` (the input
+    did not come from a positive semi-definite estimator) raises
+    ``ValueError`` naming the first time that fails.
     """
     if top < 1:
         raise ValueError("top must be a positive integer")
-    reports = []
-    for t, entries in zip(path.times, path.matrices):
-        tr = float(np.trace(entries))
-        if tr <= 0.0:
-            raise ValueError(f"degenerate volatility matrix at t={t}: trace={tr:.3e}")
-        try:
-            eigvals, _ = symm_eigen(entries)
-        except ValueError as exc:
-            raise ValueError(f"at t={t}: {exc}") from exc
-        floor = -CLAMP_RTOL * tr
-        worst = float(eigvals[-1])
-        if worst < floor:
-            raise ValueError(
-                f"eigenvalue {worst:.6e} below -1e-10 * trace at t={t}: "
-                "matrix is not positive semi-definite within tolerance"
-            )
-        clamped = np.maximum(eigvals, 0.0)
-        total = float(np.sum(clamped))
-        count = min(top, clamped.size)
-        ratios = np.cumsum(clamped[:count]) / total
-        reports.append(EigenReport(t=float(t), eigenvalues=clamped, ratios=ratios))
-    return PcaPath(reports=tuple(reports))
+    times = np.asarray(path.times, dtype=float)
+    mats = np.asarray(path.matrices, dtype=float)
+    finite = np.all(np.isfinite(mats), axis=(1, 2))
+    with np.errstate(invalid="ignore"):  # inf - inf in a non-finite matrix
+        traces = np.trace(mats, axis1=1, axis2=2)
+        asym, scale = _asymmetry(mats)
+    bad = ~finite | ~(traces > 0.0) | (asym > SYMMETRY_RTOL * scale)
+    n_ok = int(np.argmax(bad)) if bad.any() else bad.size
+    # times before the first malformed matrix may still fail the PSD floor
+    eigvals = np.linalg.eigvalsh(mats[:n_ok], UPLO="U")[:, ::-1]
+    below = eigvals[:, -1] < -CLAMP_RTOL * traces[:n_ok]
+    if below.any():
+        i = int(np.argmax(below))
+        raise ValueError(
+            f"eigenvalue {eigvals[i, -1]:.6e} below -1e-10 * trace at t={times[i]}: "
+            "matrix is not positive semi-definite within tolerance"
+        )
+    if n_ok < bad.size:
+        t = times[n_ok]
+        if not finite[n_ok]:
+            raise ValueError(f"non-finite volatility matrix at t={t}")
+        if not traces[n_ok] > 0.0:
+            raise ValueError(f"degenerate volatility matrix at t={t}: trace={traces[n_ok]:.3e}")
+        raise ValueError(f"at t={t}: {_asymmetry_message(asym[n_ok], scale[n_ok])}")
+    clamped = np.maximum(eigvals, 0.0)
+    count = min(top, clamped.shape[1])
+    ratios = np.cumsum(clamped[:, :count], axis=1) / np.sum(clamped, axis=1)[:, None]
+    reports = tuple(
+        EigenReport(t=float(t), eigenvalues=w, ratios=r) for t, w, r in zip(times, clamped, ratios)
+    )
+    return PcaPath(reports=reports)
 
 
 def rank_estimate(report: EigenReport, threshold: float) -> int:

@@ -114,21 +114,6 @@ def test_estimate_default_flags_and_determinism(small_ticks, tmp_path):
     np.testing.assert_allclose(rows[:, 0], np.arange(1, 151) / 150)
 
 
-def test_estimate_threads_do_not_change_output(small_ticks, tmp_path):
-    out1, out2 = tmp_path / "v1.csv", tmp_path / "v2.csv"
-    assert run(["estimate", "--input", small_ticks, "--grid", 40, "--out", out1]) == 0
-    assert run(["estimate", "--input", small_ticks, "--grid", 40, "--threads", 4, "--out", out2]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-
-
-def test_estimate_env_threads(small_ticks, tmp_path, monkeypatch):
-    out = tmp_path / "v.csv"
-    monkeypatch.setenv("SPOTVOL_THREADS", "2")
-    assert run(["estimate", "--input", small_ticks, "--grid", 10, "--out", out]) == 0
-    monkeypatch.setenv("SPOTVOL_THREADS", "zero")
-    assert run(["estimate", "--input", small_ticks, "--grid", 10, "--out", out]) == 1
-
-
 def test_estimate_warns_when_cutoff_exceeds_ticks(tmp_path, capsys):
     ticks = tmp_path / "ticks.csv"
     run(["simulate", "--model", "const-corr", "--d", 1, "--rho", 0.0, "--n", 10,

@@ -18,6 +18,7 @@ from spotvol.estimator import (
     VolPath,
 )
 from spotvol.kernels import (
+    INTEGER_GUARD,
     KernelParams,
     PSDFunction,
     c_from_measure,
@@ -212,6 +213,45 @@ PINNED_ASYNC = IncrementTable(
 def test_classical_asymmetry_witness():
     v = estimate_classical(PINNED_ASYNC, 3, 3, 0.5).entries
     assert abs(v[0, 1] - v[1, 0]) > 1e-6
+
+
+def two_assets(t1, dx1, t2, dx2):
+    return IncrementTable(
+        assets=(
+            AssetIncrements("A1", np.asarray(t1, float), np.asarray(dx1, float)),
+            AssetIncrements("A2", np.asarray(t2, float), np.asarray(dx2, float)),
+        )
+    )
+
+
+CLASSICAL_EDGE_CASES = {
+    # cross-asset gaps inside the band where the closed-form Dirichlet kernel takes its limit
+    "sub-guard-gaps": (
+        two_assets([0.2, 0.5, 0.8], [0.6, -0.3, 0.4],
+                   [0.2 + 0.1 * INTEGER_GUARD, 0.5 - 0.5 * INTEGER_GUARD, 0.8 + 0.9 * INTEGER_GUARD],
+                   [-0.2, 0.5, 0.7]),
+        3, 3,
+    ),
+    "ticks-at-0-and-1": (
+        two_assets([0.0, 0.4, 1.0], [0.5, -0.2, 0.3], [0.0, 0.7, 1.0], [0.1, 0.6, -0.4]),
+        3, 2,
+    ),
+    "d-1": (one_asset([0.15, 0.35, 0.9], [0.4, -0.7, 0.2]), 4, 4),
+    "m-at-least-n": (
+        two_assets([0.3, 0.6], [0.8, -0.5], [0.1, 0.45, 0.7], [0.2, 0.3, -0.6]),
+        8, 3,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLASSICAL_EDGE_CASES))
+def test_classical_edge_inputs_match_frequency_form(case):
+    inc, m, l = CLASSICAL_EDGE_CASES[case]
+    for t in (0.0, 0.37, 0.5, 1.0):
+        got = estimate_classical(inc, m, l, t).entries
+        want = classical_spectral_form(inc, m, l, t)
+        scale = max(np.max(np.abs(want)), 1e-12)
+        assert np.max(np.abs(got - want)) <= 1e-10 * scale
 
 
 # ------------------------------------------------------------------ psd direct
@@ -445,24 +485,35 @@ def test_estimate_path_single_time_matches_pointwise(rng):
     np.testing.assert_array_equal(path.matrices[0], single)
 
 
-def test_estimate_path_threads_match_serial(rng):
-    from spotvol.market_data import ObservationSet, TickSeries
+def pointwise_estimators(kernel, m):
+    mu = make_measure(kernel, m)
+    c = c_from_measure(mu, m)
+    spec = generic_spec_from_psd(c)
+    return {
+        "generic": lambda inc, t: estimate_generic(inc, spec, t),
+        "classical": lambda inc, t: estimate_classical(inc, m, None, t),
+        "psd_direct": lambda inc, t: estimate_psd_direct(inc, c, t),
+        "psd_factorized": lambda inc, t: estimate_psd_factorized(inc, mu, m, t),
+    }
+
+
+@pytest.mark.parametrize("method", ["generic", "classical", "psd_direct", "psd_factorized"])
+def test_estimate_path_matches_pointwise_estimators(rng, method):
+    from spotvol.market_data import ObservationSet, TickSeries, increments as make_increments
 
     series = []
-    for j in range(3):
-        times = np.concatenate([[0.0], np.sort(rng.random(20)), [1.0]])
+    for j in range(2):
+        times = np.concatenate([[0.0], np.sort(rng.random(7)), [1.0]])
         values = np.cumsum(rng.standard_normal(times.size)) * 0.1
         series.append(TickSeries(f"A{j + 1}", times, values))
     obs = ObservationSet(series=tuple(series))
-    config = EstimatorConfig(
-        method="psd_factorized",
-        eval_grid=np.arange(1, 21) / 20,
-        m=5,
-        kernel=KernelParams(family="cauchy", gamma=0.2),
-    )
-    serial = estimate_path(obs, config, threads=1)
-    threaded = estimate_path(obs, config, threads=4)
-    np.testing.assert_array_equal(serial.matrices, threaded.matrices)
+    kernel = KernelParams(family="cauchy", gamma=0.2)
+    grid = np.array([0.0, 0.3, 0.55, 1.0])
+    path = estimate_path(obs, EstimatorConfig(method=method, eval_grid=grid, m=3, kernel=kernel))
+    pointwise = pointwise_estimators(kernel, 3)[method]
+    inc = make_increments(obs)
+    for t, mat in zip(grid, path.matrices):
+        np.testing.assert_array_equal(mat, pointwise(inc, t).entries)
 
 
 def test_estimate_path_attaches_failing_time(rng, monkeypatch):
@@ -519,3 +570,11 @@ def test_vol_csv_roundtrip(rng):
             assert fh.readline().strip() == "t,V_1_1,V_1_2,V_1_3,V_2_2,V_2_3,V_3_3"
     np.testing.assert_array_equal(loaded.times, path.times)
     np.testing.assert_array_equal(loaded.matrices, path.matrices)
+
+
+@pytest.mark.parametrize("row", ["0.5,1.0,nan,1.0", "0.5,inf,0.0,1.0", "nan,1.0,0.0,1.0"])
+def test_read_vol_csv_rejects_non_finite(tmp_path, row):
+    f = tmp_path / "vol.csv"
+    f.write_text(f"t,V_1_1,V_1_2,V_2_2\n0.25,1.0,0.0,1.0\n{row}\n")
+    with pytest.raises(EstimationError, match=r"vol\.csv:3: non-finite"):
+        read_vol_csv(f)

@@ -141,6 +141,29 @@ def test_pca_ratios_rejects_bad_matrices():
         pca_ratios(_path_of([np.array([[1.0, 0.4], [0.1, 1.0]])]))
 
 
+def test_pca_ratios_rejects_non_finite():
+    nan_offdiag = np.array([[1.0, np.nan], [np.nan, 1.0]])
+    inf_diag = np.diag([np.inf, 1.0])
+    for bad in (nan_offdiag, inf_diag):
+        path = _path_of([np.eye(2), bad], times=[0.25, 0.75])
+        with pytest.raises(ValueError, match=r"non-finite volatility matrix at t=0\.75"):
+            pca_ratios(path)
+
+
+def test_pca_ratios_names_first_failing_time():
+    good = np.eye(2)
+    not_psd = np.diag([1.0, -0.5])
+    asym = np.array([[1.0, 0.4], [0.1, 1.0]])
+    times = [0.2, 0.4, 0.6]
+    # the PSD floor is checked after the eigenvalues, but the earlier time still wins
+    with pytest.raises(ValueError, match=r"t=0\.4: matrix is not positive semi-definite"):
+        pca_ratios(_path_of([good, not_psd, asym], times))
+    with pytest.raises(ValueError, match=r"at t=0\.4: matrix is not symmetric"):
+        pca_ratios(_path_of([good, asym, not_psd], times))
+    with pytest.raises(ValueError, match=r"degenerate volatility matrix at t=0\.2"):
+        pca_ratios(_path_of([np.zeros((2, 2)), asym, np.diag([1.0, np.nan])], times))
+
+
 def test_pca_full_ratio_reaches_one(rng):
     a = rand_symmetric(rng, 5)
     pca = pca_ratios(_path_of([a @ a.T + 0.1 * np.eye(5)]), top=5)
