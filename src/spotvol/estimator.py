@@ -20,7 +20,9 @@ increment series, all built from windowed Fourier sums of the increments:
 
 The per-asset Fourier sums a_j(s) = sum_l e^{-2 pi i s t^j_l} dX^j_l are
 precomputed once per path and shared by every form except the generic
-reference.
+reference. ``estimate_path`` evaluates the three fast forms on blocks of
+grid times with batched products (the classical form builds its exp table
+once per block); each pointwise estimator is the block of one time.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -38,13 +40,16 @@ from .kernels import (
     SpectralMeasure,
     c_from_measure,
     fejer_eval,
+    is_positive_int,
     make_measure,
 )
-from .market_data import AssetIncrements, IncrementTable, ObservationSet, increments
+from .market_data import IncrementTable, ObservationSet, increments
 
 METHODS = ("generic", "classical", "psd_direct", "psd_factorized")
 
 IMAG_RESIDUE_RTOL = 1e-9
+
+GRID_BLOCK = 32  # evaluation times per block in estimate_path
 
 
 class EstimationError(ValueError):
@@ -177,6 +182,8 @@ class VolPath:
         object.__setattr__(self, "matrices", matrices)
         if times.ndim != 1 or times.size == 0:
             raise EstimationError("a volatility path needs at least one time")
+        if not np.all(np.isfinite(times)):
+            raise EstimationError("path times must be finite")
         if np.any(np.diff(times) <= 0.0):
             raise EstimationError("path times must be strictly increasing")
         d = len(self.asset_ids)
@@ -215,15 +222,15 @@ class EstimatorConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise EstimationError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        if self.m < 1:
+        if not is_positive_int(self.m):
             raise EstimationError("cutoff must be a positive integer")
-        if self.l is not None and self.l < 1:
+        if self.l is not None and not is_positive_int(self.l):
             raise EstimationError("smoothing order must be a positive integer")
         grid = np.asarray(self.eval_grid, dtype=float)
         object.__setattr__(self, "eval_grid", grid)
         if grid.ndim != 1 or grid.size == 0:
             raise EstimationError("eval_grid must be a nonempty 1-d array")
-        if np.any(grid < 0.0) or np.any(grid > 1.0):
+        if not np.all((grid >= 0.0) & (grid <= 1.0)):
             raise EstimationError("eval_grid times must lie in [0, 1]")
         if np.any(np.diff(grid) <= 0.0):
             raise EstimationError("eval_grid times must be strictly increasing")
@@ -235,55 +242,55 @@ class EstimatorConfig:
         return self.m if self.l is None else self.l
 
 
-def _direct_at(coeffs: FourierCoefficients, c: PSDFunction, t: float) -> np.ndarray:
+def _direct_at(coeffs: FourierCoefficients, c: PSDFunction, times: np.ndarray) -> np.ndarray:
     if coeffs.order != c.m:
         raise EstimationError(
             f"weight table covers [-{2 * c.m}, {2 * c.m}] but the Fourier sums "
             f"were built at cutoff {coeffs.order}"
         )
-    m = c.m
-    u = np.arange(-m, m + 1)
-    g = np.exp(2j * np.pi * t * u)[:, None] * coeffs.tables.T  # (2m+1, d)
-    v = g.T @ c.toeplitz() @ np.conj(g)
-    return v.real
+    u = np.arange(-c.m, c.m + 1)
+    g = np.exp(2j * np.pi * times[:, None] * u)[:, :, None] * coeffs.tables.T  # (G, 2m+1, d)
+    return (np.swapaxes(g, 1, 2) @ c.toeplitz() @ np.conj(g)).real
 
 
-def _smoothed_sums(coeffs: FourierCoefficients, atoms: np.ndarray, t: float) -> np.ndarray:
-    """S[q, j] = sum_{|s| <= m} e^{2 pi i s (t + y_q)} a_j(s), evaluated as a real number."""
+def _factorized_at(coeffs: FourierCoefficients, mu: SpectralMeasure, times: np.ndarray) -> np.ndarray:
+    """B^T B with B[g, q, j] = sqrt(w_q) sum_{|s| <= m} e^{2 pi i s (t_g + y_q)} a_j(s).
+
+    The phase splits as e^{2 pi i s t} e^{2 pi i s y}, so the sum over s is
+    one batched product of the atom phases with the time-shifted sums.
+    """
     m = coeffs.order
     s_pos = np.arange(1, m + 1)
-    phases = np.exp(2j * np.pi * np.outer(atoms + t, s_pos))  # (Q, m)
-    a0 = coeffs.tables[:, m].real
-    a_pos = coeffs.tables[:, m + 1:]
-    return a0[None, :] + 2.0 * (phases @ a_pos.T).real
-
-
-def _factorized_at(coeffs: FourierCoefficients, mu: SpectralMeasure, t: float) -> np.ndarray:
-    smooth = _smoothed_sums(coeffs, mu.atoms, t)
+    shift = np.exp(2j * np.pi * np.outer(mu.atoms, s_pos))  # (Q, m)
+    at_t = np.exp(2j * np.pi * times[:, None] * s_pos)[:, :, None] * coeffs.tables[:, m + 1:].T
+    smooth = coeffs.tables[:, m].real + 2.0 * (shift @ at_t).real  # (G, Q, d)
     b = np.sqrt(mu.weights)[:, None] * smooth
-    v = b.T @ b
+    v = np.swapaxes(b, 1, 2) @ b
     # mirror the upper triangle so entry (j, j') and (j', j) are the same float
-    return np.triu(v) + np.triu(v, 1).T
+    return np.triu(v) + np.swapaxes(np.triu(v, 1), 1, 2)
 
 
 def _classical_at(
-    inc: IncrementTable, coeffs: FourierCoefficients, l: int, t: float
+    inc: IncrementTable, coeffs: FourierCoefficients, l: int, times: np.ndarray
 ) -> np.ndarray:
     """(2m+1)^-1 Re(L a^T) with L_j(s) = sum_l K_{l+1}(t - t^j_l) e^{2 pi i s t^j_l} dX^j_l.
 
     Expanding D_m(x - x') = sum_{|s| <= m} e^{2 pi i s x} e^{-2 pi i s x'}
     splits the kernel-product form into time-smoothed sums L_j(s) of the
     row asset and the shared sums a_{j'}(s) of the column asset. L_j(s) is
-    the Fourier sum of the Fejér-weighted increments at -s.
+    the Fourier sum of the Fejér-weighted increments at -s; its exp table is
+    built once per asset for the whole block of times.
     """
-    weighted = IncrementTable(
-        assets=tuple(
-            AssetIncrements(a.asset_id, a.times, fejer_eval(l + 1, t - a.times) * a.dx)
-            for a in inc.assets
-        )
-    )
-    smoothed = fourier_coefficients(weighted, coeffs.order).tables[:, ::-1]
-    return (smoothed @ coeffs.tables.T).real / (2 * coeffs.order + 1)
+    m = coeffs.order
+    s_nonneg = np.arange(m + 1)
+    pos = np.empty((times.size, inc.d, m + 1), dtype=complex)  # L_j(-s) for s = 0..m
+    for j, asset in enumerate(inc.assets):
+        e = np.exp(-2j * np.pi * np.outer(s_nonneg, asset.times))  # (m+1, N_j)
+        w = fejer_eval(l + 1, times[:, None] - asset.times) * asset.dx  # (G, N_j)
+        # one matvec per time (not one gemm) so each time sums in the same order
+        pos[:, j] = (e @ w[..., None])[..., 0]
+    smoothed = np.concatenate([pos[..., ::-1], np.conj(pos[..., 1:])], axis=-1)
+    return (smoothed @ coeffs.tables.T).real / (2 * m + 1)
 
 
 def _generic_at(inc: IncrementTable, spec: GenericSpec, t: float) -> np.ndarray:
@@ -345,14 +352,15 @@ def estimate_classical(inc: IncrementTable, m: int, l: int | None, t: float) -> 
     l_eff = m if l is None else l
     if l_eff < 1:
         raise EstimationError("smoothing order must be a positive integer")
-    return VolMatrix(t=t, entries=_classical_at(inc, fourier_coefficients(inc, m), l_eff, t))
+    entries = _classical_at(inc, fourier_coefficients(inc, m), l_eff, np.array([t]))[0]
+    return VolMatrix(t=t, entries=entries)
 
 
 def estimate_psd_direct(inc: IncrementTable, c: PSDFunction, t: float) -> VolMatrix:
     """PSD estimator from a Hermitian weight table (double frequency sum)."""
     t = _check_time(t)
     coeffs = fourier_coefficients(inc, c.m)
-    return VolMatrix(t=t, entries=_direct_at(coeffs, c, t))
+    return VolMatrix(t=t, entries=_direct_at(coeffs, c, np.array([t]))[0])
 
 
 def estimate_psd_factorized(inc: IncrementTable, mu: SpectralMeasure, m: int, t: float) -> VolMatrix:
@@ -365,54 +373,36 @@ def estimate_psd_factorized(inc: IncrementTable, mu: SpectralMeasure, m: int, t:
     if m < 1:
         raise EstimationError("cutoff must be a positive integer")
     coeffs = fourier_coefficients(inc, m)
-    return VolMatrix(t=t, entries=_factorized_at(coeffs, mu, t))
-
-
-def _build_evaluator(inc: IncrementTable, config: EstimatorConfig) -> Callable[[float], np.ndarray]:
-    if config.method == "classical":
-        l = config.effective_l
-        coeffs = fourier_coefficients(inc, config.m)
-        return lambda t: _classical_at(inc, coeffs, l, t)
-    if config.method == "psd_factorized":
-        mu = make_measure(config.kernel, config.m)
-        coeffs = fourier_coefficients(inc, config.m)
-        return lambda t: _factorized_at(coeffs, mu, t)
-    if config.method == "psd_direct":
-        mu = make_measure(config.kernel, config.m)
-        c = c_from_measure(mu, config.m)
-        coeffs = fourier_coefficients(inc, config.m)
-        return lambda t: _direct_at(coeffs, c, t)
-    # generic reference path: fiber at the cutoff, weights from the measure transform
-    mu = make_measure(config.kernel, config.m)
-    spec = generic_spec_from_psd(c_from_measure(mu, config.m))
-    return lambda t: _generic_at(inc, spec, t)
+    return VolMatrix(t=t, entries=_factorized_at(coeffs, mu, np.array([t]))[0])
 
 
 def estimate_path(obs: ObservationSet, config: EstimatorConfig) -> VolPath:
-    """Apply the configured per-time estimator across the evaluation grid.
+    """Apply the configured estimator across the evaluation grid.
 
-    Per-path work (increments, Fourier sums, measure) is done once; each grid
-    point is then evaluated in order, and a failure names its time.
+    Per-path work (increments, Fourier sums, measure) is done once. The fast
+    forms then evaluate the grid in blocks of ``GRID_BLOCK`` times, which
+    bounds the memory of the per-block tables (the classical form builds its
+    exp table once per block); the generic reference runs one time at a time.
+    Each pointwise estimator is the one-time block, so a path equals its
+    pointwise evaluations bit for bit.
     """
     inc = increments(obs)
-    evaluator = _build_evaluator(inc, config)
-    grid = config.eval_grid
-
-    def at(t: float) -> np.ndarray:
-        t = _check_time(t)
-        try:
-            return evaluator(t)
-        except EstimationError:
-            raise
-        except Exception as exc:  # attach the offending time
-            raise EstimationError(f"estimation failed at t={t}: {exc}") from exc
-
-    return VolPath(
-        times=grid.copy(),
-        matrices=np.stack([at(t) for t in grid]),
-        asset_ids=obs.asset_ids,
-        config=config,
-    )
+    m, grid = config.m, config.eval_grid
+    if config.method == "generic":
+        spec = generic_spec_from_psd(c_from_measure(make_measure(config.kernel, m), m))
+        matrices = np.stack([_generic_at(inc, spec, t) for t in grid])
+    else:
+        coeffs = fourier_coefficients(inc, m)
+        if config.method == "classical":
+            form, args = _classical_at, (inc, coeffs, config.effective_l)
+        elif config.method == "psd_direct":
+            form, args = _direct_at, (coeffs, c_from_measure(make_measure(config.kernel, m), m))
+        else:
+            form, args = _factorized_at, (coeffs, make_measure(config.kernel, m))
+        matrices = np.empty((grid.size, inc.d, inc.d))
+        for start in range(0, grid.size, GRID_BLOCK):
+            matrices[start:start + GRID_BLOCK] = form(*args, grid[start:start + GRID_BLOCK])
+    return VolPath(times=grid.copy(), matrices=matrices, asset_ids=obs.asset_ids, config=config)
 
 
 def write_vol_csv(path: VolPath, file) -> None:

@@ -14,6 +14,7 @@ an explicit PSD check via the Toeplitz matrix of the table.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,11 @@ HERMITIAN_RTOL = 1e-10
 WRAP_TERMS = 5          # periodization series truncated at |n| <= WRAP_TERMS
 
 FAMILIES = ("flat", "cauchy", "gaussian", "fejer")
+
+
+def is_positive_int(value) -> bool:
+    """True for an integer >= 1 (numpy integers included), False for bools and floats."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
 
 
 def _reduced(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -93,7 +99,7 @@ class KernelParams:
                 raise ValueError("gaussian family requires l_gauss > 0")
         elif self.l_gauss is not None:
             raise ValueError(f"l_gauss is only meaningful for the gaussian family, not {self.family!r}")
-        if self.nodes is not None and self.nodes < 1:
+        if self.nodes is not None and not is_positive_int(self.nodes):
             raise ValueError("nodes must be a positive integer")
         if self.wrap and self.family not in ("cauchy", "gaussian"):
             raise ValueError("wrap applies only to the continuous families (cauchy, gaussian)")

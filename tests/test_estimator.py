@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spotvol.estimator import (
+    GRID_BLOCK,
     EstimationError,
     EstimatorConfig,
     GenericSpec,
@@ -508,31 +509,13 @@ def test_estimate_path_matches_pointwise_estimators(rng, method):
         series.append(TickSeries(f"A{j + 1}", times, values))
     obs = ObservationSet(series=tuple(series))
     kernel = KernelParams(family="cauchy", gamma=0.2)
-    grid = np.array([0.0, 0.3, 0.55, 1.0])
-    path = estimate_path(obs, EstimatorConfig(method=method, eval_grid=grid, m=3, kernel=kernel))
     pointwise = pointwise_estimators(kernel, 3)[method]
     inc = make_increments(obs)
-    for t, mat in zip(grid, path.matrices):
-        np.testing.assert_array_equal(mat, pointwise(inc, t).entries)
-
-
-def test_estimate_path_attaches_failing_time(rng, monkeypatch):
-    from spotvol import estimator as est_mod
-    from spotvol.market_data import ObservationSet, TickSeries
-
-    times = np.concatenate([[0.0], np.sort(rng.random(8)), [1.0]])
-    values = np.cumsum(rng.standard_normal(times.size)) * 0.1
-    obs = ObservationSet(series=(TickSeries("A1", times, values),))
-
-    def broken(inc, m, l, t):
-        if t == 0.5:
-            raise FloatingPointError("synthetic failure")
-        return np.ones((1, 1))
-
-    monkeypatch.setattr(est_mod, "_classical_at", broken)
-    config = EstimatorConfig(method="classical", eval_grid=np.array([0.25, 0.5, 0.75]), m=2)
-    with pytest.raises(EstimationError, match="t=0.5"):
-        estimate_path(obs, config)
+    # the second grid spans more than one evaluation block
+    for grid in (np.array([0.0, 0.3, 0.55, 1.0]), np.linspace(0.0, 1.0, GRID_BLOCK + 5)):
+        path = estimate_path(obs, EstimatorConfig(method=method, eval_grid=grid, m=3, kernel=kernel))
+        for t, mat in zip(grid, path.matrices):
+            np.testing.assert_array_equal(mat, pointwise(inc, t).entries)
 
 
 def test_estimator_config_validation():
@@ -543,10 +526,33 @@ def test_estimator_config_validation():
         EstimatorConfig(method="psd_factorized", eval_grid=np.array([0.5, 1.5]), kernel=kernel)
     with pytest.raises(EstimationError, match="strictly increasing"):
         EstimatorConfig(method="psd_factorized", eval_grid=np.array([0.5, 0.5]), kernel=kernel)
+    for grid in ([0.5, np.nan], [np.nan], [0.2, np.inf]):
+        with pytest.raises(EstimationError, match=r"\[0, 1\]"):
+            EstimatorConfig(method="psd_factorized", eval_grid=np.array(grid), kernel=kernel)
     with pytest.raises(EstimationError, match="kernel"):
         EstimatorConfig(method="psd_factorized", eval_grid=np.array([0.5]))
     with pytest.raises(EstimationError, match="method"):
         EstimatorConfig(method="welch", eval_grid=np.array([0.5]))
+
+
+@pytest.mark.parametrize("build, error, match", [
+    (lambda: EstimatorConfig(method="classical", eval_grid=[0.5], m=2.0), EstimationError, "cutoff"),
+    (lambda: EstimatorConfig(method="classical", eval_grid=[0.5], m=True), EstimationError, "cutoff"),
+    (lambda: EstimatorConfig(method="classical", eval_grid=[0.5], l=2.5), EstimationError, "smoothing"),
+    (lambda: EstimatorConfig(method="classical", eval_grid=[0.5], l=True), EstimationError, "smoothing"),
+    (lambda: KernelParams(family="gaussian", l_gauss=31.0, nodes=2.5), ValueError, "nodes"),
+    (lambda: KernelParams(family="gaussian", l_gauss=31.0, nodes=True), ValueError, "nodes"),
+], ids=["m-float", "m-bool", "l-float", "l-bool", "nodes-float", "nodes-bool"])
+def test_integer_parameters_must_be_integers(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
+
+
+def test_vol_path_rejects_non_finite_times():
+    with pytest.raises(EstimationError, match="finite"):
+        VolPath(times=np.array([np.nan]), matrices=np.ones((1, 1, 1)), asset_ids=("A1",))
+    with pytest.raises(EstimationError, match="finite"):
+        VolPath(times=np.array([0.2, np.inf]), matrices=np.ones((2, 1, 1)), asset_ids=("A1",))
 
 
 def test_vol_csv_roundtrip(rng):
