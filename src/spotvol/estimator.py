@@ -20,9 +20,13 @@ increment series, all built from windowed Fourier sums of the increments:
 
 The per-asset Fourier sums a_j(s) = sum_l e^{-2 pi i s t^j_l} dX^j_l are
 precomputed once per path and shared by every form except the generic
-reference. ``estimate_path`` evaluates the three fast forms on blocks of
-grid times with batched products (the classical form builds its exp table
-once per block); each pointwise estimator is the block of one time.
+reference. They are built by power recurrence, multiplying each tick's
+phase by e^{-2 pi i t^j_l} from one frequency to the next and re-seeding
+from an exact exp every ``RESEED`` powers, so the pass is O(M N_j) products
+in O(N_j) memory per asset. ``estimate_path`` evaluates the three fast
+forms on blocks of grid times with batched products (the classical form
+builds its exp table once per block); each pointwise estimator is the
+block of one time.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ METHODS = ("generic", "classical", "psd_direct", "psd_factorized")
 IMAG_RESIDUE_RTOL = 1e-9
 
 GRID_BLOCK = 32  # evaluation times per block in estimate_path
+RESEED = 32      # powers between exact exp re-seeds in fourier_coefficients
 
 
 class EstimationError(ValueError):
@@ -105,7 +110,7 @@ def build_fiber(m: int) -> GenericSpec:
     2m + 1 - |k| and every component lies in [-m, m]. Returned without a
     weight table.
     """
-    if m < 1:
+    if not is_positive_int(m):
         raise EstimationError("cutoff must be a positive integer")
     fiber: dict[int, tuple[tuple[int, int], ...]] = {}
     for k in range(-2 * m, 2 * m + 1):
@@ -146,14 +151,28 @@ class FourierCoefficients:
 
 
 def fourier_coefficients(inc: IncrementTable, order: int) -> FourierCoefficients:
-    """Compute a_j(s) = sum_l e^{-2 pi i s t^j_l} dX^j_l for all assets."""
-    if order < 1:
+    """Compute a_j(s) = sum_l e^{-2 pi i s t^j_l} dX^j_l for all assets.
+
+    Power recurrence per asset: with z_l = e^{-2 pi i t^j_l} and
+    p_l = e^{-2 pi i s t^j_l} dX^j_l, a_j(s) is the sum of p and the next
+    frequency is p * z. Every ``RESEED`` powers p is re-seeded from an exact
+    exp, so the rounding drift of the products stays bounded at large order.
+    Memory is O(N_j) per asset; no (order+1) x N_j exp table is built. The
+    negative half is the exact conjugate mirror of s = 0..order.
+    """
+    if not is_positive_int(order):
         raise EstimationError("order must be a positive integer")
-    s_nonneg = np.arange(order + 1)
     tables = np.empty((inc.d, 2 * order + 1), dtype=complex)
     for j, asset in enumerate(inc.assets):
-        pos = np.exp(-2j * np.pi * np.outer(s_nonneg, asset.times)) @ asset.dx
-        tables[j, order:] = pos
+        z = np.exp(-2j * np.pi * asset.times)
+        pos = tables[j, order:]
+        for s in range(order + 1):
+            if s % RESEED == 0:
+                p = np.exp((-2j * np.pi * s) * asset.times)
+                p *= asset.dx
+            else:
+                p *= z
+            pos[s] = p.sum()
         tables[j, :order] = np.conj(pos[1:])[::-1]
     return FourierCoefficients(order=order, asset_ids=inc.asset_ids, tables=tables)
 
@@ -347,10 +366,10 @@ def estimate_classical(inc: IncrementTable, m: int, l: int | None, t: float) -> 
     time-smoothing kernel attaches to the row asset's ticks only.
     """
     t = _check_time(t)
-    if m < 1:
+    if not is_positive_int(m):
         raise EstimationError("cutoff must be a positive integer")
     l_eff = m if l is None else l
-    if l_eff < 1:
+    if not is_positive_int(l_eff):
         raise EstimationError("smoothing order must be a positive integer")
     entries = _classical_at(inc, fourier_coefficients(inc, m), l_eff, np.array([t]))[0]
     return VolMatrix(t=t, entries=entries)
@@ -370,7 +389,7 @@ def estimate_psd_factorized(inc: IncrementTable, mu: SpectralMeasure, m: int, t:
     exactly symmetric and positive semi-definite up to rounding.
     """
     t = _check_time(t)
-    if m < 1:
+    if not is_positive_int(m):
         raise EstimationError("cutoff must be a positive integer")
     coeffs = fourier_coefficients(inc, m)
     return VolMatrix(t=t, entries=_factorized_at(coeffs, mu, np.array([t]))[0])

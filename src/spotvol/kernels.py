@@ -44,7 +44,7 @@ def dirichlet_eval(m: int, x):
     1-periodic and even; within 1e-9 of an integer the limit 2m+1 is
     returned, where the closed form is 0/0. Accepts scalars or arrays.
     """
-    if m < 1:
+    if not is_positive_int(m):
         raise ValueError("kernel order must be a positive integer")
     arr = np.asarray(x, dtype=float)
     r, near = _reduced(arr)
@@ -59,7 +59,7 @@ def fejer_eval(l: int, x):
     Equals sum_{|k| <= l-1} (1 - |k|/l) e^{2 pi i k x}; nonnegative,
     1-periodic, and equal to l at integers. Accepts scalars or arrays.
     """
-    if l < 1:
+    if not is_positive_int(l):
         raise ValueError("kernel order must be a positive integer")
     arr = np.asarray(x, dtype=float)
     r, near = _reduced(arr)
@@ -164,7 +164,7 @@ def make_measure(params: KernelParams, m: int) -> SpectralMeasure:
               reproduces the triangular weight table with no discretization
               error.
     """
-    if m < 1:
+    if not is_positive_int(m):
         raise ValueError("cutoff must be a positive integer")
     if params.family == "flat":
         return SpectralMeasure(
@@ -216,7 +216,7 @@ class PSDFunction:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.m < 1:
+        if not is_positive_int(self.m):
             raise ValueError("cutoff must be a positive integer")
         values = np.asarray(self.values, dtype=complex)
         object.__setattr__(self, "values", values)
@@ -255,7 +255,7 @@ def c_from_measure(mu: SpectralMeasure, m: int) -> PSDFunction:
     construction. The negative half of the table is mirrored from the
     positive half, so Hermitian symmetry is exact.
     """
-    if m < 1:
+    if not is_positive_int(m):
         raise ValueError("cutoff must be a positive integer")
     ks = np.arange(2 * m + 1)
     pos = np.exp(2j * np.pi * np.outer(ks, mu.atoms)) @ mu.weights

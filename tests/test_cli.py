@@ -242,11 +242,17 @@ def test_cli_error_paths(tmp_path, capsys):
 
 
 def test_python_dash_m_entry():
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    # the subprocess does not inherit pytest's pythonpath; put the checkout's src first
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-m", "spotvol", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "spotvol", "--help"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
     assert "simulate" in proc.stdout and "bench" in proc.stdout

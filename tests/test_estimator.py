@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from spotvol.estimator import (
     GRID_BLOCK,
+    RESEED,
     EstimationError,
     EstimatorConfig,
     GenericSpec,
@@ -24,6 +27,7 @@ from spotvol.kernels import (
     PSDFunction,
     c_from_measure,
     dirichlet_eval,
+    fejer_eval,
     make_measure,
 )
 from spotvol.market_data import AssetIncrements, IncrementTable
@@ -65,6 +69,31 @@ def test_fourier_coefficients_conjugate_symmetry(rng):
     inc = random_increments(rng, 3, 20)
     coeffs = fourier_coefficients(inc, 6)
     np.testing.assert_array_equal(coeffs.tables[:, ::-1], np.conj(coeffs.tables))
+
+
+@pytest.mark.parametrize("order", [RESEED - 1, 2 * RESEED + 5, 300])
+def test_fourier_coefficients_recurrence_matches_exp_sums(rng, order):
+    # ticks exactly at 0 and 1, and gaps inside the near-integer guard band
+    interior = np.sort(rng.random(200))
+    close = 0.4 + np.array([0.0, 0.3, 0.9]) * INTEGER_GUARD
+    times = np.sort(np.concatenate([[0.0], interior, close, [1.0]]))
+    dx = rng.standard_normal(times.size)
+    coeffs = fourier_coefficients(one_asset(times, dx), order)
+    direct = np.exp(-2j * np.pi * np.outer(np.arange(-order, order + 1), times)) @ dx
+    err = np.max(np.abs(coeffs.tables[0] - direct))
+    assert err <= 1e-12 * np.sum(np.abs(dx))
+
+
+def test_fourier_coefficients_memory_is_linear_in_ticks(rng):
+    n, order = 23_400, 75
+    inc = one_asset(np.sort(rng.random(n)), rng.standard_normal(n))
+    tracemalloc.start()
+    try:
+        fourier_coefficients(inc, order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * 16  # a few length-N complex arrays, no (order+1) x N table
 
 
 # ----------------------------------------------------------------------- fiber
@@ -546,6 +575,32 @@ def test_estimator_config_validation():
 def test_integer_parameters_must_be_integers(build, error, match):
     with pytest.raises(error, match=match):
         build()
+
+
+_ORDER_INC = one_asset([0.2, 0.5, 0.9], [0.3, -0.1, 0.4])
+_ORDER_MU = make_measure(KernelParams(family="flat"), 2)
+
+ORDER_ENTRY_POINTS = {
+    "fourier_coefficients": (lambda k: fourier_coefficients(_ORDER_INC, k), EstimationError),
+    "build_fiber": (build_fiber, EstimationError),
+    "classical-m": (lambda k: estimate_classical(_ORDER_INC, k, 2, 0.5), EstimationError),
+    "classical-l": (lambda k: estimate_classical(_ORDER_INC, 3, k, 0.5), EstimationError),
+    "factorized-m": (lambda k: estimate_psd_factorized(_ORDER_INC, _ORDER_MU, k, 0.5), EstimationError),
+    "make_measure": (lambda k: make_measure(KernelParams(family="fejer"), k), ValueError),
+    "c_from_measure": (lambda k: c_from_measure(_ORDER_MU, k), ValueError),
+    "PSDFunction": (lambda k: PSDFunction(m=k, values=np.ones(5)), ValueError),
+    "dirichlet_eval": (lambda k: dirichlet_eval(k, 0.3), ValueError),
+    "fejer_eval": (lambda k: fejer_eval(k, 0.3), ValueError),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0, True, 0, -1], ids=["2.5", "3.0", "True", "0", "-1"])
+@pytest.mark.parametrize("entry", sorted(ORDER_ENTRY_POINTS))
+def test_orders_must_be_positive_integers(entry, value):
+    call, error = ORDER_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match="positive integer") as excinfo:
+        call(value)
+    assert excinfo.type is error
 
 
 def test_vol_path_rejects_non_finite_times():
