@@ -8,8 +8,11 @@ increment series, all built from windowed Fourier sums of the increments:
   counts; kept for tests and benchmarks.
 * ``estimate_classical``    kernel-product form
   (1/(2M+1)) sum_{l,l'} K_{L+1}(t - t^j_l) D_M(t^j_l - t^{j'}_{l'}) dX dX',
-  evaluated through the shared sums a_j(s) in O(M sum_j N_j + M d^2) per
-  time. Not symmetric in general, hence unsuitable for eigenanalysis.
+  evaluated as the Fejér sum Re sum_{|k|<=L} e^{2 pi i k t} w_k R(k) of the
+  convolution R_{jj'}(k) = sum_{|u|<=M} a_j(k - u) a_{j'}(u) of the price
+  Fourier sums (Malliavin & Mancino 2009), w_k = (1 - |k|/(L+1)) / (2M+1):
+  O((M+L) sum_j N_j + L M d^2) once per path, O(L d^2) per time. Not
+  symmetric in general, hence unsuitable for eigenanalysis.
 * ``estimate_psd_direct``   double frequency sum
   sum_{u,u'} c(u - u') g_j(u) conj(g_{j'}(u')) with a Hermitian PSD weight
   table c; output is PSD with eigenvalues above -1e-10 * trace.
@@ -24,9 +27,8 @@ reference. They are built by power recurrence, multiplying each tick's
 phase by e^{-2 pi i t^j_l} from one frequency to the next and re-seeding
 from an exact exp every ``RESEED`` powers, so the pass is O(M N_j) products
 in O(N_j) memory per asset. ``estimate_path`` evaluates the three fast
-forms on blocks of grid times with batched products (the classical form
-builds its exp table once per block); each pointwise estimator is the
-block of one time.
+forms on blocks of grid times with batched products; each pointwise
+estimator is the block of one time.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .kernels import (
     PSDFunction,
     SpectralMeasure,
     c_from_measure,
-    fejer_eval,
     is_positive_int,
     make_measure,
 )
@@ -289,27 +290,26 @@ def _factorized_at(coeffs: FourierCoefficients, mu: SpectralMeasure, times: np.n
     return np.triu(v) + np.swapaxes(np.triu(v, 1), 1, 2)
 
 
-def _classical_at(
-    inc: IncrementTable, coeffs: FourierCoefficients, l: int, times: np.ndarray
-) -> np.ndarray:
-    """(2m+1)^-1 Re(L a^T) with L_j(s) = sum_l K_{l+1}(t - t^j_l) e^{2 pi i s t^j_l} dX^j_l.
+def _classical_lags(inc: IncrementTable, m: int, l: int) -> np.ndarray:
+    """The classical form's lag stack w_k R(k) for |k| <= l, shape (2l+1, d, d).
 
-    Expanding D_m(x - x') = sum_{|s| <= m} e^{2 pi i s x} e^{-2 pi i s x'}
-    splits the kernel-product form into time-smoothed sums L_j(s) of the
-    row asset and the shared sums a_{j'}(s) of the column asset. L_j(s) is
-    the Fourier sum of the Fejér-weighted increments at -s; its exp table is
-    built once per asset for the whole block of times.
+    The sums come from one table at order m + l, whose order-m slice is the
+    order-m table bit for bit; R is one gather and one batched product.
     """
-    m = coeffs.order
-    s_nonneg = np.arange(m + 1)
-    pos = np.empty((times.size, inc.d, m + 1), dtype=complex)  # L_j(-s) for s = 0..m
-    for j, asset in enumerate(inc.assets):
-        e = np.exp(-2j * np.pi * np.outer(s_nonneg, asset.times))  # (m+1, N_j)
-        w = fejer_eval(l + 1, times[:, None] - asset.times) * asset.dx  # (G, N_j)
-        # one matvec per time (not one gemm) so each time sums in the same order
-        pos[:, j] = (e @ w[..., None])[..., 0]
-    smoothed = np.concatenate([pos[..., ::-1], np.conj(pos[..., 1:])], axis=-1)
-    return (smoothed @ coeffs.tables.T).real / (2 * m + 1)
+    a = fourier_coefficients(inc, m + l).tables  # a[j, s + m + l] = a_j(s)
+    k = np.arange(-l, l + 1)
+    shifted = a.T[k[:, None] - np.arange(-m, m + 1) + m + l]  # [k, u, j] = a_j(k - u)
+    shifted *= ((1.0 - np.abs(k) / (l + 1)) / (2 * m + 1))[:, None, None]  # w_k
+    return np.swapaxes(shifted, 1, 2) @ a[:, l:l + 2 * m + 1].T  # w_k R(k), summed over |u| <= m
+
+
+def _classical_at(lagged: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Re sum_{|k| <= l} e^{2 pi i k t} w_k R(k) from the stack of ``_classical_lags``."""
+    l = lagged.shape[0] // 2
+    phase = np.exp(2j * np.pi * times[:, None] * np.arange(-l, l + 1))  # (G, 2l+1)
+    # one matvec per time (not one gemm) so each time sums in the same order
+    v = (phase[:, None, :] @ lagged.reshape(2 * l + 1, -1))[:, 0]
+    return v.real.reshape(times.size, *lagged.shape[1:])
 
 
 def _generic_at(inc: IncrementTable, spec: GenericSpec, t: float) -> np.ndarray:
@@ -371,8 +371,7 @@ def estimate_classical(inc: IncrementTable, m: int, l: int | None, t: float) -> 
     l_eff = m if l is None else l
     if not is_positive_int(l_eff):
         raise EstimationError("smoothing order must be a positive integer")
-    entries = _classical_at(inc, fourier_coefficients(inc, m), l_eff, np.array([t]))[0]
-    return VolMatrix(t=t, entries=entries)
+    return VolMatrix(t=t, entries=_classical_at(_classical_lags(inc, m, l_eff), np.array([t]))[0])
 
 
 def estimate_psd_direct(inc: IncrementTable, c: PSDFunction, t: float) -> VolMatrix:
@@ -398,10 +397,10 @@ def estimate_psd_factorized(inc: IncrementTable, mu: SpectralMeasure, m: int, t:
 def estimate_path(obs: ObservationSet, config: EstimatorConfig) -> VolPath:
     """Apply the configured estimator across the evaluation grid.
 
-    Per-path work (increments, Fourier sums, measure) is done once. The fast
-    forms then evaluate the grid in blocks of ``GRID_BLOCK`` times, which
-    bounds the memory of the per-block tables (the classical form builds its
-    exp table once per block); the generic reference runs one time at a time.
+    Per-path work (increments, Fourier sums, measure, the classical lag stack)
+    is done once. The fast forms then evaluate the grid in blocks of
+    ``GRID_BLOCK`` times, bounding the per-block tables (the classical form
+    costs O(L d^2) per time); the generic reference runs one time at a time.
     Each pointwise estimator is the one-time block, so a path equals its
     pointwise evaluations bit for bit.
     """
@@ -411,13 +410,13 @@ def estimate_path(obs: ObservationSet, config: EstimatorConfig) -> VolPath:
         spec = generic_spec_from_psd(c_from_measure(make_measure(config.kernel, m), m))
         matrices = np.stack([_generic_at(inc, spec, t) for t in grid])
     else:
-        coeffs = fourier_coefficients(inc, m)
         if config.method == "classical":
-            form, args = _classical_at, (inc, coeffs, config.effective_l)
+            form, args = _classical_at, (_classical_lags(inc, m, config.effective_l),)
         elif config.method == "psd_direct":
-            form, args = _direct_at, (coeffs, c_from_measure(make_measure(config.kernel, m), m))
+            form, args = _direct_at, (fourier_coefficients(inc, m),
+                                      c_from_measure(make_measure(config.kernel, m), m))
         else:
-            form, args = _factorized_at, (coeffs, make_measure(config.kernel, m))
+            form, args = _factorized_at, (fourier_coefficients(inc, m), make_measure(config.kernel, m))
         matrices = np.empty((grid.size, inc.d, inc.d))
         for start in range(0, grid.size, GRID_BLOCK):
             matrices[start:start + GRID_BLOCK] = form(*args, grid[start:start + GRID_BLOCK])

@@ -35,7 +35,7 @@ def is_positive_int(value) -> bool:
 def _reduced(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     r = x - np.round(x)
     near = np.abs(r) < INTEGER_GUARD
-    return r, near
+    return np.where(near, 0.25, r), near  # 1/4 stands in where the sin ratio is 0/0
 
 
 def dirichlet_eval(m: int, x):
@@ -47,8 +47,7 @@ def dirichlet_eval(m: int, x):
     if not is_positive_int(m):
         raise ValueError("kernel order must be a positive integer")
     arr = np.asarray(x, dtype=float)
-    r, near = _reduced(arr)
-    safe = np.where(near, 0.25, r)
+    safe, near = _reduced(arr)
     out = np.where(near, float(2 * m + 1), np.sin((2 * m + 1) * np.pi * safe) / np.sin(np.pi * safe))
     return float(out) if arr.ndim == 0 else out
 
@@ -62,8 +61,7 @@ def fejer_eval(l: int, x):
     if not is_positive_int(l):
         raise ValueError("kernel order must be a positive integer")
     arr = np.asarray(x, dtype=float)
-    r, near = _reduced(arr)
-    safe = np.where(near, 0.25, r)
+    safe, near = _reduced(arr)
     ratio = np.sin(l * np.pi * safe) / np.sin(np.pi * safe)
     out = np.where(near, float(l), ratio * ratio / l)
     return float(out) if arr.ndim == 0 else out

@@ -23,6 +23,7 @@ import numpy as np
 
 from .market_data import ObservationSet, TickSeries
 from .estimator import VolPath
+from .kernels import is_positive_int
 from . import spectral
 
 _MASK64 = (1 << 64) - 1
@@ -177,8 +178,8 @@ SimModel = Union[ConstCorrModel, SinVolModel, FactorModel]
 
 def random_loadings(d: int, r: int, seed: int) -> np.ndarray:
     """Deterministic (d, r) loadings: standard normals scaled by 1/sqrt(r)."""
-    if d < 1 or r < 1:
-        raise ValueError("d and r must be positive")
+    if not (is_positive_int(d) and is_positive_int(r)):
+        raise ValueError("d and r must be positive integers")
     rng = substream(seed, SALT_MODEL, 0)
     return rng.normals(d * r).reshape(d, r) / math.sqrt(r)
 
@@ -231,8 +232,8 @@ def simulate(model: SimModel, fine_steps: int, seed: int) -> tuple[FinePath, Ora
     increments come from substream(seed, SALT_PATH, i); the factor model uses
     streams 0..r-1 for the factors and r..r+d-1 for the idiosyncratic parts.
     """
-    if fine_steps < 2:
-        raise ValueError("fine_steps must be at least 2")
+    if not (is_positive_int(fine_steps) and fine_steps >= 2):
+        raise ValueError("fine_steps must be an integer of at least 2")
     d = model.d
     dt = 1.0 / fine_steps
     sqrt_dt = math.sqrt(dt)
@@ -281,7 +282,7 @@ class SamplingScheme:
     def __post_init__(self) -> None:
         if self.kind not in ("sync_uniform", "poisson"):
             raise ValueError(f"unknown sampling kind {self.kind!r}")
-        if self.n_target < 1:
+        if not is_positive_int(self.n_target):
             raise ValueError("n_target must be a positive integer")
 
 

@@ -15,6 +15,8 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from .kernels import is_positive_int
+
 if TYPE_CHECKING:  # pragma: no cover
     from .estimator import VolPath
 
@@ -106,7 +108,7 @@ def pca_ratios(path: "VolPath | Sequence", top: int = 3) -> PcaPath:
     did not come from a positive semi-definite estimator) raises
     ``ValueError`` naming the first time that fails.
     """
-    if top < 1:
+    if not is_positive_int(top):
         raise ValueError("top must be a positive integer")
     times = np.asarray(path.times, dtype=float)
     mats = np.asarray(path.matrices, dtype=float)

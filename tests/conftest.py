@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spotvol.kernels import dirichlet_eval, fejer_eval
 from spotvol.market_data import AssetIncrements, IncrementTable
 
 
@@ -15,6 +16,20 @@ def random_increments(rng, d, n_max, scale=0.2, n_min=3):
         dx = rng.standard_normal(times.size) * scale
         assets.append(AssetIncrements(asset_id=f"A{j + 1}", times=times, dx=dx))
     return IncrementTable(assets=tuple(assets))
+
+
+def classical_tick_form(inc, m, l, t):
+    """The paper's kernel-product definition summed over tick pairs (test oracle).
+
+    (2m+1)^-1 sum_{l,l'} K_{l+1}(t - t^j_l) D_m(t^j_l - t^{j'}_{l'}) dX^j_l dX^{j'}_{l'},
+    with both kernels in their closed sine-ratio forms.
+    """
+    out = np.empty((inc.d, inc.d))
+    for j, row in enumerate(inc.assets):
+        smoothed = fejer_eval(l + 1, t - row.times) * row.dx
+        for jp, col in enumerate(inc.assets):
+            out[j, jp] = smoothed @ dirichlet_eval(m, row.times[:, None] - col.times) @ col.dx
+    return out / (2 * m + 1)
 
 
 @pytest.fixture

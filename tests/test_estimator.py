@@ -31,8 +31,10 @@ from spotvol.kernels import (
     make_measure,
 )
 from spotvol.market_data import AssetIncrements, IncrementTable
+from spotvol.simulation import ConstCorrModel, SamplingScheme, random_loadings, simulate
+from spotvol.spectral import pca_ratios
 
-from conftest import random_increments
+from conftest import classical_tick_form, random_increments
 
 
 def one_asset(times, dx, asset_id="A1"):
@@ -222,12 +224,17 @@ def classical_spectral_form(inc, m, l, t):
     return out.real / (2 * m + 1)
 
 
-def test_classical_dual_formula(rng):
+# the frequency-sum form above, and the paper's definition summed over tick pairs
+CLASSICAL_ORACLES = {"frequency": classical_spectral_form, "tick": classical_tick_form}
+
+
+@pytest.mark.parametrize("oracle", sorted(CLASSICAL_ORACLES))
+def test_classical_dual_formula(rng, oracle):
     for _ in range(5):
         inc = random_increments(rng, 2, 12)
         t = float(rng.random())
         got = estimate_classical(inc, 3, 3, t).entries
-        want = classical_spectral_form(inc, 3, 3, t)
+        want = CLASSICAL_ORACLES[oracle](inc, 3, 3, t)
         scale = max(np.max(np.abs(want)), 1e-12)
         assert np.max(np.abs(got - want)) <= 1e-10 * scale
 
@@ -274,12 +281,13 @@ CLASSICAL_EDGE_CASES = {
 }
 
 
+@pytest.mark.parametrize("oracle", sorted(CLASSICAL_ORACLES))
 @pytest.mark.parametrize("case", sorted(CLASSICAL_EDGE_CASES))
-def test_classical_edge_inputs_match_frequency_form(case):
+def test_classical_edge_inputs_match_frequency_form(case, oracle):
     inc, m, l = CLASSICAL_EDGE_CASES[case]
     for t in (0.0, 0.37, 0.5, 1.0):
         got = estimate_classical(inc, m, l, t).entries
-        want = classical_spectral_form(inc, m, l, t)
+        want = CLASSICAL_ORACLES[oracle](inc, m, l, t)
         scale = max(np.max(np.abs(want)), 1e-12)
         assert np.max(np.abs(got - want)) <= 1e-10 * scale
 
@@ -547,6 +555,25 @@ def test_estimate_path_matches_pointwise_estimators(rng, method):
             np.testing.assert_array_equal(mat, pointwise(inc, t).entries)
 
 
+def test_classical_path_memory_at_trading_day_size(rng):
+    from spotvol.market_data import ObservationSet, TickSeries
+
+    n, m = 23_400, 75
+    series = []
+    for j in range(3):
+        times = np.concatenate([[0.0], np.sort(rng.random(n - 2)), [1.0]])
+        series.append(TickSeries(f"A{j + 1}", times, np.cumsum(rng.standard_normal(n)) * 1e-3))
+    config = EstimatorConfig(method="classical", eval_grid=np.linspace(0.0, 1.0, 150), m=m, l=m)
+    obs = ObservationSet(series=tuple(series))
+    tracemalloc.start()
+    try:
+        estimate_path(obs, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20  # no per-block table over the ticks
+
+
 def test_estimator_config_validation():
     kernel = KernelParams(family="flat")
     with pytest.raises(EstimationError, match="nonempty"):
@@ -601,6 +628,26 @@ def test_orders_must_be_positive_integers(entry, value):
     with pytest.raises(ValueError, match="positive integer") as excinfo:
         call(value)
     assert excinfo.type is error
+
+
+_COUNT_PATH = VolPath(times=np.array([0.5]), matrices=np.eye(2)[None], asset_ids=("A1", "A2"))
+
+COUNT_ENTRY_POINTS = {
+    "pca_ratios-top": (lambda k: pca_ratios(_COUNT_PATH, top=k), "top"),
+    "SamplingScheme-n_target": (lambda k: SamplingScheme(kind="sync_uniform", n_target=k), "n_target"),
+    "simulate-fine_steps": (lambda k: simulate(ConstCorrModel(covariance=np.eye(2)), k, 0), "fine_steps"),
+    "random_loadings-d": (lambda k: random_loadings(k, 2, 0), "d and r"),
+    "random_loadings-r": (lambda k: random_loadings(3, k, 0), "d and r"),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0, True, 0, -1], ids=["2.5", "3.0", "True", "0", "-1"])
+@pytest.mark.parametrize("entry", sorted(COUNT_ENTRY_POINTS))
+def test_counts_must_be_positive_integers(entry, value):
+    call, name = COUNT_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be") as excinfo:
+        call(value)
+    assert excinfo.type is ValueError
 
 
 def test_vol_path_rejects_non_finite_times():
