@@ -96,7 +96,7 @@ def _cmd_estimate(args) -> int:
     if args.L is not None and method != "classical":
         raise ValueError("--L applies only to --method classical")
     kernel = None
-    if method in ("psd_factorized", "psd_direct", "generic"):
+    if method in est_mod.KERNEL_METHODS:
         kernel = _kernel_params(args, args.M)
     elif (
         args.kernel is not None

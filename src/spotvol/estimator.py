@@ -26,9 +26,8 @@ precomputed once per path and shared by every form except the generic
 reference. They are built by power recurrence, multiplying each tick's
 phase by e^{-2 pi i t^j_l} from one frequency to the next and re-seeding
 from an exact exp every ``RESEED`` powers, so the pass is O(M N_j) products
-in O(N_j) memory per asset. ``estimate_path`` evaluates the three fast
-forms on blocks of grid times with batched products; each pointwise
-estimator is the block of one time.
+in O(N_j) memory per asset. ``estimate_path`` evaluates all four forms on
+blocks of grid times; each pointwise estimator is the block of one time.
 """
 
 from __future__ import annotations
@@ -51,6 +50,7 @@ from .kernels import (
 from .market_data import IncrementTable, ObservationSet, increments
 
 METHODS = ("generic", "classical", "psd_direct", "psd_factorized")
+KERNEL_METHODS = ("generic", "psd_direct", "psd_factorized")  # weights come from a measure
 
 IMAG_RESIDUE_RTOL = 1e-9
 
@@ -62,11 +62,17 @@ class EstimationError(ValueError):
     """Raised when an estimator is configured or applied inconsistently."""
 
 
-def _check_time(t: float) -> float:
-    t = float(t)
-    if not 0.0 <= t <= 1.0:
-        raise EstimationError(f"evaluation time must lie in [0, 1], got {t!r}")
-    return t
+def _eval_times(times) -> np.ndarray:
+    """Evaluation times as a float array: nonempty, 1-d, in [0, 1], strictly increasing."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size == 0:
+        raise EstimationError("evaluation times must be a nonempty 1-d array")
+    outside = ~((times >= 0.0) & (times <= 1.0))
+    if np.any(outside):
+        raise EstimationError(f"evaluation times must lie in [0, 1], got {float(times[outside][0])!r}")
+    if np.any(np.diff(times) <= 0.0):
+        raise EstimationError("evaluation times must be strictly increasing")
+    return times
 
 
 @dataclass(frozen=True)
@@ -246,20 +252,9 @@ class EstimatorConfig:
             raise EstimationError("cutoff must be a positive integer")
         if self.l is not None and not is_positive_int(self.l):
             raise EstimationError("smoothing order must be a positive integer")
-        grid = np.asarray(self.eval_grid, dtype=float)
-        object.__setattr__(self, "eval_grid", grid)
-        if grid.ndim != 1 or grid.size == 0:
-            raise EstimationError("eval_grid must be a nonempty 1-d array")
-        if not np.all((grid >= 0.0) & (grid <= 1.0)):
-            raise EstimationError("eval_grid times must lie in [0, 1]")
-        if np.any(np.diff(grid) <= 0.0):
-            raise EstimationError("eval_grid times must be strictly increasing")
-        if self.method in ("psd_direct", "psd_factorized", "generic") and self.kernel is None:
+        object.__setattr__(self, "eval_grid", _eval_times(self.eval_grid))
+        if self.method in KERNEL_METHODS and self.kernel is None:
             raise EstimationError(f"method {self.method!r} requires kernel parameters")
-
-    @property
-    def effective_l(self) -> int:
-        return self.m if self.l is None else self.l
 
 
 def _direct_at(coeffs: FourierCoefficients, c: PSDFunction, times: np.ndarray) -> np.ndarray:
@@ -277,25 +272,35 @@ def _factorized_at(coeffs: FourierCoefficients, mu: SpectralMeasure, times: np.n
     """B^T B with B[g, q, j] = sqrt(w_q) sum_{|s| <= m} e^{2 pi i s (t_g + y_q)} a_j(s).
 
     The phase splits as e^{2 pi i s t} e^{2 pi i s y}, so the sum over s is
-    one batched product of the atom phases with the time-shifted sums.
+    one batched product of the atom phases with the time-shifted sums p, of
+    which only the real part is kept. p is built from real products: numpy's
+    complex multiply picks a fused or a plain loop by operand layout, so a
+    time would get different bits in blocks of different sizes.
     """
     m = coeffs.order
     s_pos = np.arange(1, m + 1)
     shift = np.exp(2j * np.pi * np.outer(mu.atoms, s_pos))  # (Q, m)
-    at_t = np.exp(2j * np.pi * times[:, None] * s_pos)[:, :, None] * coeffs.tables[:, m + 1:].T
-    smooth = coeffs.tables[:, m].real + 2.0 * (shift @ at_t).real  # (G, Q, d)
-    b = np.sqrt(mu.weights)[:, None] * smooth
+    phase = np.exp(2j * np.pi * times[:, None] * s_pos)[:, :, None]  # (G, m, 1)
+    a = coeffs.tables[:, m + 1:].T  # (m, d)
+    a_re, a_im = a.real.copy(), a.imag.copy()
+    p_re = phase.real * a_re - phase.imag * a_im
+    p_im = phase.real * a_im + phase.imag * a_re
+    smooth = coeffs.tables[:, m].real + 2.0 * (shift.real.copy() @ p_re - shift.imag.copy() @ p_im)
+    b = np.sqrt(mu.weights)[:, None] * smooth  # (G, Q, d)
     v = np.swapaxes(b, 1, 2) @ b
     # mirror the upper triangle so entry (j, j') and (j', j) are the same float
     return np.triu(v) + np.swapaxes(np.triu(v, 1), 1, 2)
 
 
-def _classical_lags(inc: IncrementTable, m: int, l: int) -> np.ndarray:
+def _classical_lags(inc: IncrementTable, m: int, l: int | None) -> np.ndarray:
     """The classical form's lag stack w_k R(k) for |k| <= l, shape (2l+1, d, d).
 
-    The sums come from one table at order m + l, whose order-m slice is the
-    order-m table bit for bit; R is one gather and one batched product.
+    The smoothing order l defaults to the cutoff m. The sums come from one
+    table at order m + l, whose order-m slice is the order-m table bit for
+    bit; R is one gather and one batched product.
     """
+    if l is None:
+        l = m
     a = fourier_coefficients(inc, m + l).tables  # a[j, s + m + l] = a_j(s)
     k = np.arange(-l, l + 1)
     shifted = a.T[k[:, None] - np.arange(-m, m + 1) + m + l]  # [k, u, j] = a_j(k - u)
@@ -312,15 +317,21 @@ def _classical_at(lagged: np.ndarray, times: np.ndarray) -> np.ndarray:
     return v.real.reshape(times.size, *lagged.shape[1:])
 
 
-def _generic_at(inc: IncrementTable, spec: GenericSpec, t: float) -> np.ndarray:
+def _generic_at(inc: IncrementTable, spec: GenericSpec, times: np.ndarray) -> np.ndarray:
+    """sum_k c_k e^{2 pi i k t} sum_{(s, s') in fiber[k]} a_j(s) a_{j'}(s') on a block of times.
+
+    Each a_j(s) is its own exp sum over the ticks, and the fiber sums, which
+    do not depend on t, are built once per block. Phases are accumulated over
+    k elementwise, so a time sums alike in a block of any size.
+    """
     assets = inc.assets
     d = len(assets)
-    raw = np.empty((d, d), dtype=complex)
+    raw = np.zeros((times.size, d, d), dtype=complex)
+    size = np.zeros((d, d))  # sum_k |c_k| |fiber sum|, the scale of the imaginary residue
     for j in range(d):
         tj, dxj = assets[j].times, assets[j].dx
         for jp in range(d):
             tp, dxp = assets[jp].times, assets[jp].dx
-            acc = 0.0 + 0.0j
             for k in spec.frequencies:
                 ck = complex(spec.coeffs[k])
                 if ck == 0.0:
@@ -330,14 +341,15 @@ def _generic_at(inc: IncrementTable, spec: GenericSpec, t: float) -> np.ndarray:
                     left = np.exp(-2j * np.pi * s * tj) @ dxj
                     right = np.exp(-2j * np.pi * sp * tp) @ dxp
                     inner += left * right
-                acc += ck * np.exp(2j * np.pi * k * t) * inner
-            raw[j, jp] = acc
-    scale = float(np.max(np.abs(raw)))
-    residue = float(np.max(np.abs(raw.imag)))
-    if residue > IMAG_RESIDUE_RTOL * max(scale, 1e-300):
+                raw[:, j, jp] += ck * inner * np.exp(2j * np.pi * k * times)
+                size[j, jp] += abs(ck) * abs(inner)
+    over = np.abs(raw.imag) > IMAG_RESIDUE_RTOL * size
+    if np.any(over):
+        g, j, jp = np.argwhere(over)[0]
         warnings.warn(
-            f"imaginary residue {residue:.3e} exceeds {IMAG_RESIDUE_RTOL:.0e} of the "
-            f"entry scale {scale:.3e}; the weight table is likely not Hermitian",
+            f"imaginary residue {abs(raw.imag[g, j, jp]):.3e} at t={float(times[g])!r} exceeds "
+            f"{IMAG_RESIDUE_RTOL:.0e} of the entry scale {size[j, jp]:.3e}; the weight table "
+            f"is likely not Hermitian",
             RuntimeWarning,
             stacklevel=3,
         )
@@ -347,16 +359,14 @@ def _generic_at(inc: IncrementTable, spec: GenericSpec, t: float) -> np.ndarray:
 def estimate_generic(inc: IncrementTable, spec: GenericSpec, t: float) -> VolMatrix:
     """Reference evaluation of the generic estimator at one time.
 
-    Sums weight * phase * (sum_l e^{-2 pi i s t^j_l} dX^j_l)
-    (sum_{l'} e^{-2 pi i s' t^{j'}_{l'}} dX^{j'}_{l'}) over every frequency
-    and fiber pair, recomputing the inner sums for each pair (no table
-    reuse). Intended for tests and small inputs; the real part is returned
-    and a warning is emitted when the imaginary residue is large.
+    Every fiber pair recomputes its exp sums over the ticks (no table reuse).
+    Intended for tests and small inputs; the real part is returned and a
+    warning is emitted when the imaginary residue is large.
     """
-    t = _check_time(t)
+    times = _eval_times([t])
     if spec.coeffs is None:
         raise EstimationError("generic spec carries no weight table; call with_coeffs first")
-    return VolMatrix(t=t, entries=_generic_at(inc, spec, t))
+    return VolMatrix(t=float(times[0]), entries=_generic_at(inc, spec, times)[0])
 
 
 def estimate_classical(inc: IncrementTable, m: int, l: int | None, t: float) -> VolMatrix:
@@ -365,20 +375,19 @@ def estimate_classical(inc: IncrementTable, m: int, l: int | None, t: float) -> 
     ``l`` defaults to ``m``. The output is not symmetric in general: the
     time-smoothing kernel attaches to the row asset's ticks only.
     """
-    t = _check_time(t)
+    times = _eval_times([t])
     if not is_positive_int(m):
         raise EstimationError("cutoff must be a positive integer")
-    l_eff = m if l is None else l
-    if not is_positive_int(l_eff):
+    if l is not None and not is_positive_int(l):
         raise EstimationError("smoothing order must be a positive integer")
-    return VolMatrix(t=t, entries=_classical_at(_classical_lags(inc, m, l_eff), np.array([t]))[0])
+    return VolMatrix(t=float(times[0]), entries=_classical_at(_classical_lags(inc, m, l), times)[0])
 
 
 def estimate_psd_direct(inc: IncrementTable, c: PSDFunction, t: float) -> VolMatrix:
     """PSD estimator from a Hermitian weight table (double frequency sum)."""
-    t = _check_time(t)
+    times = _eval_times([t])
     coeffs = fourier_coefficients(inc, c.m)
-    return VolMatrix(t=t, entries=_direct_at(coeffs, c, np.array([t]))[0])
+    return VolMatrix(t=float(times[0]), entries=_direct_at(coeffs, c, times)[0])
 
 
 def estimate_psd_factorized(inc: IncrementTable, mu: SpectralMeasure, m: int, t: float) -> VolMatrix:
@@ -387,39 +396,37 @@ def estimate_psd_factorized(inc: IncrementTable, mu: SpectralMeasure, m: int, t:
     Rank of the output is at most min(d, number of atoms); the matrix is
     exactly symmetric and positive semi-definite up to rounding.
     """
-    t = _check_time(t)
+    times = _eval_times([t])
     if not is_positive_int(m):
         raise EstimationError("cutoff must be a positive integer")
     coeffs = fourier_coefficients(inc, m)
-    return VolMatrix(t=t, entries=_factorized_at(coeffs, mu, np.array([t]))[0])
+    return VolMatrix(t=float(times[0]), entries=_factorized_at(coeffs, mu, times)[0])
 
 
 def estimate_path(obs: ObservationSet, config: EstimatorConfig) -> VolPath:
     """Apply the configured estimator across the evaluation grid.
 
     Per-path work (increments, Fourier sums, measure, the classical lag stack)
-    is done once. The fast forms then evaluate the grid in blocks of
+    is done once. All four forms then evaluate the grid in blocks of
     ``GRID_BLOCK`` times, bounding the per-block tables (the classical form
-    costs O(L d^2) per time); the generic reference runs one time at a time.
-    Each pointwise estimator is the one-time block, so a path equals its
-    pointwise evaluations bit for bit.
+    costs O(L d^2) per time; the generic reference builds its fiber sums once
+    per block). Each pointwise estimator is the one-time block, so a path
+    equals its pointwise evaluations bit for bit.
     """
     inc = increments(obs)
     m, grid = config.m, config.eval_grid
-    if config.method == "generic":
-        spec = generic_spec_from_psd(c_from_measure(make_measure(config.kernel, m), m))
-        matrices = np.stack([_generic_at(inc, spec, t) for t in grid])
+    mu = make_measure(config.kernel, m) if config.method in KERNEL_METHODS else None
+    if config.method == "classical":
+        form, args = _classical_at, (_classical_lags(inc, m, config.l),)
+    elif config.method == "generic":
+        form, args = _generic_at, (inc, generic_spec_from_psd(c_from_measure(mu, m)))
+    elif config.method == "psd_direct":
+        form, args = _direct_at, (fourier_coefficients(inc, m), c_from_measure(mu, m))
     else:
-        if config.method == "classical":
-            form, args = _classical_at, (_classical_lags(inc, m, config.effective_l),)
-        elif config.method == "psd_direct":
-            form, args = _direct_at, (fourier_coefficients(inc, m),
-                                      c_from_measure(make_measure(config.kernel, m), m))
-        else:
-            form, args = _factorized_at, (fourier_coefficients(inc, m), make_measure(config.kernel, m))
-        matrices = np.empty((grid.size, inc.d, inc.d))
-        for start in range(0, grid.size, GRID_BLOCK):
-            matrices[start:start + GRID_BLOCK] = form(*args, grid[start:start + GRID_BLOCK])
+        form, args = _factorized_at, (fourier_coefficients(inc, m), mu)
+    matrices = np.empty((grid.size, inc.d, inc.d))
+    for start in range(0, grid.size, GRID_BLOCK):
+        matrices[start:start + GRID_BLOCK] = form(*args, grid[start:start + GRID_BLOCK])
     return VolPath(times=grid.copy(), matrices=matrices, asset_ids=obs.asset_ids, config=config)
 
 

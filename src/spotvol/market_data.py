@@ -89,6 +89,16 @@ class AssetIncrements:
     times: np.ndarray  # t_l for l = 1..N
     dx: np.ndarray     # value[l] - value[l-1]
 
+    def __post_init__(self) -> None:
+        times = np.asarray(self.times, dtype=float)
+        dx = np.asarray(self.dx, dtype=float)
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "dx", dx)
+        if times.ndim != 1 or dx.ndim != 1 or times.size != dx.size:
+            raise MarketDataError(f"{self.asset_id}: times and dx must be 1-d of equal length")
+        if not np.all(np.isfinite(times)) or not np.all(np.isfinite(dx)):
+            raise MarketDataError(f"{self.asset_id}: times and dx must be finite")
+
 
 @dataclass(frozen=True)
 class IncrementTable:

@@ -35,7 +35,6 @@ SALT_SAMPLING = 2  # Poisson arrival times
 SALT_MODEL = 3     # model setup draws (factor loadings)
 
 _TWO_NEG53 = 2.0 ** -53
-_MAX_POISSON_RETRIES = 100
 
 
 def _mix64(z: int) -> int:
@@ -304,8 +303,9 @@ def sample(fine: FinePath, scheme: SamplingScheme, seed: int) -> ObservationSet:
 
     sync_uniform puts every asset on l / n_target for l = 0..n_target, and
     poisson draws per-asset exponential gaps with rate n_target (endpoints
-    forced, duplicates removed after snapping). A Poisson draw with fewer
-    than 2 ticks is regenerated from the next substream, up to 100 retries.
+    forced, duplicates removed after snapping); asset j draws once from
+    substream j * 101. The endpoints give every asset at least 2 ticks once
+    the fine grid has a step; on a one-point grid ``TickSeries`` rejects it.
     """
     steps = fine.steps
     d = fine.values.shape[0]
@@ -321,16 +321,7 @@ def sample(fine: FinePath, scheme: SamplingScheme, seed: int) -> ObservationSet:
             )
     else:
         for j in range(d):
-            for attempt in range(_MAX_POISSON_RETRIES):
-                rng = substream(seed, SALT_SAMPLING, j * (_MAX_POISSON_RETRIES + 1) + attempt)
-                idx = _poisson_indices(rng, scheme.n_target, steps)
-                if idx.size >= 2:
-                    break
-            else:
-                raise RuntimeError(
-                    f"asset {fine.asset_ids[j]}: no valid Poisson draw in "
-                    f"{_MAX_POISSON_RETRIES} attempts"
-                )
+            idx = _poisson_indices(substream(seed, SALT_SAMPLING, j * 101), scheme.n_target, steps)
             series.append(
                 TickSeries(fine.asset_ids[j], fine.times[idx], fine.values[j, idx])
             )

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -184,6 +185,27 @@ def test_generic_warns_on_non_hermitian_coeffs(rng):
     spec = build_fiber(1).with_coeffs(coeffs)
     with pytest.warns(RuntimeWarning, match="imaginary residue"):
         estimate_generic(inc, spec, 0.4)
+
+
+def test_generic_residue_warning_names_the_time(rng):
+    inc = random_increments(rng, 1, 6)
+    coeffs = {k: 1.0 for k in range(-2, 3)}
+    coeffs[1] = 1.0 + 0.9j
+    with pytest.warns(RuntimeWarning, match=r"at t=0\.4 "):
+        estimate_generic(inc, build_fiber(1).with_coeffs(coeffs), 0.4)
+
+
+def test_generic_no_residue_warning_where_the_matrix_vanishes():
+    # V(t) vanishes at zeros of the flat measure's kernel while its terms do not
+    inc = one_asset([1.0], [0.375])
+    mu = make_measure(KernelParams(family="flat"), 4)
+    spec = generic_spec_from_psd(c_from_measure(mu, 4))
+    grid = np.arange(10) / 9
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        values = [estimate_generic(inc, spec, t).entries for t in grid]
+    for t, v in zip(grid, values):
+        assert abs(v[0, 0] - estimate_psd_factorized(inc, mu, 4, t).entries[0, 0]) <= 1e-14
 
 
 # ------------------------------------------------------------------- classical
@@ -545,14 +567,18 @@ def test_estimate_path_matches_pointwise_estimators(rng, method):
         values = np.cumsum(rng.standard_normal(times.size)) * 0.1
         series.append(TickSeries(f"A{j + 1}", times, values))
     obs = ObservationSet(series=tuple(series))
-    kernel = KernelParams(family="cauchy", gamma=0.2)
-    pointwise = pointwise_estimators(kernel, 3)[method]
-    inc = make_increments(obs)
-    # the second grid spans more than one evaluation block
-    for grid in (np.array([0.0, 0.3, 0.55, 1.0]), np.linspace(0.0, 1.0, GRID_BLOCK + 5)):
-        path = estimate_path(obs, EstimatorConfig(method=method, eval_grid=grid, m=3, kernel=kernel))
-        for t, mat in zip(grid, path.matrices):
-            np.testing.assert_array_equal(mat, pointwise(inc, t).entries)
+    # one asset, one increment, M = 1: the one-time block's products have a single entry
+    one_asset_panel = ObservationSet(series=(TickSeries("A1", np.array([0.0, 1.0]),
+                                                        np.array([0.0, 1e-3])),))
+    for obs, kernel, m in ((obs, KernelParams(family="cauchy", gamma=0.2), 3),
+                           (one_asset_panel, KernelParams(family="flat"), 1)):
+        pointwise = pointwise_estimators(kernel, m)[method]
+        inc = make_increments(obs)
+        # the second grid spans more than one evaluation block
+        for grid in (np.array([0.0, 0.3, 0.55, 1.0]), np.linspace(0.0, 1.0, GRID_BLOCK + 5)):
+            path = estimate_path(obs, EstimatorConfig(method=method, eval_grid=grid, m=m, kernel=kernel))
+            for t, mat in zip(grid, path.matrices):
+                np.testing.assert_array_equal(mat, pointwise(inc, t).entries)
 
 
 def test_classical_path_memory_at_trading_day_size(rng):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spotvol.market_data import (
+    AssetIncrements,
     MarketDataError,
     ObservationSet,
     TickSeries,
@@ -151,6 +152,22 @@ def test_tick_series_validation():
         TickSeries("A", np.array([0.0, 1.0]), np.array([1.0, np.inf]))
     with pytest.raises(MarketDataError, match=r"\[0, 1\]"):
         TickSeries("A", np.array([0.0, 1.5]), np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("times, dx, match", [
+    ([0.2, 0.5, 1.0], [0.1, -0.2], "equal length"),
+    ([[0.2, 0.5]], [[0.1, -0.2]], "1-d"),
+    ([0.2, np.nan], [0.1, -0.2], "finite"),
+    ([0.2, 0.5], [0.1, np.inf], "finite"),
+])
+def test_asset_increments_validation(times, dx, match):
+    with pytest.raises(MarketDataError, match=f"B7: .*{match}"):
+        AssetIncrements("B7", np.array(times), np.array(dx))
+
+
+def test_asset_increments_accept_unsorted_times():
+    inc = AssetIncrements("B7", [0.5, 0.2], [1, -2])
+    assert inc.times.dtype == float and inc.dx.dtype == float
 
 
 def test_observation_set_validation():

@@ -3,9 +3,11 @@ import pytest
 
 from spotvol.estimator import EstimatorConfig, VolPath, estimate_path
 from spotvol.kernels import KernelParams
+from spotvol.market_data import MarketDataError
 from spotvol.simulation import (
     ConstCorrModel,
     FactorModel,
+    FinePath,
     SamplingScheme,
     SinVolModel,
     Xoshiro256PP,
@@ -152,6 +154,25 @@ def test_sample_poisson_counts_and_asynchrony():
         # different substreams: the two assets are asynchronous
         t1, t2 = obs.series[0].times, obs.series[1].times
         assert t1.size != t2.size or not np.array_equal(t1, t2)
+
+
+@pytest.mark.parametrize("seed, ticks", [
+    (3, [[0, 19, 60], [0, 4, 20, 45, 55, 60]]),
+    (11, [[0, 26, 46, 60], [0, 6, 8, 13, 22, 42, 44, 58, 60]]),
+])
+def test_sample_poisson_ticks_are_pinned(seed, ticks):
+    # fine-grid indices of the Poisson ticks, one draw per asset from substream j * 101
+    fine, _ = simulate(ConstCorrModel(covariance=np.array([[1.0, 0.3], [0.3, 1.0]])), 60, seed)
+    obs = sample(fine, SamplingScheme(kind="poisson", n_target=6), seed)
+    for s, idx in zip(obs.series, ticks):
+        np.testing.assert_array_equal(s.times, fine.times[idx])
+        np.testing.assert_array_equal(s.values, fine.values[int(s.asset_id[1:]) - 1, idx])
+
+
+def test_sample_poisson_on_a_one_point_grid_names_the_asset():
+    fine = FinePath(times=np.array([0.0]), values=np.zeros((1, 1)), asset_ids=("A1",))
+    with pytest.raises(MarketDataError, match="A1: at least 2 ticks"):
+        sample(fine, SamplingScheme(kind="poisson", n_target=5), 0)
 
 
 def test_sample_scheme_validation():
