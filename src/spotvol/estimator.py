@@ -236,7 +236,8 @@ class EstimatorConfig:
     m is the frequency cutoff (Dirichlet order). l is the classical
     estimator's smoothing order and defaults to m. kernel selects the
     smoothing measure for the PSD methods (and the generic reference, whose
-    weights are the transform of that measure).
+    weights are the transform of that measure). A method given a parameter
+    it does not use is rejected.
     """
 
     method: str
@@ -255,6 +256,10 @@ class EstimatorConfig:
         object.__setattr__(self, "eval_grid", _eval_times(self.eval_grid))
         if self.method in KERNEL_METHODS and self.kernel is None:
             raise EstimationError(f"method {self.method!r} requires kernel parameters")
+        if self.method not in KERNEL_METHODS and self.kernel is not None:
+            raise EstimationError(f"method {self.method!r} takes no kernel parameters")
+        if self.method != "classical" and self.l is not None:
+            raise EstimationError(f"method {self.method!r} takes no smoothing order l")
 
 
 def _direct_at(coeffs: FourierCoefficients, c: PSDFunction, times: np.ndarray) -> np.ndarray:

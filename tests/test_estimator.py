@@ -576,7 +576,9 @@ def test_estimate_path_matches_pointwise_estimators(rng, method):
         inc = make_increments(obs)
         # the second grid spans more than one evaluation block
         for grid in (np.array([0.0, 0.3, 0.55, 1.0]), np.linspace(0.0, 1.0, GRID_BLOCK + 5)):
-            path = estimate_path(obs, EstimatorConfig(method=method, eval_grid=grid, m=m, kernel=kernel))
+            config = EstimatorConfig(method=method, eval_grid=grid, m=m,
+                                     kernel=None if method == "classical" else kernel)
+            path = estimate_path(obs, config)
             for t, mat in zip(grid, path.matrices):
                 np.testing.assert_array_equal(mat, pointwise(inc, t).entries)
 
@@ -628,6 +630,18 @@ def test_estimator_config_validation():
 def test_integer_parameters_must_be_integers(build, error, match):
     with pytest.raises(error, match=match):
         build()
+
+
+@pytest.mark.parametrize("method, extra, match", [
+    ("classical", {"kernel": KernelParams(family="flat")}, "no kernel"),
+    ("psd_factorized", {"l": 7}, "no smoothing order"),
+    ("psd_direct", {"l": 7}, "no smoothing order"),
+    ("generic", {"l": 7}, "no smoothing order"),
+], ids=["classical-kernel", "psd_factorized-l", "psd_direct-l", "generic-l"])
+def test_config_rejects_parameters_its_method_does_not_use(method, extra, match):
+    needed = {} if method == "classical" else {"kernel": KernelParams(family="flat")}
+    with pytest.raises(EstimationError, match=match):
+        EstimatorConfig(method=method, eval_grid=[0.5], **needed, **extra)
 
 
 _ORDER_INC = one_asset([0.2, 0.5, 0.9], [0.3, -0.1, 0.4])
