@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -263,9 +264,18 @@ def _load_rows(path, price_kind: str) -> ObservationSet:
     span = t_max - t_min
     if not span > 0.0:
         raise MarketDataError("all timestamps coincide; cannot normalize the time axis")
+    if not span < math.inf:
+        raise MarketDataError(f"{path}: time span from {t_min!r} to {t_max!r} is not finite")
     series = []
     for asset in order:
         times = (np.asarray(raw_times[asset]) - t_min) / span
+        collapsed = np.flatnonzero(np.diff(times) <= 0.0)
+        if collapsed.size:
+            i = int(collapsed[0])
+            raise MarketDataError(
+                f"{path}: asset {asset!r}: times {raw_times[asset][i]!r} and "
+                f"{raw_times[asset][i + 1]!r} coincide once normalized to [0, 1]"
+            )
         values = np.asarray(raw_prices[asset])
         if price_kind == "raw":
             values = np.log(values)
@@ -283,5 +293,5 @@ def write_csv(obs: ObservationSet, path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["asset", "time", "price"])
         for s in obs.series:
-            for t, v in zip(s.times, s.values):
-                writer.writerow([s.asset_id, repr(float(t)), repr(float(v))])
+            writer.writerows(zip(repeat(s.asset_id), map(repr, s.times.tolist()),
+                                 map(repr, s.values.tolist())))

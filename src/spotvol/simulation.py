@@ -11,13 +11,22 @@ Sub-streams are derived by mixing the user seed with a purpose salt and a
 stream index, so asset paths, sampling arrivals, and model setup draw from
 independent streams and every output is bit-reproducible from (model,
 scheme, seed) alone, independent of platform.
+
+All the streams one call needs advance together: each state word of S
+generators is one Python int with a 64-bit lane per generator, so one
+xor, shift or masked rotate steps every stream at once, and the ++ output
+function runs afterwards in numpy uint64. The draws equal those of
+``Xoshiro256PP.next_u64``, the scalar reference, bit for bit. Normals and
+Poisson gaps take their logarithms and sines from ``math``, not numpy,
+whose vectorized transcendentals may differ between machines; the paths
+then also pass through a BLAS product (and ``np.sin`` for SinVolModel).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -77,18 +86,88 @@ class Xoshiro256PP:
         return (self.next_u64() >> 11) * _TWO_NEG53
 
     def uniforms(self, n: int) -> np.ndarray:
-        return np.array([self.uniform() for _ in range(n)])
+        return _uniforms(_lockstep_u64([self], n)[:, 0])
 
     def normals(self, n: int) -> np.ndarray:
         """Standard normals via Box-Muller; pairs drawn as (u1, u2), u1 in (0, 1]."""
-        out = np.empty(2 * ((n + 1) // 2))
-        for i in range(0, out.size, 2):
-            u1 = ((self.next_u64() >> 11) + 1) * _TWO_NEG53
-            u2 = (self.next_u64() >> 11) * _TWO_NEG53
-            r = math.sqrt(-2.0 * math.log(u1))
-            out[i] = r * math.cos(2.0 * math.pi * u2)
-            out[i + 1] = r * math.sin(2.0 * math.pi * u2)
-        return out[:n]
+        return _box_muller(_lockstep_u64([self], 2 * ((n + 1) // 2))[:, 0], n)
+
+
+def _lanes(words: Sequence[int]) -> int:
+    """One int holding 64-bit words, word k in bits 64k to 64k + 63."""
+    return int.from_bytes(np.array(words, dtype="<u8").tobytes(), "little")
+
+
+def _lockstep_u64(rngs: Sequence[Xoshiro256PP], steps: int) -> np.ndarray:
+    """The next ``steps`` outputs of every generator, as a (steps, S) uint64 array.
+
+    Column k equals ``steps`` calls of ``rngs[k].next_u64()``, and every
+    generator is left in the state those calls would leave. The state
+    update needs no carries, so it runs on the packed lanes; a shift is
+    masked so no bit crosses into the next lane.
+    """
+    nbytes = 8 * len(rngs)
+    clear17 = _lanes([(_MASK64 << 17) & _MASK64] * len(rngs))
+    clear45 = _lanes([(_MASK64 << 45) & _MASK64] * len(rngs))
+    keep45 = _lanes([(1 << 45) - 1] * len(rngs))
+    s0, s1, s2, s3 = (_lanes([getattr(g, w) for g in rngs]) for w in Xoshiro256PP.__slots__)
+    out = np.empty((steps, len(rngs)), dtype=np.uint64)
+    chunk = 256  # steps kept as Python ints between conversions, bounding their memory
+
+    def unpack(records: list[int]) -> np.ndarray:
+        data = b"".join([x.to_bytes(nbytes, "little") for x in records])
+        return np.frombuffer(data, dtype="<u8").reshape(len(records), len(rngs))
+
+    for start in range(0, steps, chunk):
+        rec0, rec3 = [], []
+        for _ in range(min(chunk, steps - start)):
+            rec0.append(s0)
+            rec3.append(s3)
+            t = (s1 << 17) & clear17
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) & clear45) | ((s3 >> 19) & keep45)
+        a = unpack(rec0)
+        x = a + unpack(rec3)
+        out[start:start + len(rec0)] = ((x << 23) | (x >> 41)) + a
+    for w, state in zip(Xoshiro256PP.__slots__, (s0, s1, s2, s3)):
+        for g, word in zip(rngs, unpack([state])[0].tolist()):
+            setattr(g, w, word)
+    return out
+
+
+def _uniforms(raw: np.ndarray) -> np.ndarray:
+    """Uniforms in [0, 1) with 53 random bits, as ``Xoshiro256PP.uniform`` makes them."""
+    return (raw >> 11).astype(float) * _TWO_NEG53
+
+
+def _box_muller(raw: np.ndarray, n: int) -> np.ndarray:
+    """The first n normals of one stream's raw outputs, taken in (u1, u2) pairs.
+
+    u1 = ((x >> 11) + 1) 2^-53 lies in (0, 1]. numpy does only exact
+    conversions and single IEEE products; the transcendentals are ``math``'s.
+    """
+    bits = raw >> 11
+    u1 = ((bits[0::2] + 1).astype(float) * _TWO_NEG53).tolist()
+    angle = ((2.0 * math.pi) * (bits[1::2].astype(float) * _TWO_NEG53)).tolist()
+    r = np.fromiter(map(math.sqrt, [-2.0 * math.log(u) for u in u1]), float, len(u1))
+    out = np.empty(2 * len(u1))
+    out[0::2] = r * np.fromiter(map(math.cos, angle), float, len(u1))
+    out[1::2] = r * np.fromiter(map(math.sin, angle), float, len(u1))
+    return out[:n]
+
+
+def _path_normals(seed: int, count: int, n: int) -> np.ndarray:
+    """n normals from each of the path streams 0..count-1, as (count, n)."""
+    rngs = [substream(seed, SALT_PATH, i) for i in range(count)]
+    raw = _lockstep_u64(rngs, 2 * ((n + 1) // 2))
+    z = np.empty((count, n))
+    for i in range(count):
+        z[i] = _box_muller(raw[:, i], n)
+    return z
 
 
 def substream(seed: int, salt: int, index: int) -> Xoshiro256PP:
@@ -239,14 +318,14 @@ def simulate(model: SimModel, fine_steps: int, seed: int) -> tuple[FinePath, Ora
     tgrid = np.arange(fine_steps + 1) / fine_steps
     if isinstance(model, ConstCorrModel):
         factor = _psd_factor(model.covariance)
-        z = np.stack([substream(seed, SALT_PATH, i).normals(fine_steps) for i in range(d)])
+        z = _path_normals(seed, d, fine_steps)
         dx = (factor @ z) * sqrt_dt
         cov = model.covariance.copy()
         oracle = OracleVolPath(dim=d, fn=lambda t: cov.copy())
     elif isinstance(model, SinVolModel):
         corr = (1.0 - model.corr) * np.eye(d) + model.corr * np.ones((d, d))
         factor = _psd_factor(corr)
-        z = np.stack([substream(seed, SALT_PATH, i).normals(fine_steps) for i in range(d)])
+        z = _path_normals(seed, d, fine_steps)
         db = (factor @ z) * sqrt_dt
         sig = model.base[:, None] + model.swing[:, None] * np.sin(2.0 * np.pi * tgrid[:-1])[None, :]
         dx = sig * db
@@ -260,9 +339,8 @@ def simulate(model: SimModel, fine_steps: int, seed: int) -> tuple[FinePath, Ora
         oracle = OracleVolPath(dim=d, fn=sin_oracle)
     elif isinstance(model, FactorModel):
         r = model.r
-        zf = np.stack([substream(seed, SALT_PATH, i).normals(fine_steps) for i in range(r)])
-        zi = np.stack([substream(seed, SALT_PATH, r + i).normals(fine_steps) for i in range(d)])
-        dx = (model.loadings @ zf + model.idio * zi) * sqrt_dt
+        z = _path_normals(seed, r + d, fine_steps)
+        dx = (model.loadings @ z[:r] + model.idio * z[r:]) * sqrt_dt
         cov = model.loadings @ model.loadings.T + model.idio**2 * np.eye(d)
         oracle = OracleVolPath(dim=d, fn=lambda t: cov.copy())
     else:
@@ -285,17 +363,30 @@ class SamplingScheme:
             raise ValueError("n_target must be a positive integer")
 
 
-def _poisson_indices(rng: Xoshiro256PP, rate: int, steps: int) -> np.ndarray:
-    arrivals = [0]
-    t = 0.0
-    while True:
-        u = rng.uniform()
-        t += -math.log(1.0 - u) / rate
-        if t >= 1.0:
-            break
-        arrivals.append(int(round(t * steps)))
-    arrivals.append(steps)
-    return np.unique(arrivals)
+def _poisson_indices(rngs: Sequence[Xoshiro256PP], rate: int, steps: int) -> list[np.ndarray]:
+    """Fine-grid indices of Poisson arrivals at ``rate`` on [0, 1], one array per generator.
+
+    Arrival times are the running sums of gaps -log(1 - u) / rate, added in
+    draw order and stopped at the first sum >= 1. The streams draw ahead
+    together; a stream whose sums stay below 1 draws another block alone.
+    """
+    ahead = rate + 8 * math.isqrt(rate) + 16
+    raw = _lockstep_u64(rngs, ahead)
+    out = []
+    for j, rng in enumerate(rngs):
+        block, start, parts = raw[:, j], 0.0, []
+        while True:
+            logs = map(math.log, (1.0 - _uniforms(block)).tolist())
+            gaps = -np.fromiter(logs, float, block.size) / rate
+            times = np.cumsum(np.concatenate(([start], gaps)))[1:]
+            stop = int(np.searchsorted(times, 1.0, side="left"))
+            parts.append(times[:stop])
+            if stop < times.size:
+                break
+            block, start = _lockstep_u64([rng], ahead)[:, 0], float(times[-1])
+        ticks = np.rint(np.concatenate(parts) * steps).astype(np.int64)  # half to even, as round
+        out.append(np.unique(np.concatenate(([0], ticks, [steps]))))
+    return out
 
 
 def sample(fine: FinePath, scheme: SamplingScheme, seed: int) -> ObservationSet:
@@ -320,8 +411,8 @@ def sample(fine: FinePath, scheme: SamplingScheme, seed: int) -> ObservationSet:
                 TickSeries(fine.asset_ids[j], fine.times[idx], fine.values[j, idx])
             )
     else:
-        for j in range(d):
-            idx = _poisson_indices(substream(seed, SALT_SAMPLING, j * 101), scheme.n_target, steps)
+        rngs = [substream(seed, SALT_SAMPLING, j * 101) for j in range(d)]
+        for j, idx in enumerate(_poisson_indices(rngs, scheme.n_target, steps)):
             series.append(
                 TickSeries(fine.asset_ids[j], fine.times[idx], fine.values[j, idx])
             )

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,36 @@ def classical_tick_form(inc, m, l, t):
         for jp, col in enumerate(inc.assets):
             out[j, jp] = smoothed @ dirichlet_eval(m, row.times[:, None] - col.times) @ col.dx
     return out / (2 * m + 1)
+
+
+def scalar_normals(gen, n):
+    """Box-Muller from one ``next_u64`` call per uniform (reference for the lockstep streams).
+
+    Pairs are drawn as (u1, u2) with u1 in (0, 1]; an odd n drops the last
+    pair's second normal.
+    """
+    two_neg53 = 2.0 ** -53
+    out = np.empty(2 * ((n + 1) // 2))
+    for i in range(0, out.size, 2):
+        u1 = ((gen.next_u64() >> 11) + 1) * two_neg53
+        u2 = (gen.next_u64() >> 11) * two_neg53
+        r = math.sqrt(-2.0 * math.log(u1))
+        out[i] = r * math.cos(2.0 * math.pi * u2)
+        out[i + 1] = r * math.sin(2.0 * math.pi * u2)
+    return out[:n]
+
+
+def scalar_poisson_indices(gen, rate, steps):
+    """Fine-grid indices of Poisson arrivals, one ``uniform`` call per gap (reference)."""
+    arrivals = [0]
+    t = 0.0
+    while True:
+        t += -math.log(1.0 - gen.uniform()) / rate
+        if t >= 1.0:
+            break
+        arrivals.append(int(round(t * steps)))
+    arrivals.append(steps)
+    return np.unique(arrivals)
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -85,6 +86,49 @@ def test_load_csv_rejects_bad_header_and_empty(tmp_path):
         load_csv(_write(tmp_path, "a,b,c\n1,2,3\n"))
     with pytest.raises(MarketDataError, match="no data rows"):
         load_csv(_write(tmp_path, "asset,time,price\n", name="empty.csv"))
+
+
+def test_load_csv_rejects_a_time_span_that_overflows(tmp_path):
+    path = _write(tmp_path, "asset,time,price\nA,-1e308,1\nA,1e308,2\n")
+    with pytest.raises(MarketDataError, match=r"ticks\.csv: time span .* is not finite"):
+        load_csv(path)
+
+
+def test_load_csv_rejects_times_that_collapse_when_normalized(tmp_path):
+    # strictly increasing raw times, but 5e-324 / 2 rounds to 0
+    path = _write(tmp_path, "asset,time,price\nA,0,1\nA,5e-324,2\nA,2,3\n")
+    with pytest.raises(MarketDataError,
+                       match=r"ticks\.csv: asset 'A': times 0\.0 and 5e-324 coincide"):
+        load_csv(path)
+
+
+def per_row_csv(obs, path):
+    """The tick file written one ``writerow`` call per tick."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["asset", "time", "price"])
+        for s in obs.series:
+            for t, v in zip(s.times, s.values):
+                writer.writerow([s.asset_id, repr(float(t)), repr(float(v))])
+
+
+def test_write_csv_bytes_match_the_per_row_writer_and_round_trip(rng, tmp_path):
+    ids = ('A,"x', "B", " c")  # a comma and a quote force csv quoting
+    series = []
+    for j, asset in enumerate(ids):
+        times = np.unique(np.concatenate([[0.0, 1.0], rng.random(5 + j)]))
+        series.append(TickSeries(asset, times, rng.standard_normal(times.size) * 10.0 ** (3 * j)))
+    obs = ObservationSet(series=tuple(series))
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_csv(obs, got)
+    per_row_csv(obs, want)
+    assert got.read_bytes() == want.read_bytes()
+    assert b'"A,""x"' in got.read_bytes()
+    back = load_csv(got)
+    assert back.asset_ids == ('A,"x', "B", "c")  # the reader strips ids
+    for s, r in zip(obs.series, back.series):
+        np.testing.assert_array_equal(r.times, s.times)
+        np.testing.assert_array_equal(r.values, s.values)
 
 
 def test_normalization_idempotent_via_roundtrip(tmp_path):

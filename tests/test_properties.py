@@ -25,7 +25,13 @@ from spotvol.estimator import (
     estimate_psd_factorized,
     generic_spec_from_psd,
 )
-from spotvol.kernels import KernelParams, c_from_measure, dirichlet_eval, make_measure
+from spotvol.kernels import (
+    INTEGER_GUARD,
+    KernelParams,
+    c_from_measure,
+    dirichlet_eval,
+    make_measure,
+)
 from spotvol.market_data import AssetIncrements, IncrementTable, ObservationSet, TickSeries, increments
 
 from conftest import classical_tick_form
@@ -208,6 +214,62 @@ def test_psd_forms_hold_the_floor_under_cancellation(eps, method, t, delta, m):
     assert_psd(v)
 
 
+FAST_FORMS = ("classical", *PSD_FORMS)
+
+
+@PROPERTY
+@given(panels(), KERNELS, ORDERS, st.sampled_from(FAST_FORMS), st.data())
+def test_a_zero_increment_at_a_price_level_leaves_the_path(obs, kernel, m, method, data):
+    # a tick between two ticks at the earlier tick's price adds dX = 0 and keeps the next dX
+    j = data.draw(st.integers(0, obs.d - 1))
+    s = obs.series[j]
+    l = data.draw(st.integers(1, s.times.size - 1))
+    tau = 0.5 * (s.times[l - 1] + s.times[l])
+    if not s.times[l - 1] < tau < s.times[l]:
+        return  # adjacent floats: nothing fits between
+    grown = TickSeries(s.asset_id, np.insert(s.times, l, tau), np.insert(s.values, l, s.values[l - 1]))
+    more = ObservationSet(series=obs.series[:j] + (grown,) + obs.series[j + 1:])
+    config = EstimatorConfig(method=method, eval_grid=np.linspace(0.0, 1.0, 9), m=m,
+                             **({"l": data.draw(ORDERS)} if method == "classical" else {"kernel": kernel}))
+    v, v_more = (estimate_path(o, config).matrices for o in (obs, more))
+    assert max_abs(v_more - v) <= 1e-12 * max_abs(v)
+
+
+@st.composite
+def guarded_panels(draw) -> ObservationSet:
+    """Panels whose tick gaps, within and across assets, lie inside ``INTEGER_GUARD``.
+
+    Asset 1 doubles some of its ticks at a sub-guard offset; every other
+    asset puts ticks within the guard of asset 1's ticks.
+    """
+    near = st.floats(-0.99, 0.99).map(lambda f: f * INTEGER_GUARD)
+    base = draw(st.lists(st.floats(0.01, 0.99), min_size=1, max_size=12, unique=True))
+    first = set(base) | {t + abs(draw(near)) for t in draw(st.lists(st.sampled_from(base), max_size=4))}
+    series = []
+    for j in range(draw(st.integers(1, 3))):
+        interior = first if j == 0 else {t + draw(near) for t in draw(
+            st.lists(st.sampled_from(base), min_size=1, max_size=8))}
+        times = np.array([0.0, *sorted(interior), 1.0])
+        dx = draw(st.lists(INCREMENTS, min_size=times.size - 1, max_size=times.size - 1))
+        series.append(TickSeries(f"A{j + 1}", times, np.concatenate([[0.0], np.cumsum(dx)])))
+    return ObservationSet(series=tuple(series))
+
+
+@PROPERTY
+@given(guarded_panels(), KERNELS, st.integers(1, 4), st.data())
+def test_psd_forms_agree_on_gaps_inside_the_integer_guard(obs, kernel, m, data):
+    # evaluated at a time within the guard of a tick too
+    tick = data.draw(st.sampled_from(obs.series[0].times[1:-1].tolist()))
+    t = tick + data.draw(st.floats(-0.99, 0.99)) * INTEGER_GUARD
+    inc = increments(obs)
+    fac, direct, generic = (form(inc, t) for form in psd_pointwise(kernel, m).values())
+    tol = 1e-10 * max(max_abs(fac), psd_scale(obs, kernel, m))
+    assert max_abs(fac - direct) <= tol
+    assert max_abs(fac - generic) <= tol
+    assert_psd(fac)
+    assert_psd(direct)
+
+
 # ----------------------------------------------------------------- tick ingest
 
 ID_CHARS = "ABXYZabz019_.-é"
@@ -298,6 +360,9 @@ def mutate(rows: list[list[str]], i: int, name: str) -> str:
         row[2] = "1_0"
     elif name == "full-width digit":
         row[2] = "１"
+    elif name == "times that collapse":
+        # normalized by a span of 1e300, every other tick maps to 1.0
+        rows[i:i] = [["Z9", "-1e300", row[2]], ["Z9", "-5e299", row[2]]]
     elif name == "CRLF":
         return tick_text(rows, "\r\n")
     return tick_text(rows)
@@ -305,7 +370,7 @@ def mutate(rows: list[list[str]], i: int, name: str) -> str:
 
 MUTATIONS = (*ID_MUTATIONS, "-0.0 for one asset", "duplicate time", "time out of order",
              "nan time", "inf price", "2 columns", "4 columns", "one-tick asset", "price <= 0",
-             "blank line", "1_0 price", "full-width digit", "CRLF")
+             "blank line", "1_0 price", "full-width digit", "times that collapse", "CRLF")
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from spotvol import simulation
 from spotvol.estimator import EstimatorConfig, VolPath, estimate_path
 from spotvol.kernels import KernelParams
 from spotvol.market_data import MarketDataError
@@ -18,6 +21,8 @@ from spotvol.simulation import (
     substream,
 )
 from spotvol.spectral import pca_ratios, symm_eigen
+
+from conftest import scalar_normals, scalar_poisson_indices
 
 
 def test_xoshiro_reference_stream():
@@ -263,3 +268,134 @@ def test_score_burn_window():
     np.testing.assert_array_equal(card.times, [0.5])
     with pytest.raises(ValueError, match="burn"):
         score(path, oracle, burn=0.6)
+
+
+# ------------------------------------------------ pinned bits and the lockstep engine
+
+
+def digest(values: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(values, dtype="<f8").tobytes()).hexdigest()[:32]
+
+
+PINNED_MODELS = {
+    "const": lambda: ConstCorrModel(covariance=np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3],
+                                                         [0.2, 0.3, 1.0]])),
+    "sin": lambda: SinVolModel(base=np.array([1.0, 1.5]), swing=np.array([0.4, 0.2]), corr=0.5),
+    "factor": lambda: FactorModel(loadings=random_loadings(12, 3, 7), idio=0.05),
+}
+
+# sha256 prefixes of the outputs of the one-draw-at-a-time simulator
+PINNED_PATHS = {
+    ("const", 2, 1): "31a48fb450245798d0d8458a93f42301",
+    ("const", 2, 2): "cb40be242bbf6923ae08282cb1bcbbdf",
+    ("const", 3, 1): "4f19dbe55478ab2ebe0ea1cc3bf14dd6",
+    ("const", 3, 2): "44d8e63fa70ddc2651df9e4c32e7b7b7",
+    ("const", 1500, 1): "6d1b36d4ff543d013a0e64265a7386ba",
+    ("const", 1500, 2): "5e40b0cf600b70e8e0b0c975ada2d56e",
+    ("const", 1501, 1): "a3a5290dff41825515245d63671931f1",
+    ("const", 1501, 2): "d88642f15def215d4fc28fae958326ce",
+    ("sin", 2, 1): "56e69d247b5f0766fcd86f08c04b8671",
+    ("sin", 2, 2): "9fdea320ff40db87df821a74107d88c5",
+    ("sin", 3, 1): "3d45db9c53963fa7d98a4edbc141be89",
+    ("sin", 3, 2): "e05244efe77841c889293a756f07c9cb",
+    ("sin", 1500, 1): "7b9ae71b09c8588bd027dfe939d361f7",
+    ("sin", 1500, 2): "65e826da09cc3eb8423ed5b44f6c62b4",
+    ("sin", 1501, 1): "dba05ada6b0164f4c44ee326e1277120",
+    ("sin", 1501, 2): "aff4b001e7623f179297493fb566ae57",
+    ("factor", 2, 1): "63b61c8989feeeac446fe11750a43bc3",
+    ("factor", 2, 2): "ed09bc0e495d198646a936bbe505c6ac",
+    ("factor", 3, 1): "764a9f068eed7f19bcfd6ea3395866de",
+    ("factor", 3, 2): "04ca6c793dd0bef4a90f80ead629f481",
+    ("factor", 1500, 1): "5ecb8be34d55fdc9d7d3fb922ac4964b",
+    ("factor", 1500, 2): "c5034e4412d522a57315218e1c6dc163",
+    ("factor", 1501, 1): "373ec015aead3d29ac019f0ee65dedc1",
+    ("factor", 1501, 2): "b42eeef2b62a0b3ac8218b8c0de0c4ed",
+}
+
+
+@pytest.mark.parametrize("model, steps, seed", sorted(PINNED_PATHS))
+def test_simulate_paths_are_pinned(model, steps, seed):
+    fine, _ = simulate(PINNED_MODELS[model](), steps, seed)
+    assert digest(fine.values) == PINNED_PATHS[model, steps, seed]
+
+
+@pytest.mark.parametrize("seed, want", [
+    (1, "03ee0f560659a9251f6c30723d1a673a"),
+    (2, "0f33cf7ae3ccc8a51cdf35c349b76e84"),
+    (7, "1a96e799636d8ad77af29a9b66c2cdc4"),
+])
+def test_random_loadings_are_pinned(seed, want):
+    assert digest(random_loadings(12, 3, seed)) == want
+
+
+@pytest.mark.parametrize("n_target, seed, want", [
+    (6, 1, "58ca7d82455a2a475a071d5bbf2e9f1e"),
+    (6, 2, "c5ef605c8caaf9b12e371ac84d57d31f"),
+    (150, 1, "4173353a4c88b2b77a3d4026cfd820a2"),
+    (150, 2, "2de8a8eeb9c8c91c95214404e07bf8ce"),
+])
+def test_sample_poisson_tick_times_are_pinned(n_target, seed, want):
+    fine, _ = simulate(PINNED_MODELS["factor"](), 1500, 3)
+    obs = sample(fine, SamplingScheme(kind="poisson", n_target=n_target), seed)
+    assert digest(np.concatenate([s.times for s in obs.series])) == want
+
+
+SEEDS_AND_SALTS = [(0, 1), (7, 2), (2**64 - 1, 3)]
+
+
+@pytest.mark.parametrize("streams", [1, 2, 15, 53])
+@pytest.mark.parametrize("steps", [1, 255, 256, 257])
+def test_lockstep_streams_equal_the_scalar_generator(streams, steps):
+    for seed, salt in SEEDS_AND_SALTS:
+        gens = [substream(seed, salt, i) for i in range(streams)]
+        refs = [substream(seed, salt, i) for i in range(streams)]
+        raw = simulation._lockstep_u64(gens, steps)
+        assert raw.dtype == np.uint64 and raw.shape == (steps, streams)
+        assert raw.T.tolist() == [[r.next_u64() for _ in range(steps)] for r in refs]
+        # a block leaves every generator where the scalar calls leave it
+        assert simulation._lockstep_u64(gens, 3).T.tolist() == [
+            [r.next_u64() for _ in range(3)] for r in refs
+        ]
+        assert [g.next_u64() for g in gens] == [r.next_u64() for r in refs]
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> None:
+    assert a.dtype == b.dtype == np.float64 and a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 513])
+def test_normals_and_uniforms_equal_the_scalar_draws(n):
+    for seed in (0, 5, 2**64 - 1):
+        gen, ref = Xoshiro256PP(seed), Xoshiro256PP(seed)
+        same_bits(gen.normals(n), scalar_normals(ref, n))
+        same_bits(gen.normals(3), scalar_normals(ref, 3))
+        same_bits(gen.uniforms(n), np.array([ref.uniform() for _ in range(n)]))
+        assert gen.next_u64() == ref.next_u64()
+
+
+@pytest.mark.parametrize("streams", [1, 2, 15, 53])
+def test_path_streams_equal_the_scalar_normals(streams):
+    for seed, _ in SEEDS_AND_SALTS:
+        for n in (1, 257, 512):
+            want = np.stack([scalar_normals(substream(seed, simulation.SALT_PATH, i), n)
+                             for i in range(streams)])
+            same_bits(simulation._path_normals(seed, streams, n), want)
+
+
+@pytest.mark.parametrize("block", [None, 1, 3])
+def test_poisson_ticks_equal_the_scalar_draws(monkeypatch, block):
+    if block is not None:
+        # short draw-ahead blocks: every stream continues from its own generator
+        engine = simulation._lockstep_u64
+        monkeypatch.setattr(simulation, "_lockstep_u64",
+                            lambda gens, steps: engine(gens, min(steps, block)))
+    for seed, rate, steps in [(1, 1, 60), (2, 2, 1), (3, 6, 60), (4, 150, 1500),
+                              (5, 2000, 1501), (6, 17, 0)]:
+        gens = [substream(seed, simulation.SALT_SAMPLING, j * 101) for j in range(3)]
+        got = simulation._poisson_indices(gens, rate, steps)
+        for j, idx in enumerate(got):
+            want = scalar_poisson_indices(
+                substream(seed, simulation.SALT_SAMPLING, j * 101), rate, steps)
+            assert idx.dtype == want.dtype
+            np.testing.assert_array_equal(idx, want)
