@@ -24,10 +24,12 @@ increment series, all built from windowed Fourier sums of the increments:
 The per-asset Fourier sums a_j(s) = sum_l e^{-2 pi i s t^j_l} dX^j_l are
 precomputed once per path and shared by every form except the generic
 reference. They are built by power recurrence, multiplying each tick's
-phase by e^{-2 pi i t^j_l} from one frequency to the next and re-seeding
-from an exact exp every ``RESEED`` powers, so the pass is O(M N_j) products
-in O(N_j) memory per asset. ``estimate_path`` evaluates all four forms on
-blocks of grid times; each pointwise estimator is the block of one time.
+term by e^{-2 pi i t^j_l} from one frequency to the next, so the pass is
+O(M N_j) products in O(N_j) memory per asset. The error at order s is
+O(s eps sum_l |dX^j_l|), the same order as an exact exp, whose phase
+2 pi s t already carries O(s eps) rounding. ``estimate_path`` evaluates all
+four forms on blocks of grid times; each pointwise estimator is the block of
+one time.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ KERNEL_METHODS = ("generic", "psd_direct", "psd_factorized")  # weights come fro
 IMAG_RESIDUE_RTOL = 1e-9
 
 GRID_BLOCK = 32  # evaluation times per block in estimate_path
-RESEED = 32      # powers between exact exp re-seeds in fourier_coefficients
 
 
 class EstimationError(ValueError):
@@ -162,8 +163,8 @@ def fourier_coefficients(inc: IncrementTable, order: int) -> FourierCoefficients
 
     Power recurrence per asset: with z_l = e^{-2 pi i t^j_l} and
     p_l = e^{-2 pi i s t^j_l} dX^j_l, a_j(s) is the sum of p and the next
-    frequency is p * z. Every ``RESEED`` powers p is re-seeded from an exact
-    exp, so the rounding drift of the products stays bounded at large order.
+    frequency is p * z. The error at order s is O(s eps sum_l |dX^j_l|), the
+    order of an exact exp, whose phase 2 pi s t carries O(s eps) rounding.
     Memory is O(N_j) per asset; no (order+1) x N_j exp table is built. The
     negative half is the exact conjugate mirror of s = 0..order.
     """
@@ -172,13 +173,11 @@ def fourier_coefficients(inc: IncrementTable, order: int) -> FourierCoefficients
     tables = np.empty((inc.d, 2 * order + 1), dtype=complex)
     for j, asset in enumerate(inc.assets):
         z = np.exp(-2j * np.pi * asset.times)
+        p = asset.dx.astype(complex)
         pos = tables[j, order:]
-        for s in range(order + 1):
-            if s % RESEED == 0:
-                p = np.exp((-2j * np.pi * s) * asset.times)
-                p *= asset.dx
-            else:
-                p *= z
+        pos[0] = p.sum()
+        for s in range(1, order + 1):
+            p *= z
             pos[s] = p.sum()
         tables[j, :order] = np.conj(pos[1:])[::-1]
     return FourierCoefficients(order=order, asset_ids=inc.asset_ids, tables=tables)
@@ -452,9 +451,11 @@ def read_vol_csv(file) -> VolPath:
     with open(file, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or header[0] != "t":
+        if not header or header[0] != "t":
             raise EstimationError(f"{file}: expected a header starting with 't'")
         k = len(header) - 1
+        if k == 0:
+            raise EstimationError(f"{file}: no matrix columns after 't'")
         d = int((np.sqrt(8 * k + 1) - 1) / 2)
         if d * (d + 1) != 2 * k:
             raise EstimationError(f"{file}: {k} matrix columns do not form an upper triangle")
@@ -472,6 +473,10 @@ def read_vol_csv(file) -> VolPath:
             vals = np.array([float(x) for x in row])
             if not np.all(np.isfinite(vals)):
                 raise EstimationError(f"{file}:{lineno}: non-finite time or matrix entry")
+            if times and not vals[0] > times[-1]:
+                raise EstimationError(
+                    f"{file}:{lineno}: times must be strictly increasing, got {vals[0]} after {times[-1]}"
+                )
             times.append(vals[0])
             mat = np.zeros((d, d))
             mat[iu, ju] = vals[1:]

@@ -88,13 +88,13 @@ class KernelParams:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}; expected one of {FAMILIES}")
         if self.family == "cauchy":
-            if self.gamma is None or not self.gamma > 0.0:
-                raise ValueError("cauchy family requires gamma > 0")
+            if self.gamma is None or not 0.0 < self.gamma < math.inf:
+                raise ValueError(f"cauchy family requires a finite gamma > 0, got {self.gamma!r}")
         elif self.gamma is not None:
             raise ValueError(f"gamma is only meaningful for the cauchy family, not {self.family!r}")
         if self.family == "gaussian":
-            if self.l_gauss is None or not self.l_gauss > 0.0:
-                raise ValueError("gaussian family requires l_gauss > 0")
+            if self.l_gauss is None or not 0.0 < self.l_gauss < math.inf:
+                raise ValueError(f"gaussian family requires a finite l_gauss > 0, got {self.l_gauss!r}")
         elif self.l_gauss is not None:
             raise ValueError(f"l_gauss is only meaningful for the gaussian family, not {self.family!r}")
         if self.nodes is not None and not is_positive_int(self.nodes):

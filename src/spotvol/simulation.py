@@ -9,8 +9,9 @@ factor structure. Each has a closed-form spot volatility oracle.
 Randomness comes from xoshiro256++ generators seeded through splitmix64.
 Sub-streams are derived by mixing the user seed with a purpose salt and a
 stream index, so asset paths, sampling arrivals, and model setup draw from
-independent streams and every output is bit-reproducible from (model,
-scheme, seed) alone, independent of platform.
+independent streams. The normals and the Poisson tick times are
+bit-reproducible from (model, scheme, seed) alone on any platform; the
+paths are bit-reproducible for a given numpy/BLAS build.
 
 All the streams one call needs advance together: each state word of S
 generators is one Python int with a 64-bit lane per generator, so one
@@ -185,8 +186,10 @@ class ConstCorrModel:
     def __post_init__(self) -> None:
         cov = np.asarray(self.covariance, dtype=float)
         object.__setattr__(self, "covariance", cov)
-        if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-            raise ValueError("covariance must be a square matrix")
+        if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.size == 0:
+            raise ValueError("covariance must be a nonempty square matrix")
+        if not np.all(np.isfinite(cov)):
+            raise ValueError("covariance must be finite")
         if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.max(np.abs(cov))))):
             raise ValueError("covariance must be symmetric")
         eigvals = np.linalg.eigvalsh(cov)
@@ -211,8 +214,11 @@ class SinVolModel:
         swing = np.atleast_1d(np.asarray(self.swing, dtype=float))
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "swing", swing)
-        if base.shape != swing.shape or base.ndim != 1:
-            raise ValueError("base and swing must be 1-d arrays of equal length")
+        if base.shape != swing.shape or base.ndim != 1 or base.size == 0:
+            raise ValueError("base and swing must be nonempty 1-d arrays of equal length")
+        for name, value in (("base", base), ("swing", swing), ("corr", self.corr)):
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite")
         if np.any(swing < 0.0) or np.any(base - swing <= 0.0):
             raise ValueError("need a_i > b_i >= 0 so volatility stays positive")
         d = base.size
@@ -239,8 +245,10 @@ class FactorModel:
         object.__setattr__(self, "loadings", loadings)
         if loadings.ndim != 2 or loadings.shape[0] < 1 or loadings.shape[1] < 1:
             raise ValueError("loadings must be a (d, r) matrix")
-        if self.idio < 0.0:
-            raise ValueError("idiosyncratic level must be nonnegative")
+        if not np.all(np.isfinite(loadings)):
+            raise ValueError("loadings must be finite")
+        if not (math.isfinite(self.idio) and self.idio >= 0.0):
+            raise ValueError(f"idio must be finite and nonnegative, got {self.idio!r}")
 
     @property
     def d(self) -> int:

@@ -1,10 +1,10 @@
-"""Symmetric eigendecomposition and dynamic principal component analysis.
+"""Dynamic principal component analysis of a volatility matrix path.
 
 Eigenvalues come from LAPACK through numpy: ``pca_ratios`` makes one batched
-``np.linalg.eigvalsh`` call on the whole (n, d, d) stack of a path, and
-``symm_eigen`` wraps ``np.linalg.eigh`` for a single matrix. Both read the
-upper triangle. Every tolerance below is relative to max|A| or to the trace,
-so LAPACK's normwise accuracy is all the explained-variance ratios need.
+``np.linalg.eigvalsh`` call on the whole (n, d, d) stack of a path, reading
+the upper triangle. Every tolerance below is relative to max|A| or to the
+trace, so LAPACK's normwise accuracy is all the explained-variance ratios
+need.
 """
 
 from __future__ import annotations
@@ -22,49 +22,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 SYMMETRY_RTOL = 1e-10   # gate on max|A - A.T| relative to max|A|
 CLAMP_RTOL = 1e-10      # eigenvalues below -CLAMP_RTOL * trace are an error
-
-
-def _asymmetry(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """max|A - A.T| and max|A| over the last two axes."""
-    asym = np.max(np.abs(mats - np.swapaxes(mats, -1, -2)), axis=(-2, -1))
-    return asym, np.max(np.abs(mats), axis=(-2, -1))
-
-
-def _asymmetry_message(asym: float, scale: float) -> str:
-    return (
-        f"matrix is not symmetric: max|A - A.T| = {asym:.3e} exceeds "
-        f"{SYMMETRY_RTOL:.0e} * max|A| = {SYMMETRY_RTOL * scale:.3e}"
-    )
-
-
-def symm_eigen(a) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a real symmetric matrix (LAPACK ``eigh``).
-
-    Returns ``(w, q)`` with eigenvalues ``w`` sorted descending and orthonormal
-    eigenvectors in the columns of ``q``, so that ``a ~= q @ diag(w) @ q.T``.
-    Ties keep LAPACK's order, and each eigenvector is normalized to have its
-    first nonzero component positive, so repeated runs produce identical
-    output.
-
-    Raises ``ValueError`` when ``a`` is not symmetric within
-    ``1e-10 * max|a|``; a harmless asymmetry below the gate is resolved by
-    reading the upper triangle.
-    """
-    mat = np.array(a, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    if mat.shape[0] == 0:
-        raise ValueError("expected a nonempty matrix")
-    asym, scale = _asymmetry(mat)
-    if asym > SYMMETRY_RTOL * scale:
-        raise ValueError(_asymmetry_message(asym, scale))
-    eigvals, vecs = np.linalg.eigh(mat, UPLO="U")
-    order = np.argsort(-eigvals, kind="stable")
-    eigvals, vecs = eigvals[order], vecs[:, order]
-    first = np.argmax(np.abs(vecs) > 1e-12, axis=0)
-    flip = vecs[first, np.arange(vecs.shape[1])] < 0.0
-    vecs[:, flip] *= -1.0
-    return eigvals, vecs
 
 
 @dataclass(frozen=True)
@@ -115,7 +72,8 @@ def pca_ratios(path: "VolPath | Sequence", top: int = 3) -> PcaPath:
     finite = np.all(np.isfinite(mats), axis=(1, 2))
     with np.errstate(invalid="ignore"):  # inf - inf in a non-finite matrix
         traces = np.trace(mats, axis1=1, axis2=2)
-        asym, scale = _asymmetry(mats)
+        asym = np.max(np.abs(mats - np.swapaxes(mats, 1, 2)), axis=(1, 2))
+        scale = np.max(np.abs(mats), axis=(1, 2))
     bad = ~finite | ~(traces > 0.0) | (asym > SYMMETRY_RTOL * scale)
     n_ok = int(np.argmax(bad)) if bad.any() else bad.size
     # times before the first malformed matrix may still fail the PSD floor
@@ -133,7 +91,10 @@ def pca_ratios(path: "VolPath | Sequence", top: int = 3) -> PcaPath:
             raise ValueError(f"non-finite volatility matrix at t={t}")
         if not traces[n_ok] > 0.0:
             raise ValueError(f"degenerate volatility matrix at t={t}: trace={traces[n_ok]:.3e}")
-        raise ValueError(f"at t={t}: {_asymmetry_message(asym[n_ok], scale[n_ok])}")
+        raise ValueError(
+            f"at t={t}: matrix is not symmetric: max|A - A.T| = {asym[n_ok]:.3e} exceeds "
+            f"{SYMMETRY_RTOL:.0e} * max|A| = {SYMMETRY_RTOL * scale[n_ok]:.3e}"
+        )
     clamped = np.maximum(eigvals, 0.0)
     count = min(top, clamped.shape[1])
     ratios = np.cumsum(clamped[:, :count], axis=1) / np.sum(clamped, axis=1)[:, None]

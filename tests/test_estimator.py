@@ -1,12 +1,13 @@
+import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from spotvol.estimator import (
     GRID_BLOCK,
-    RESEED,
     EstimationError,
     EstimatorConfig,
     GenericSpec,
@@ -74,7 +75,7 @@ def test_fourier_coefficients_conjugate_symmetry(rng):
     np.testing.assert_array_equal(coeffs.tables[:, ::-1], np.conj(coeffs.tables))
 
 
-@pytest.mark.parametrize("order", [RESEED - 1, 2 * RESEED + 5, 300])
+@pytest.mark.parametrize("order", [31, 69, 300])
 def test_fourier_coefficients_recurrence_matches_exp_sums(rng, order):
     # ticks exactly at 0 and 1, and gaps inside the near-integer guard band
     interior = np.sort(rng.random(200))
@@ -85,6 +86,20 @@ def test_fourier_coefficients_recurrence_matches_exp_sums(rng, order):
     direct = np.exp(-2j * np.pi * np.outer(np.arange(-order, order + 1), times)) @ dx
     err = np.max(np.abs(coeffs.tables[0] - direct))
     assert err <= 1e-12 * np.sum(np.abs(dx))
+
+
+def test_fourier_coefficients_are_exact_to_rounding_at_high_order():
+    # one tick just below 1: an exp of the rounded phase 2 pi s t errs by
+    # O(s eps), so the reference takes each phase from the exact fractional
+    # part of s t
+    t, order = 0.999999937, 2000
+    coeffs = fourier_coefficients(one_asset([t], [1.0]), order)
+    exact_t = Fraction(t)
+    ref = np.empty(2 * order + 1, dtype=complex)
+    for s in range(-order, order + 1):
+        phase = 2.0 * math.pi * float(exact_t * s % 1)
+        ref[s + order] = complex(math.cos(phase), -math.sin(phase))
+    assert np.max(np.abs(coeffs.tables[0] - ref)) <= 1e-12  # sum |dX| = 1
 
 
 def test_fourier_coefficients_memory_is_linear_in_ticks(rng):
@@ -725,4 +740,17 @@ def test_read_vol_csv_rejects_non_finite(tmp_path, row):
     f = tmp_path / "vol.csv"
     f.write_text(f"t,V_1_1,V_1_2,V_2_2\n0.25,1.0,0.0,1.0\n{row}\n")
     with pytest.raises(EstimationError, match=r"vol\.csv:3: non-finite"):
+        read_vol_csv(f)
+
+
+@pytest.mark.parametrize("text, match", [
+    ("\nt,V_1_1\n0.5,1.0\n", r"vol\.csv: expected a header starting with 't'"),
+    ("t\n0.5\n", r"vol\.csv: no matrix columns"),
+    ("t,V_1_1\n0.25,1.0\n0.25,2.0\n", r"vol\.csv:3: times must be strictly increasing, got 0\.25 after 0\.25"),
+    ("t,V_1_1\n0.5,1.0\n0.25,2.0\n", r"vol\.csv:3: times must be strictly increasing"),
+], ids=["blank-header", "no-matrix-columns", "repeated-time", "decreasing-time"])
+def test_read_vol_csv_rejects_a_bad_header_and_unordered_times(tmp_path, text, match):
+    f = tmp_path / "vol.csv"
+    f.write_text(text)
+    with pytest.raises(EstimationError, match=match):
         read_vol_csv(f)

@@ -214,6 +214,10 @@ def test_kernel_params_validation():
         KernelParams(family="gaussian", gamma=0.1, l_gauss=1.0)
     with pytest.raises(ValueError, match="l_gauss"):
         KernelParams(family="gaussian")
+    with pytest.raises(ValueError, match="finite gamma"):
+        KernelParams(family="cauchy", gamma=np.inf)
+    with pytest.raises(ValueError, match="finite l_gauss"):
+        KernelParams(family="gaussian", l_gauss=np.inf)
     with pytest.raises(ValueError, match="nodes"):
         KernelParams(family="cauchy", gamma=0.1, nodes=0)
     with pytest.raises(ValueError, match="wrap"):

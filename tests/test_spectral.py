@@ -6,7 +6,6 @@ from spotvol.spectral import (
     EigenReport,
     pca_ratios,
     rank_estimate,
-    symm_eigen,
     write_pca_csv,
 )
 
@@ -14,80 +13,6 @@ from spotvol.spectral import (
 def rand_symmetric(rng, n, scale=1.0):
     a = rng.standard_normal((n, n)) * scale
     return (a + a.T) / 2.0
-
-
-def test_symm_eigen_identity():
-    w, q = symm_eigen(np.eye(3))
-    np.testing.assert_allclose(w, [1.0, 1.0, 1.0])
-    np.testing.assert_allclose(q @ q.T, np.eye(3), atol=1e-12)
-
-
-def test_symm_eigen_diagonal():
-    w, _ = symm_eigen(np.diag([3.0, 1.0]))
-    np.testing.assert_allclose(w, [3.0, 1.0])
-
-
-def test_symm_eigen_2x2():
-    w, q = symm_eigen(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    np.testing.assert_allclose(w, [3.0, 1.0], atol=1e-12)
-    np.testing.assert_allclose(q.T @ q, np.eye(2), atol=1e-12)
-
-
-def test_symm_eigen_rejects_asymmetric():
-    with pytest.raises(ValueError, match="not symmetric"):
-        symm_eigen(np.array([[1.0, 0.5], [0.3, 1.0]]))
-
-
-def test_symm_eigen_zero_matrix():
-    w, q = symm_eigen(np.zeros((4, 4)))
-    np.testing.assert_array_equal(w, np.zeros(4))
-    np.testing.assert_array_equal(q, np.eye(4))
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 6, 12, 25])
-def test_symm_eigen_reconstruction_and_orthogonality(rng, n):
-    a = rand_symmetric(rng, n, scale=3.0)
-    w, q = symm_eigen(a)
-    norm = np.linalg.norm(a)
-    assert np.linalg.norm(q @ np.diag(w) @ q.T - a) <= 1e-9 * max(norm, 1.0)
-    assert np.max(np.abs(q.T @ q - np.eye(n))) <= 1e-10
-    assert np.all(np.diff(w) <= 1e-12 * max(norm, 1.0))  # descending
-
-
-def test_symm_eigen_matches_numpy(rng):
-    for n in (2, 5, 9):
-        a = rand_symmetric(rng, n)
-        w, _ = symm_eigen(a)
-        np.testing.assert_allclose(w, np.sort(np.linalg.eigvalsh(a))[::-1], atol=1e-10)
-
-
-def test_symm_eigen_trace_and_frobenius_preserved(rng):
-    for _ in range(10):
-        a = rand_symmetric(rng, 7, scale=2.0)
-        w, _ = symm_eigen(a)
-        assert abs(w.sum() - np.trace(a)) <= 1e-10 * max(abs(np.trace(a)), 1.0)
-        assert abs(np.linalg.norm(w) - np.linalg.norm(a)) <= 1e-10 * np.linalg.norm(a)
-
-
-def test_symm_eigen_permutation_equivariance(rng):
-    a = rand_symmetric(rng, 6)
-    perm = rng.permutation(6)
-    p = np.eye(6)[perm]
-    w1, q1 = symm_eigen(a)
-    w2, q2 = symm_eigen(p @ a @ p.T)
-    np.testing.assert_allclose(w1, w2, atol=1e-10)
-    # distinct spectrum: eigenvectors match after permutation, by the sign convention
-    np.testing.assert_allclose(np.abs(q2), np.abs(p @ q1), atol=1e-8)
-
-
-def test_symm_eigen_sign_convention_deterministic(rng):
-    a = rand_symmetric(rng, 5)
-    _, q1 = symm_eigen(a)
-    _, q2 = symm_eigen(a.copy())
-    np.testing.assert_array_equal(q1, q2)
-    for col in range(5):
-        nz = np.flatnonzero(np.abs(q1[:, col]) > 1e-12)
-        assert q1[nz[0], col] > 0
 
 
 def _path_of(matrices, times=None):
@@ -182,7 +107,7 @@ def test_clamping_moves_negligible_mass_on_psd_estimates(rng):
         m = int(rng.integers(1, 7))
         mu = make_measure(KernelParams(family="cauchy", gamma=0.2), m)
         v = estimate_psd_factorized(inc, mu, m, float(rng.random())).entries
-        w, _ = symm_eigen(v)
+        w = np.linalg.eigvalsh(v)
         lost = float(np.sum(np.abs(np.minimum(w, 0.0))))
         assert lost <= 1e-10 * max(np.trace(v), 1e-300)
 
