@@ -64,6 +64,7 @@ def _build_model(args) -> simulation.SimModel:
 
 def _cmd_simulate(args) -> int:
     model = _build_model(args)
+    grid = _eval_grid(args.grid)
     fine_steps = args.fine_steps if args.fine_steps is not None else 10 * args.n
     if fine_steps < 10 * args.n:
         raise ValueError(f"--fine-steps must be at least 10 * n = {10 * args.n}")
@@ -71,7 +72,6 @@ def _cmd_simulate(args) -> int:
     kind = "sync_uniform" if args.sampling == "sync" else "poisson"
     obs = simulation.sample(fine, simulation.SamplingScheme(kind=kind, n_target=args.n), args.seed)
     market_data.write_csv(obs, args.out_ticks)
-    grid = _eval_grid(args.grid)
     oracle_path = est_mod.VolPath(
         times=grid, matrices=oracle.path(grid), asset_ids=obs.asset_ids, config=None
     )
@@ -298,7 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     p_est.add_argument("--input", required=True, help="tick CSV with header asset,time,price")
-    p_est.add_argument("--price-kind", choices=("log", "raw"), default="log")
+    p_est.add_argument("--price-kind", choices=market_data.PRICE_KINDS, default="log")
     p_est.add_argument("--method", choices=[m.replace("_", "-") for m in est_mod.METHODS],
                        default="psd-factorized")
     p_est.add_argument("--M", type=int, default=15, help="frequency cutoff")

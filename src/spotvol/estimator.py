@@ -49,7 +49,7 @@ from .kernels import (
     is_positive_int,
     make_measure,
 )
-from .market_data import IncrementTable, ObservationSet, increments
+from .market_data import IncrementTable, ObservationSet, increments, write_rows
 
 METHODS = ("generic", "classical", "psd_direct", "psd_factorized")
 KERNEL_METHODS = ("generic", "psd_direct", "psd_factorized")  # weights come from a measure
@@ -434,16 +434,15 @@ def estimate_path(obs: ObservationSet, config: EstimatorConfig) -> VolPath:
     return VolPath(times=grid.copy(), matrices=matrices, asset_ids=obs.asset_ids, config=config)
 
 
+def _vol_header(d: int) -> list[str]:
+    return ["t"] + [f"V_{i + 1}_{j + 1}" for i in range(d) for j in range(i, d)]
+
+
 def write_vol_csv(path: VolPath, file) -> None:
     """Serialize a path as CSV: t plus the row-major upper triangle V_i_j."""
-    d = path.d
-    header = ["t"] + [f"V_{i + 1}_{j + 1}" for i in range(d) for j in range(i, d)]
-    iu, ju = np.triu_indices(d)
-    with open(file, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for t, mat in zip(path.times, path.matrices):
-            writer.writerow([repr(float(t))] + [repr(float(x)) for x in mat[iu, ju]])
+    iu, ju = np.triu_indices(path.d)
+    rows = np.column_stack([path.times, path.matrices[:, iu, ju]])
+    write_rows(file, _vol_header(path.d), [("", rows)])
 
 
 def read_vol_csv(file) -> VolPath:
@@ -459,30 +458,30 @@ def read_vol_csv(file) -> VolPath:
         d = int((np.sqrt(8 * k + 1) - 1) / 2)
         if d * (d + 1) != 2 * k:
             raise EstimationError(f"{file}: {k} matrix columns do not form an upper triangle")
-        expected = ["t"] + [f"V_{i + 1}_{j + 1}" for i in range(d) for j in range(i, d)]
-        if header != expected:
+        if header != _vol_header(d):
             raise EstimationError(f"{file}: unexpected header {header}")
-        times = []
-        mats = []
-        iu, ju = np.triu_indices(d)
+        rows = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != k + 1:
                 raise EstimationError(f"{file}:{lineno}: expected {k + 1} columns")
-            vals = np.array([float(x) for x in row])
+            try:
+                vals = np.array([float(x) for x in row])
+            except ValueError as exc:
+                raise EstimationError(f"{file}:{lineno}: {exc}") from exc
             if not np.all(np.isfinite(vals)):
                 raise EstimationError(f"{file}:{lineno}: non-finite time or matrix entry")
-            if times and not vals[0] > times[-1]:
+            if rows and not vals[0] > rows[-1][0]:
                 raise EstimationError(
-                    f"{file}:{lineno}: times must be strictly increasing, got {vals[0]} after {times[-1]}"
+                    f"{file}:{lineno}: times must be strictly increasing, got {vals[0]} after {rows[-1][0]}"
                 )
-            times.append(vals[0])
-            mat = np.zeros((d, d))
-            mat[iu, ju] = vals[1:]
-            mat[ju, iu] = vals[1:]
-            mats.append(mat)
-    if not times:
+            rows.append(vals)
+    if not rows:
         raise EstimationError(f"{file}: no data rows")
+    table = np.array(rows)
+    iu, ju = np.triu_indices(d)
+    mats = np.zeros((len(rows), d, d))
+    mats[:, iu, ju] = mats[:, ju, iu] = table[:, 1:]
     ids = tuple(f"A{i + 1}" for i in range(d))
-    return VolPath(times=np.array(times), matrices=np.stack(mats), asset_ids=ids, config=None)
+    return VolPath(times=table[:, 0], matrices=mats, asset_ids=ids, config=None)

@@ -1,4 +1,4 @@
-"""Ingestion and validation of asynchronous multivariate tick observations.
+"""Tick observations: ingestion, validation, and the package's one CSV row writer.
 
 Each asset carries its own strictly increasing observation times; nothing is
 aligned or interpolated. Timestamps are mapped onto [0, 1] with one global
@@ -11,11 +11,13 @@ sums over increments, so that is well defined.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
+
+PRICE_KINDS = ("log", "raw")
 
 
 class MarketDataError(ValueError):
@@ -140,6 +142,8 @@ def load_csv(path, price_kind: str = "log") -> ObservationSet:
     again by the row parser, which gives the same result on valid input and
     alone raises, naming the file and line.
     """
+    if price_kind not in PRICE_KINDS:
+        raise MarketDataError(f"price_kind must be 'log' or 'raw', got {price_kind!r}")
     obs = _load_fast(path, price_kind)
     return obs if obs is not None else _load_rows(path, price_kind)
 
@@ -153,8 +157,6 @@ def _load_fast(path, price_kind: str) -> ObservationSet | None:
     ``loadtxt``, which warns on it. An error opening the file propagates, as
     it would from the row parser.
     """
-    if price_kind not in ("log", "raw"):
-        return None
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             if fh.readline() != "asset,time,price\n":
@@ -210,8 +212,6 @@ def _load_fast(path, price_kind: str) -> ObservationSet | None:
 
 def _load_rows(path, price_kind: str) -> ObservationSet:
     """The row-by-row reader: the reference for ``load_csv`` and its error path."""
-    if price_kind not in ("log", "raw"):
-        raise MarketDataError(f"price_kind must be 'log' or 'raw', got {price_kind!r}")
     order: list[str] = []
     raw_times: dict[str, list[float]] = {}
     raw_prices: dict[str, list[float]] = {}
@@ -283,15 +283,23 @@ def _load_rows(path, price_kind: str) -> ObservationSet:
     return ObservationSet(series=tuple(series), time_span=span)
 
 
+def write_rows(path, header, blocks) -> None:
+    """Write the header, then a line per row of each ``(prefix, rows)`` block; floats by repr."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for prefix, rows in blocks:
+            fh.writelines(prefix + ",".join(map(repr, row.tolist())) + "\n" for row in rows)
+
+
 def write_csv(obs: ObservationSet, path) -> None:
     """Write an observation set in the long tick format (prices as log-prices).
 
     Round-trips through ``load_csv(..., price_kind="log")``: once the global
     tick span is exactly [0, 1], renormalizing is the identity.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["asset", "time", "price"])
-        for s in obs.series:
-            writer.writerows(zip(repeat(s.asset_id), map(repr, s.times.tolist()),
-                                 map(repr, s.values.tolist())))
+    def block(s: TickSeries):
+        field = io.StringIO()  # the id as in a full row, so one holding a newline is quoted
+        csv.writer(field, lineterminator="\n").writerow([s.asset_id, ""])
+        return field.getvalue()[:-1], np.column_stack([s.times, s.values])
+
+    write_rows(path, ["asset", "time", "price"], map(block, obs.series))

@@ -9,13 +9,13 @@ need.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .kernels import is_positive_int
+from .market_data import write_rows
 
 if TYPE_CHECKING:  # pragma: no cover
     from .estimator import VolPath
@@ -105,13 +105,11 @@ def pca_ratios(path: "VolPath | Sequence", top: int = 3) -> PcaPath:
 
 
 def rank_estimate(report: EigenReport, threshold: float) -> int:
-    """Smallest m with cumulative share >= threshold; d when none reaches it."""
+    """Smallest m whose top-m share of the trace reaches threshold; d when none does."""
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie strictly between 0 and 1")
-    for m, r in enumerate(report.ratios, start=1):
-        if r >= threshold:
-            return m
-    return int(report.eigenvalues.size)
+    shares = np.cumsum(report.eigenvalues) / np.sum(report.eigenvalues)  # nondecreasing: w >= 0
+    return min(int(np.searchsorted(shares, threshold)) + 1, shares.size)
 
 
 def write_pca_csv(pca: PcaPath, path) -> None:
@@ -121,11 +119,5 @@ def write_pca_csv(pca: PcaPath, path) -> None:
     d = pca.reports[0].eigenvalues.size
     k = pca.reports[0].ratios.size
     header = ["t"] + [f"lambda_{i + 1}" for i in range(d)] + [f"r{m + 1}" for m in range(k)]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for rep in pca.reports:
-            row = [repr(rep.t)]
-            row += [repr(float(x)) for x in rep.eigenvalues]
-            row += [repr(float(x)) for x in rep.ratios]
-            writer.writerow(row)
+    rows = np.array([[rep.t, *rep.eigenvalues, *rep.ratios] for rep in pca.reports])
+    write_rows(path, header, [("", rows)])

@@ -241,6 +241,14 @@ def test_cli_error_paths(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+
+def test_simulate_writes_nothing_when_a_flag_is_invalid(tmp_path, capsys):
+    ticks, oracle = tmp_path / "ticks.csv", tmp_path / "oracle.csv"
+    assert run(["simulate", "--model", "const-corr", "--d", 2, "--n", 20, "--grid", 0,
+                "--out-ticks", ticks, "--out-oracle", oracle]) == 1
+    assert "grid must be a positive integer" in capsys.readouterr().err
+    assert not ticks.exists() and not oracle.exists()
+
 def test_python_dash_m_entry():
     import os
     import subprocess

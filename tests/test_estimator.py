@@ -1,3 +1,4 @@
+import csv
 import math
 import tracemalloc
 import warnings
@@ -735,6 +736,37 @@ def test_vol_csv_roundtrip(rng):
     np.testing.assert_array_equal(loaded.matrices, path.matrices)
 
 
+def per_row_vol_csv(path, file):
+    """The vol file written one ``writerow`` call per time."""
+    d = path.d
+    iu, ju = np.triu_indices(d)
+    with open(file, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["t"] + [f"V_{i + 1}_{j + 1}" for i in range(d) for j in range(i, d)])
+        for t, mat in zip(path.times, path.matrices):
+            writer.writerow([repr(float(t))] + [repr(float(x)) for x in mat[iu, ju]])
+
+
+def test_write_vol_csv_bytes_match_the_per_row_writer_and_round_trip(rng, tmp_path):
+    d = 11  # two-digit header names
+    iu, ju = np.triu_indices(d)
+    upper = rng.standard_normal((3, iu.size))
+    upper[0, :4] = [-0.0, 5e-324, 1e308, 1 / 3]
+    mats = np.zeros((3, d, d))
+    mats[:, iu, ju] = upper
+    mats[:, ju, iu] = upper
+    path = VolPath(times=np.array([1 / 3, 0.5, 1.0]), matrices=mats,
+                   asset_ids=tuple(f"A{i + 1}" for i in range(d)))
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_vol_csv(path, got)
+    per_row_vol_csv(path, want)
+    assert got.read_bytes() == want.read_bytes()
+    assert b",V_10_11,V_11_11\n0.3333333333333333,-0.0,5e-324,1e+308,0.3333333333333333," in got.read_bytes()
+    back = read_vol_csv(got)
+    np.testing.assert_array_equal(back.times.view(np.int64), path.times.view(np.int64))
+    np.testing.assert_array_equal(back.matrices.view(np.int64), mats.view(np.int64))
+
+
 @pytest.mark.parametrize("row", ["0.5,1.0,nan,1.0", "0.5,inf,0.0,1.0", "nan,1.0,0.0,1.0"])
 def test_read_vol_csv_rejects_non_finite(tmp_path, row):
     f = tmp_path / "vol.csv"
@@ -748,7 +780,8 @@ def test_read_vol_csv_rejects_non_finite(tmp_path, row):
     ("t\n0.5\n", r"vol\.csv: no matrix columns"),
     ("t,V_1_1\n0.25,1.0\n0.25,2.0\n", r"vol\.csv:3: times must be strictly increasing, got 0\.25 after 0\.25"),
     ("t,V_1_1\n0.5,1.0\n0.25,2.0\n", r"vol\.csv:3: times must be strictly increasing"),
-], ids=["blank-header", "no-matrix-columns", "repeated-time", "decreasing-time"])
+    ("t,V_1_1\n0.5,1.0\n0.75,abc\n", r"vol\.csv:3: could not convert string to float: 'abc'"),
+], ids=["blank-header", "no-matrix-columns", "repeated-time", "decreasing-time", "bad-entry"])
 def test_read_vol_csv_rejects_a_bad_header_and_unordered_times(tmp_path, text, match):
     f = tmp_path / "vol.csv"
     f.write_text(text)

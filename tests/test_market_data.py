@@ -113,7 +113,7 @@ def per_row_csv(obs, path):
 
 
 def test_write_csv_bytes_match_the_per_row_writer_and_round_trip(rng, tmp_path):
-    ids = ('A,"x', "B", " c")  # a comma and a quote force csv quoting
+    ids = ('A,"x', "B", " c", "d\ne")  # a comma, a quote and a newline force csv quoting
     series = []
     for j, asset in enumerate(ids):
         times = np.unique(np.concatenate([[0.0, 1.0], rng.random(5 + j)]))
@@ -123,9 +123,9 @@ def test_write_csv_bytes_match_the_per_row_writer_and_round_trip(rng, tmp_path):
     write_csv(obs, got)
     per_row_csv(obs, want)
     assert got.read_bytes() == want.read_bytes()
-    assert b'"A,""x"' in got.read_bytes()
+    assert b'"A,""x"' in got.read_bytes() and b'"d\ne"' in got.read_bytes()
     back = load_csv(got)
-    assert back.asset_ids == ('A,"x', "B", "c")  # the reader strips ids
+    assert back.asset_ids == ('A,"x', "B", "c", "d\ne")  # the reader strips ids
     for s, r in zip(obs.series, back.series):
         np.testing.assert_array_equal(r.times, s.times)
         np.testing.assert_array_equal(r.values, s.values)

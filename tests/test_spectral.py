@@ -1,9 +1,12 @@
+import csv
+
 import numpy as np
 import pytest
 
 from spotvol.estimator import VolPath
 from spotvol.spectral import (
     EigenReport,
+    PcaPath,
     pca_ratios,
     rank_estimate,
     write_pca_csv,
@@ -119,8 +122,12 @@ def test_rank_estimate_cases():
     assert rank_estimate(rank_one, 0.99) == 1
     equal = EigenReport(t=0.5, eigenvalues=np.ones(4), ratios=np.array([0.25, 0.5, 0.75]))
     assert rank_estimate(equal, 0.6) == 3
-    # nothing reaches the threshold within the computed ratios -> d
+    # nothing reaches the threshold before the last eigenvalue -> d
     assert rank_estimate(equal, 0.9) == 4
+    # shares beyond the reported top still count
+    (beyond,) = pca_ratios(_path_of([np.diag([5.0, 2.0, 1.0, 1.0, 1.0])]), top=2)
+    assert beyond.ratios.size == 2
+    assert rank_estimate(beyond, 0.75) == 3
     with pytest.raises(ValueError):
         rank_estimate(rep, 1.0)
 
@@ -133,3 +140,30 @@ def test_write_pca_csv_layout(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "t,lambda_1,lambda_2,lambda_3,lambda_4,r1,r2,r3"
     assert len(lines) == 3
+
+
+def per_row_pca_csv(pca, path):
+    """The PCA file written one ``writerow`` call per report."""
+    d = pca.reports[0].eigenvalues.size
+    k = pca.reports[0].ratios.size
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["t"] + [f"lambda_{i + 1}" for i in range(d)] + [f"r{m + 1}" for m in range(k)])
+        for rep in pca.reports:
+            writer.writerow([repr(rep.t)] + [repr(float(x)) for x in rep.eigenvalues]
+                            + [repr(float(x)) for x in rep.ratios])
+
+
+def test_write_pca_csv_bytes_match_the_per_row_writer(rng, tmp_path):
+    d = 12  # two-digit header names
+    a = rng.standard_normal((3, d, d))
+    pca = pca_ratios(_path_of(a @ np.swapaxes(a, 1, 2), times=[0.25, 1 / 3, 0.5]), top=10)
+    special = np.array([1e308, 1 / 3, 5e-324, -0.0] + [0.0] * (d - 4))
+    pca = PcaPath(reports=pca.reports + (EigenReport(t=1.0, eigenvalues=special, ratios=special[:10]),))
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_pca_csv(pca, got)
+    per_row_pca_csv(pca, want)
+    assert got.read_bytes() == want.read_bytes()
+    text = got.read_text()
+    assert text.startswith("t,lambda_1,") and ",lambda_12,r1," in text and text.count(",r10\n") == 1
+    assert "\n1.0,1e+308,0.3333333333333333,5e-324,-0.0,0.0," in text
