@@ -52,7 +52,7 @@ def _build_model(args) -> simulation.SimModel:
     if d < 1:
         raise ValueError("--d must be a positive integer")
     if args.model == "const-corr":
-        cov = args.var * ((1.0 - args.rho) * np.eye(d) + args.rho * np.ones((d, d)))
+        cov = args.var * simulation.equicorrelation(d, args.rho)
         return simulation.ConstCorrModel(covariance=cov)
     if args.model == "sin-vol":
         return simulation.SinVolModel(
@@ -84,15 +84,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    obs = market_data.load_csv(args.input, price_kind=args.price_kind)
     method = args.method.replace("-", "_")
-    min_ticks = min(s.n_increments for s in obs.series)
-    if args.M >= min_ticks:
-        print(
-            f"warning: cutoff M={args.M} is at or above the smallest increment "
-            f"count ({min_ticks}); the frequency window exceeds the data resolution",
-            file=sys.stderr,
-        )
     if args.L is not None and method != "classical":
         raise ValueError("--L applies only to --method classical")
     kernel = None
@@ -113,6 +105,14 @@ def _cmd_estimate(args) -> int:
         l=args.L,
         kernel=kernel,
     )
+    obs = market_data.load_csv(args.input, price_kind=args.price_kind)
+    min_ticks = min(s.n_increments for s in obs.series)
+    if args.M >= min_ticks:
+        print(
+            f"warning: cutoff M={args.M} is at or above the smallest increment "
+            f"count ({min_ticks}); the frequency window exceeds the data resolution",
+            file=sys.stderr,
+        )
     path = est_mod.estimate_path(obs, config)
     if args.per_real_time:
         path = est_mod.VolPath(
@@ -195,8 +195,8 @@ def run_bench(d: int, n: int, m: int, reps: int, grid: int, seed: int, out=None)
         raise ValueError("repetitions must be a positive integer")
     if grid < 0:
         raise ValueError("grid must be nonnegative")
-    cov = (1.0 - 0.3) * np.eye(d) + 0.3 * np.ones((d, d))
-    fine, _ = simulation.simulate(simulation.ConstCorrModel(covariance=cov), 10 * n, seed)
+    model = simulation.ConstCorrModel(covariance=simulation.equicorrelation(d, 0.3))
+    fine, _ = simulation.simulate(model, 10 * n, seed)
     obs = simulation.sample(fine, simulation.SamplingScheme(kind="poisson", n_target=n), seed)
     inc = market_data.increments(obs)
     kernel = kernels.KernelParams(family="gaussian", l_gauss=float(2 * m + 1))

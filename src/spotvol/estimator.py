@@ -434,6 +434,11 @@ def estimate_path(obs: ObservationSet, config: EstimatorConfig) -> VolPath:
     return VolPath(times=grid.copy(), matrices=matrices, asset_ids=obs.asset_ids, config=config)
 
 
+def default_asset_ids(d: int) -> tuple[str, ...]:
+    """The ids A1..Ad, given to assets that come without names."""
+    return tuple(f"A{i + 1}" for i in range(d))
+
+
 def _vol_header(d: int) -> list[str]:
     return ["t"] + [f"V_{i + 1}_{j + 1}" for i in range(d) for j in range(i, d)]
 
@@ -483,5 +488,4 @@ def read_vol_csv(file) -> VolPath:
     iu, ju = np.triu_indices(d)
     mats = np.zeros((len(rows), d, d))
     mats[:, iu, ju] = mats[:, ju, iu] = table[:, 1:]
-    ids = tuple(f"A{i + 1}" for i in range(d))
-    return VolPath(times=table[:, 0], matrices=mats, asset_ids=ids, config=None)
+    return VolPath(times=table[:, 0], matrices=mats, asset_ids=default_asset_ids(d), config=None)

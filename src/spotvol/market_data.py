@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 PRICE_KINDS = ("log", "raw")
+TICK_HEADER = ("asset", "time", "price")  # columns of the long tick format
 
 
 class MarketDataError(ValueError):
@@ -159,7 +160,7 @@ def _load_fast(path, price_kind: str) -> ObservationSet | None:
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            if fh.readline() != "asset,time,price\n":
+            if fh.readline() != ",".join(TICK_HEADER) + "\n":
                 return None
             body = fh.tell()
             blank = True
@@ -218,8 +219,8 @@ def _load_rows(path, price_kind: str) -> ObservationSet:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["asset", "time", "price"]:
-            raise MarketDataError(f"{path}: expected header 'asset,time,price', got {header}")
+        if header is None or tuple(h.strip() for h in header) != TICK_HEADER:
+            raise MarketDataError(f"{path}: expected header '{','.join(TICK_HEADER)}', got {header}")
         for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
@@ -302,4 +303,4 @@ def write_csv(obs: ObservationSet, path) -> None:
         csv.writer(field, lineterminator="\n").writerow([s.asset_id, ""])
         return field.getvalue()[:-1], np.column_stack([s.times, s.values])
 
-    write_rows(path, ["asset", "time", "price"], map(block, obs.series))
+    write_rows(path, TICK_HEADER, map(block, obs.series))

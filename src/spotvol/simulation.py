@@ -4,7 +4,9 @@ Paths are generated by Euler steps on an equispaced fine grid and then
 sampled onto per-asset tick grids (shared uniform or independent Poisson
 arrivals). Three model families cover the cases the estimators must handle:
 constant covariance, sinusoidally time-varying volatility, and a low-rank
-factor structure. Each has a closed-form spot volatility oracle.
+factor structure. Each has a closed-form spot volatility oracle, built from
+the same law as its path: the constant models' covariance, or
+``SinVolModel.vol_at`` scaled by the path's ``equicorrelation`` matrix.
 
 Randomness comes from xoshiro256++ generators seeded through splitmix64.
 Sub-streams are derived by mixing the user seed with a purpose salt and a
@@ -32,7 +34,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .market_data import ObservationSet, TickSeries
-from .estimator import VolPath
+from .estimator import VolPath, default_asset_ids
 from .kernels import is_positive_int
 from . import spectral
 
@@ -262,6 +264,11 @@ class FactorModel:
 SimModel = Union[ConstCorrModel, SinVolModel, FactorModel]
 
 
+def equicorrelation(d: int, rho: float) -> np.ndarray:
+    """The d x d correlation matrix (1 - rho) I + rho 11^T: every pair correlated rho."""
+    return (1.0 - rho) * np.eye(d) + rho * np.ones((d, d))
+
+
 def random_loadings(d: int, r: int, seed: int) -> np.ndarray:
     """Deterministic (d, r) loadings: standard normals scaled by 1/sqrt(r)."""
     if not (is_positive_int(d) and is_positive_int(r)):
@@ -287,7 +294,6 @@ class FinePath:
 class OracleVolPath:
     """Analytic spot volatility, evaluable at any time in [0, 1]."""
 
-    dim: int
     fn: Callable[[float], np.ndarray]
 
     def at(self, t: float) -> np.ndarray:
@@ -307,10 +313,6 @@ def _psd_factor(cov: np.ndarray) -> np.ndarray:
         return vecs * np.sqrt(eigvals)[None, :]
 
 
-def _asset_ids(d: int) -> tuple[str, ...]:
-    return tuple(f"A{i + 1}" for i in range(d))
-
-
 def simulate(model: SimModel, fine_steps: int, seed: int) -> tuple[FinePath, OracleVolPath]:
     """Euler path on an equispaced fine grid plus the model's volatility oracle.
 
@@ -321,40 +323,33 @@ def simulate(model: SimModel, fine_steps: int, seed: int) -> tuple[FinePath, Ora
     if not (is_positive_int(fine_steps) and fine_steps >= 2):
         raise ValueError("fine_steps must be an integer of at least 2")
     d = model.d
-    dt = 1.0 / fine_steps
-    sqrt_dt = math.sqrt(dt)
+    sqrt_dt = math.sqrt(1.0 / fine_steps)
     tgrid = np.arange(fine_steps + 1) / fine_steps
-    if isinstance(model, ConstCorrModel):
-        factor = _psd_factor(model.covariance)
-        z = _path_normals(seed, d, fine_steps)
-        dx = (factor @ z) * sqrt_dt
-        cov = model.covariance.copy()
-        oracle = OracleVolPath(dim=d, fn=lambda t: cov.copy())
-    elif isinstance(model, SinVolModel):
-        corr = (1.0 - model.corr) * np.eye(d) + model.corr * np.ones((d, d))
-        factor = _psd_factor(corr)
-        z = _path_normals(seed, d, fine_steps)
-        db = (factor @ z) * sqrt_dt
+    if isinstance(model, SinVolModel):
+        corr = equicorrelation(d, model.corr)
+        db = (_psd_factor(corr) @ _path_normals(seed, d, fine_steps)) * sqrt_dt
         sig = model.base[:, None] + model.swing[:, None] * np.sin(2.0 * np.pi * tgrid[:-1])[None, :]
         dx = sig * db
 
-        base, swing, rho = model.base, model.swing, model.corr
-
-        def sin_oracle(t: float) -> np.ndarray:
-            s = base + swing * math.sin(2.0 * math.pi * t)
-            return np.outer(s, s) * ((1.0 - rho) * np.eye(d) + rho * np.ones((d, d)))
-
-        oracle = OracleVolPath(dim=d, fn=sin_oracle)
-    elif isinstance(model, FactorModel):
-        r = model.r
-        z = _path_normals(seed, r + d, fine_steps)
-        dx = (model.loadings @ z[:r] + model.idio * z[r:]) * sqrt_dt
-        cov = model.loadings @ model.loadings.T + model.idio**2 * np.eye(d)
-        oracle = OracleVolPath(dim=d, fn=lambda t: cov.copy())
+        def vol(t: float) -> np.ndarray:
+            s = model.vol_at(t)
+            return np.outer(s, s) * corr
     else:
-        raise TypeError(f"unknown model type {type(model).__name__}")
+        if isinstance(model, ConstCorrModel):
+            dx = (_psd_factor(model.covariance) @ _path_normals(seed, d, fine_steps)) * sqrt_dt
+            cov = model.covariance.copy()
+        elif isinstance(model, FactorModel):
+            r = model.r
+            z = _path_normals(seed, r + d, fine_steps)
+            dx = (model.loadings @ z[:r] + model.idio * z[r:]) * sqrt_dt
+            cov = model.loadings @ model.loadings.T + model.idio**2 * np.eye(d)
+        else:
+            raise TypeError(f"unknown model type {type(model).__name__}")
+
+        def vol(t: float) -> np.ndarray:
+            return cov.copy()
     values = np.concatenate([np.zeros((d, 1)), np.cumsum(dx, axis=1)], axis=1)
-    return FinePath(times=tgrid, values=values, asset_ids=_asset_ids(d)), oracle
+    return FinePath(times=tgrid, values=values, asset_ids=default_asset_ids(d)), OracleVolPath(vol)
 
 
 @dataclass(frozen=True)
@@ -408,23 +403,19 @@ def sample(fine: FinePath, scheme: SamplingScheme, seed: int) -> ObservationSet:
     """
     steps = fine.steps
     d = fine.values.shape[0]
-    series = []
     if scheme.kind == "sync_uniform":
         n = scheme.n_target
         if n > steps:
             raise ValueError(f"n_target={n} exceeds the fine resolution of {steps} steps")
-        idx = np.unique(np.rint(np.arange(n + 1) * steps / n).astype(int))
-        for j in range(d):
-            series.append(
-                TickSeries(fine.asset_ids[j], fine.times[idx], fine.values[j, idx])
-            )
+        indices = [np.unique(np.rint(np.arange(n + 1) * steps / n).astype(int))] * d
     else:
         rngs = [substream(seed, SALT_SAMPLING, j * 101) for j in range(d)]
-        for j, idx in enumerate(_poisson_indices(rngs, scheme.n_target, steps)):
-            series.append(
-                TickSeries(fine.asset_ids[j], fine.times[idx], fine.values[j, idx])
-            )
-    return ObservationSet(series=tuple(series), time_span=1.0)
+        indices = _poisson_indices(rngs, scheme.n_target, steps)
+    series = tuple(
+        TickSeries(fine.asset_ids[j], fine.times[idx], fine.values[j, idx])
+        for j, idx in enumerate(indices)
+    )
+    return ObservationSet(series=series, time_span=1.0)
 
 
 @dataclass(frozen=True)
@@ -454,25 +445,16 @@ def score(est: VolPath, oracle: OracleVolPath, burn: float = 0.1) -> ScoreCard:
     times = est.times[mask]
     est_mats = est.matrices[mask]
     true_mats = oracle.path(times)
-    rel = np.empty(times.size)
-    for i in range(times.size):
-        denom = float(np.linalg.norm(true_mats[i]))
-        if denom == 0.0:
-            raise ValueError(f"oracle matrix vanishes at t={times[i]}")
-        rel[i] = float(np.linalg.norm(est_mats[i] - true_mats[i])) / denom
-    top = min(3, est.d)
-    est_ratios = spectral.pca_ratios(
-        VolPath(times=times, matrices=est_mats, asset_ids=est.asset_ids), top=top
-    )
-    true_ratios = spectral.pca_ratios(
-        VolPath(times=times, matrices=true_mats, asset_ids=est.asset_ids), top=top
-    )
-    ratio_err = np.array(
-        [
-            float(np.max(np.abs(a.ratios - b.ratios)))
-            for a, b in zip(est_ratios.reports, true_ratios.reports)
-        ]
-    )
+    denom = np.linalg.norm(true_mats, axis=(1, 2))
+    if not denom.all():
+        raise ValueError(f"oracle matrix vanishes at t={times[np.argmin(denom)]}")
+    rel = np.linalg.norm(est_mats - true_mats, axis=(1, 2)) / denom
+
+    def ratios(mats: np.ndarray) -> np.ndarray:
+        path = VolPath(times=times, matrices=mats, asset_ids=est.asset_ids)
+        return np.array([rep.ratios for rep in spectral.pca_ratios(path, top=min(3, est.d))])
+
+    ratio_err = np.max(np.abs(ratios(est_mats) - ratios(true_mats)), axis=1)
     return ScoreCard(
         times=times,
         rel_frobenius=rel,

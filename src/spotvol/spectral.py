@@ -10,7 +10,7 @@ need.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -35,7 +35,7 @@ class EigenReport:
 
 @dataclass(frozen=True)
 class PcaPath:
-    """Sequence of eigen reports over a strictly increasing time grid."""
+    """Sequence of eigen reports over a strictly increasing time grid, all of one shape."""
 
     reports: tuple[EigenReport, ...]
 
@@ -43,6 +43,11 @@ class PcaPath:
         times = [r.t for r in self.reports]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("report times must be strictly increasing")
+        shapes = [(r.eigenvalues.size, r.ratios.size) for r in self.reports]
+        for rep, (e, k) in zip(self.reports, shapes):
+            if (e, k) != shapes[0]:
+                raise ValueError(f"report at t={rep.t} has {e} eigenvalues and {k} ratios; "
+                                 f"the first report has {shapes[0][0]} and {shapes[0][1]}")
 
     def __len__(self) -> int:
         return len(self.reports)
@@ -55,7 +60,7 @@ class PcaPath:
         return np.array([r.t for r in self.reports])
 
 
-def pca_ratios(path: "VolPath | Sequence", top: int = 3) -> PcaPath:
+def pca_ratios(path: "VolPath", top: int = 3) -> PcaPath:
     """Eigenvalues and cumulative explained-variance ratios along a matrix path.
 
     Eigenvalues in ``[-1e-10 * trace, 0)`` are clamped to zero before the

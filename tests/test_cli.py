@@ -140,6 +140,18 @@ def test_estimate_flag_validation(small_ticks, tmp_path, capsys):
     assert "--L" in capsys.readouterr().err
 
 
+def test_estimate_checks_its_flags_before_reading_the_ticks(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    for flags, message in [(["--L", 4], "--L applies only to --method classical"),
+                           (["--method", "classical", "--wrap"], "kernel flags apply only"),
+                           (["--kernel", "cauchy", "--l-gauss", 3.0], "--l-gauss applies only"),
+                           (["--grid", 0], "grid must be a positive integer")]:
+        assert run(["estimate", "--input", missing, *flags, "--out", tmp_path / "v.csv"]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "missing.csv" not in err
+    assert not (tmp_path / "v.csv").exists()
+
+
 def test_estimate_per_real_time_rescales(tmp_path):
     ticks = tmp_path / "ticks.csv"
     ticks.write_text(
@@ -248,6 +260,32 @@ def test_simulate_writes_nothing_when_a_flag_is_invalid(tmp_path, capsys):
                 "--out-ticks", ticks, "--out-oracle", oracle]) == 1
     assert "grid must be a positive integer" in capsys.readouterr().err
     assert not ticks.exists() and not oracle.exists()
+
+# sha256 of the README round trip, seed 7. Like the path pins in
+# tests/test_simulation.py these hold for the numpy/BLAS build they were
+# recorded with: the path mixes its streams with a BLAS product, and the
+# estimate and the eigenvalues come from BLAS and LAPACK.
+README_ROUND_TRIP = {
+    "ticks.csv": "5ed66ef7eca3878766362b4812f7699376290f7fb60054df10489f1dbc035a85",
+    "oracle.csv": "24dac4392f8f2c0c30fb9002650eaff3b329de6f0cbc2caafd858405cf83aa6c",
+    "vol.csv": "6390d80ea24482276c01a027e2aa493e60484d4402da57f2b4b13e77190ab727",
+    "pca.csv": "c03eee915a67586b817b5a431e0a7c466fa378e87b59ad9791c0c5741972e5da",
+}
+
+
+def test_readme_round_trip_bytes_are_pinned(tmp_path):
+    import hashlib
+
+    f = {name: tmp_path / name for name in (*README_ROUND_TRIP, "pca.svg")}
+    assert run(["simulate", "--model", "factor", "--d", 12, "--r", 3, "--n", 150,
+                "--sampling", "poisson", "--seed", 7,
+                "--out-ticks", f["ticks.csv"], "--out-oracle", f["oracle.csv"]]) == 0
+    assert run(["estimate", "--input", f["ticks.csv"], "--out", f["vol.csv"]]) == 0
+    assert run(["pca", "--input", f["vol.csv"], "--out-csv", f["pca.csv"],
+                "--out-svg", f["pca.svg"]]) == 0
+    got = {name: hashlib.sha256(f[name].read_bytes()).hexdigest() for name in README_ROUND_TRIP}
+    assert got == README_ROUND_TRIP
+
 
 def test_python_dash_m_entry():
     import os

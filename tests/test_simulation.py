@@ -294,6 +294,31 @@ def test_score_burn_window():
         score(path, oracle, burn=0.6)
 
 
+def test_score_matches_the_per_time_reference(rng):
+    model = SinVolModel(base=np.array([1.0, 1.5, 2.0]), swing=np.array([0.4, 0.2, 0.9]), corr=0.3)
+    _, oracle = simulate(model, 100, 0)
+    times = np.linspace(0.15, 0.85, 9)
+    a = rng.standard_normal((9, 3, 3))
+    est = VolPath(times=times, matrices=a @ np.swapaxes(a, 1, 2), asset_ids=("A1", "A2", "A3"))
+    card = score(est, oracle, burn=0.1)
+    truth = oracle.path(times)
+    # a norm over the matrix axes sums the squares in another order than a per-matrix norm
+    want = [np.linalg.norm(e - o) / np.linalg.norm(o) for e, o in zip(est.matrices, truth)]
+    np.testing.assert_allclose(card.rel_frobenius, want, rtol=8 * np.finfo(float).eps)
+    est_pca = pca_ratios(est, top=3)
+    true_pca = pca_ratios(VolPath(times=times, matrices=truth, asset_ids=est.asset_ids), top=3)
+    np.testing.assert_array_equal(
+        card.ratio_error, [np.max(np.abs(e.ratios - o.ratios)) for e, o in zip(est_pca, true_pca)])
+
+
+def test_score_names_the_first_time_the_oracle_vanishes():
+    oracle = simulation.OracleVolPath(lambda t: np.eye(2) * (t < 0.3 or t > 0.7))
+    times = np.array([0.2, 0.4, 0.6, 0.8])
+    path = VolPath(times=times, matrices=np.stack([np.eye(2)] * 4), asset_ids=("A1", "A2"))
+    with pytest.raises(ValueError, match=r"oracle matrix vanishes at t=0\.4$"):
+        score(path, oracle, burn=0.1)
+
+
 # ------------------------------------------------ pinned bits and the lockstep engine
 
 

@@ -142,6 +142,19 @@ def test_write_pca_csv_layout(tmp_path):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("eigenvalues, ratios, shape", [
+    ([3.0, 2.0, 1.0], [0.5, 5 / 6], "3 eigenvalues and 2 ratios"),
+    ([2.0, 1.0], [2 / 3, 1.0, 1.0], "2 eigenvalues and 3 ratios"),
+])
+def test_pca_path_rejects_reports_of_another_shape(eigenvalues, ratios, shape):
+    first = EigenReport(t=0.25, eigenvalues=np.array([2.0, 1.0]), ratios=np.array([2 / 3]))
+    same = EigenReport(t=0.5, eigenvalues=np.array([3.0, 1.0]), ratios=np.array([0.75]))
+    other = EigenReport(t=0.75, eigenvalues=np.array(eigenvalues), ratios=np.array(ratios))
+    with pytest.raises(ValueError, match=f"report at t=0.75 has {shape}; the first report has 2 and 1"):
+        PcaPath(reports=(first, same, other))
+    assert len(PcaPath(reports=())) == 0
+
+
 def per_row_pca_csv(pca, path):
     """The PCA file written one ``writerow`` call per report."""
     d = pca.reports[0].eigenvalues.size
