@@ -62,7 +62,14 @@ def _build_model(args) -> simulation.SimModel:
     return simulation.FactorModel(loadings=loadings, idio=args.eps)
 
 
+def _check_n(n: int) -> None:
+    """Target ticks per asset, checked before it sets the fine grid's size."""
+    if not kernels.is_positive_int(n):
+        raise ValueError("--n must be a positive integer")
+
+
 def _cmd_simulate(args) -> int:
+    _check_n(args.n)
     model = _build_model(args)
     grid = _eval_grid(args.grid)
     fine_steps = args.fine_steps if args.fine_steps is not None else 10 * args.n
@@ -189,6 +196,7 @@ def run_bench(d: int, n: int, m: int, reps: int, grid: int, seed: int, out=None)
     Asserts numerical agreement (1e-9 relative Frobenius) at the probe time
     before timing anything; returns the timing report as a dict.
     """
+    _check_n(n)
     if out is None:
         out = sys.stdout
     if reps < 1:

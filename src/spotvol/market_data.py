@@ -155,11 +155,14 @@ def _load_fast(path, price_kind: str) -> ObservationSet | None:
     Ids are read as 16-byte latin-1 fields: an id that may have been cut
     short falls back, and so does a file holding a NUL, which such a field
     would drop from the end of an id. A blank body falls back before
-    ``loadtxt``, which warns on it. An error opening the file propagates, as
-    it would from the row parser.
+    ``loadtxt``, which warns on it, and so does input that cannot be rewound,
+    such as a pipe, before a byte of it is read. An error opening the file
+    propagates, as it would from the row parser.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
+            if not fh.seekable():
+                return None
             if fh.readline() != ",".join(TICK_HEADER) + "\n":
                 return None
             body = fh.tell()

@@ -34,6 +34,17 @@ def classical_tick_form(inc, m, l, t):
     return out / (2 * m + 1)
 
 
+def direct_complex_form(coeffs, c, times):
+    """Re g^T T conj(g) in complex arithmetic, g_j(u) = e^{2 pi i u t} a_j(u) for |u| <= m (test oracle).
+
+    T[u, u'] = c(u - u') is the weight table's Toeplitz matrix; returns the
+    (G, d, d) stack for the 1-d array of times.
+    """
+    u = np.arange(-c.m, c.m + 1)
+    g = np.exp(2j * np.pi * times[:, None] * u)[:, :, None] * coeffs.tables.T
+    return (np.swapaxes(g, 1, 2) @ c.toeplitz() @ np.conj(g)).real
+
+
 def scalar_normals(gen, n):
     """Box-Muller from one ``next_u64`` call per uniform (reference for the lockstep streams).
 

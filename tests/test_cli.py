@@ -261,6 +261,26 @@ def test_simulate_writes_nothing_when_a_flag_is_invalid(tmp_path, capsys):
     assert "grid must be a positive integer" in capsys.readouterr().err
     assert not ticks.exists() and not oracle.exists()
 
+
+@pytest.mark.parametrize("extra", [[], ["--fine-steps", 100]], ids=["default-fine-steps", "fine-steps-100"])
+@pytest.mark.parametrize("n", [0, -3])
+def test_simulate_names_n_when_it_is_below_one(tmp_path, capsys, n, extra):
+    assert run(["simulate", "--model", "const-corr", "--n", n, *extra,
+                "--out-ticks", tmp_path / "ticks.csv", "--out-oracle", tmp_path / "oracle.csv"]) == 1
+    err = capsys.readouterr().err
+    assert "--n must be a positive integer" in err
+    assert "fine_steps" not in err and "n_target" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_bench_names_n_when_it_is_below_one(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["bench", "--n", "0"]) == 1
+    err = capsys.readouterr().err
+    assert "--n must be a positive integer" in err and "fine_steps" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 # sha256 of the README round trip, seed 7. Like the path pins in
 # tests/test_simulation.py these hold for the numpy/BLAS build they were
 # recorded with: the path mixes its streams with a BLAS product, and the
@@ -302,3 +322,34 @@ def test_python_dash_m_entry():
     )
     assert proc.returncode == 0
     assert "simulate" in proc.stdout and "bench" in proc.stdout
+
+
+def run_piped(args, data: bytes):
+    """``python -m spotvol`` with ``data`` on a pipe as its stdin; returns the process."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "spotvol", *map(str, args)], input=data,
+                          capture_output=True, env=env, timeout=120)
+
+
+def test_estimate_and_pca_read_their_input_from_a_pipe(tmp_path):
+    # a pipe cannot be rewound, so each reader must take it in one pass
+    ticks, vol, pca = tmp_path / "ticks.csv", tmp_path / "vol.csv", tmp_path / "pca.csv"
+    assert run(["simulate", "--model", "const-corr", "--d", 2, "--n", 40, "--grid", 5,
+                "--out-ticks", ticks, "--out-oracle", tmp_path / "oracle.csv"]) == 0
+    assert run(["estimate", "--input", ticks, "--out", vol]) == 0
+    assert run(["pca", "--input", vol, "--out-csv", pca, "--out-svg", tmp_path / "pca.svg"]) == 0
+    piped_vol, piped_pca = tmp_path / "piped-vol.csv", tmp_path / "piped-pca.csv"
+    proc = run_piped(["estimate", "--input", "/dev/stdin", "--out", piped_vol], ticks.read_bytes())
+    assert proc.returncode == 0, proc.stderr
+    assert piped_vol.read_bytes() == vol.read_bytes()
+    proc = run_piped(["pca", "--input", "/dev/stdin", "--out-csv", piped_pca,
+                      "--out-svg", tmp_path / "piped-pca.svg"], vol.read_bytes())
+    assert proc.returncode == 0, proc.stderr
+    assert piped_pca.read_bytes() == pca.read_bytes()

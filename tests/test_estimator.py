@@ -28,6 +28,7 @@ from spotvol.kernels import (
     INTEGER_GUARD,
     KernelParams,
     PSDFunction,
+    SpectralMeasure,
     c_from_measure,
     dirichlet_eval,
     fejer_eval,
@@ -37,7 +38,7 @@ from spotvol.market_data import AssetIncrements, IncrementTable
 from spotvol.simulation import ConstCorrModel, SamplingScheme, random_loadings, simulate
 from spotvol.spectral import pca_ratios
 
-from conftest import classical_tick_form, random_increments
+from conftest import classical_tick_form, direct_complex_form, random_increments
 
 
 def one_asset(times, dx, asset_id="A1"):
@@ -285,6 +286,15 @@ PINNED_ASYNC = IncrementTable(
 )
 
 
+@pytest.mark.parametrize("m, l", [(3, 2), (15, 15), (40, 7)])
+def test_classical_lags_read_the_order_m_table_bit_for_bit(rng, m, l):
+    # _classical_lags takes the order-m sums from the slice of its order-(m + l) table
+    inc = random_increments(rng, 3, 60)
+    wide = fourier_coefficients(inc, m + l).tables[:, l:l + 2 * m + 1]
+    narrow = fourier_coefficients(inc, m).tables
+    np.testing.assert_array_equal(wide.view(np.int64), narrow.view(np.int64))
+
+
 def test_classical_asymmetry_witness():
     v = estimate_classical(PINNED_ASYNC, 3, 3, 0.5).entries
     assert abs(v[0, 1] - v[1, 0]) > 1e-6
@@ -398,6 +408,54 @@ def test_psd_direct_matches_generic_three_assets(rng):
     generic = estimate_generic(inc, generic_spec_from_psd(c), t).entries
     scale = max(np.max(np.abs(direct)), 1e-12)
     assert np.max(np.abs(direct - generic)) <= 1e-10 * scale
+
+
+def gaussian_table(m):
+    return c_from_measure(make_measure(KernelParams(family="gaussian", l_gauss=2 * m + 1.0), m), m)
+
+
+DIRECT_EDGE_CASES = {
+    "d-1-m-1": (one_asset([0.15, 0.35, 0.9], [0.4, -0.7, 0.2]), gaussian_table(1)),
+    "ticks-at-0-and-1": (
+        two_assets([0.0, 0.4, 1.0], [0.5, -0.2, 0.3], [0.0, 0.7, 1.0], [0.1, 0.6, -0.4]),
+        gaussian_table(5),
+    ),
+    "sub-guard-gaps": (CLASSICAL_EDGE_CASES["sub-guard-gaps"][0], gaussian_table(4)),
+    # atoms placed off-centre give c(k) an imaginary part; the quadrature grids
+    # of the families are symmetric up to the atom at -1/2, where sin vanishes
+    "asymmetric-measure": (
+        two_assets([0.1, 0.3, 0.65], [0.3, -0.8, 0.5], [0.2, 0.45, 0.9], [-0.4, 0.2, 0.6]),
+        c_from_measure(SpectralMeasure(atoms=[-0.2, 0.05, 0.3], weights=[0.5, 0.3, 0.2]), 3),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIRECT_EDGE_CASES))
+def test_psd_direct_matches_the_complex_form(case):
+    inc, c = DIRECT_EDGE_CASES[case]
+    times = np.array([0.0, 0.2 + 0.5 * INTEGER_GUARD, 0.37, 0.5, 1.0 - 0.3 * INTEGER_GUARD, 1.0])
+    coeffs = fourier_coefficients(inc, c.m)
+    got = np.stack([estimate_psd_direct(inc, c, t).entries for t in times])
+    want = direct_complex_form(coeffs, c, times)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    if case == "asymmetric-measure":
+        assert np.max(np.abs(c.values.imag)) > 1e-3 * np.max(np.abs(c.values))
+
+
+def test_psd_direct_path_over_two_blocks_matches_the_complex_form(rng):
+    from spotvol.market_data import ObservationSet, TickSeries, increments as make_increments
+
+    series = []
+    for j in range(3):
+        times = np.concatenate([[0.0], np.sort(rng.random(30)), [1.0]])
+        series.append(TickSeries(f"A{j + 1}", times, np.cumsum(rng.standard_normal(times.size)) * 0.1))
+    obs = ObservationSet(series=tuple(series))
+    kernel, m = KernelParams(family="cauchy", gamma=0.2), 6
+    grid = np.linspace(0.0, 1.0, GRID_BLOCK + 5)
+    path = estimate_path(obs, EstimatorConfig(method="psd_direct", eval_grid=grid, m=m, kernel=kernel))
+    c = c_from_measure(make_measure(kernel, m), m)
+    want = direct_complex_form(fourier_coefficients(make_increments(obs), m), c, grid)
+    assert np.max(np.abs(path.matrices - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 # -------------------------------------------------------------- psd factorized

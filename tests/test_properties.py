@@ -18,11 +18,13 @@ from spotvol import market_data
 from spotvol.estimator import (
     GRID_BLOCK,
     EstimatorConfig,
+    _direct_at,
     estimate_classical,
     estimate_generic,
     estimate_path,
     estimate_psd_direct,
     estimate_psd_factorized,
+    fourier_coefficients,
     generic_spec_from_psd,
 )
 from spotvol.kernels import (
@@ -34,7 +36,7 @@ from spotvol.kernels import (
 )
 from spotvol.market_data import AssetIncrements, IncrementTable, ObservationSet, TickSeries, increments
 
-from conftest import classical_tick_form
+from conftest import classical_tick_form, direct_complex_form
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
 
@@ -268,6 +270,18 @@ def test_psd_forms_agree_on_gaps_inside_the_integer_guard(obs, kernel, m, data):
     assert max_abs(fac - generic) <= tol
     assert_psd(fac)
     assert_psd(direct)
+
+
+@PROPERTY
+@given(panels(), KERNELS, ORDERS, st.lists(TIMES, min_size=1, max_size=GRID_BLOCK, unique=True))
+def test_psd_direct_matches_the_complex_form(obs, kernel, m, times):
+    # the real form h^T S h against the complex g^T T conj(g) it rewrites
+    coeffs = fourier_coefficients(increments(obs), m)
+    c = c_from_measure(make_measure(kernel, m), m)
+    times = np.array(sorted(times))
+    want = direct_complex_form(coeffs, c, times)
+    scale = max(max_abs(want), max_abs(direct_complex_form(coeffs, c, np.linspace(0.0, 1.0, 9))))
+    assert max_abs(_direct_at(coeffs, c, times) - want) <= 1e-13 * scale
 
 
 # ----------------------------------------------------------------- tick ingest
