@@ -47,10 +47,15 @@ def _kernel_params(args, m: int) -> kernels.KernelParams:
     )
 
 
+def _check_count(flag: str, value: int) -> None:
+    """A size flag (--d, --n, --M), checked before anything is simulated from it."""
+    if not kernels.is_positive_int(value):
+        raise ValueError(f"{flag} must be a positive integer")
+
+
 def _build_model(args) -> simulation.SimModel:
     d = args.d
-    if d < 1:
-        raise ValueError("--d must be a positive integer")
+    _check_count("--d", d)
     if args.model == "const-corr":
         cov = args.var * simulation.equicorrelation(d, args.rho)
         return simulation.ConstCorrModel(covariance=cov)
@@ -62,14 +67,8 @@ def _build_model(args) -> simulation.SimModel:
     return simulation.FactorModel(loadings=loadings, idio=args.eps)
 
 
-def _check_n(n: int) -> None:
-    """Target ticks per asset, checked before it sets the fine grid's size."""
-    if not kernels.is_positive_int(n):
-        raise ValueError("--n must be a positive integer")
-
-
 def _cmd_simulate(args) -> int:
-    _check_n(args.n)
+    _check_count("--n", args.n)  # before it sets the fine grid's size
     model = _build_model(args)
     grid = _eval_grid(args.grid)
     fine_steps = args.fine_steps if args.fine_steps is not None else 10 * args.n
@@ -196,7 +195,8 @@ def run_bench(d: int, n: int, m: int, reps: int, grid: int, seed: int, out=None)
     Asserts numerical agreement (1e-9 relative Frobenius) at the probe time
     before timing anything; returns the timing report as a dict.
     """
-    _check_n(n)
+    for flag, value in (("--d", d), ("--n", n), ("--M", m)):
+        _check_count(flag, value)
     if out is None:
         out = sys.stdout
     if reps < 1:

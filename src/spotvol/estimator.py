@@ -24,16 +24,22 @@ increment series, all built from windowed Fourier sums of the increments:
   sum_q w_q S_j(t, y_q) S_{j'}(t, y_q) over a nonnegative measure; exactly
   symmetric (each entry computed once), PSD, and fast: after an
   O(M sum_j N_j) precomputation each time point costs O(Q (M d + d^2)).
+  Evaluated as b^T b with b = Phi h, the same real stack h as the direct
+  form and the real (Q, 2M+1) rows Phi of the measure, with Phi^T Phi = S
+  up to rounding: Q (2M+1) d + Q d^2 multiply-adds per time.
 
 The per-asset Fourier sums a_j(s) = sum_l e^{-2 pi i s t^j_l} dX^j_l are
 precomputed once per path and shared by every form except the generic
-reference. They are built by power recurrence, multiplying each tick's
-term by e^{-2 pi i t^j_l} from one frequency to the next, so the pass is
-O(M N_j) products in O(N_j) memory per asset. The error at order s is
-O(s eps sum_l |dX^j_l|), the same order as an exact exp, whose phase
-2 pi s t already carries O(s eps) rounding. ``estimate_path`` evaluates all
-four forms on blocks of grid times; each pointwise estimator is the block of
-one time.
+reference. They are built by baby-step/giant-step products (Paterson &
+Stockmeyer 1973): with z = e^{-2 pi i t^j_l} and s = kB + r, a_j(s) is
+entry r of Z P[k], the baby steps Z[r] = z^r times the giant step
+P[k] = dX z^{kB}, over chunks of ticks. The pass is O(M N_j) multiply-adds,
+mostly inside matrix-vector products, in O(N_j) memory per asset. The error
+at order s is O(s eps sum_l |dX^j_l|), the same order as an exact exp, whose
+phase 2 pi s t already carries O(s eps) rounding. ``estimate_path`` builds
+the Fourier sums and the real tables S or Phi once and evaluates all four
+forms on blocks of grid times; each pointwise estimator is the block of one
+time.
 """
 
 from __future__ import annotations
@@ -61,6 +67,8 @@ KERNEL_METHODS = ("generic", "psd_direct", "psd_factorized")  # weights come fro
 IMAG_RESIDUE_RTOL = 1e-9
 
 GRID_BLOCK = 32  # evaluation times per block in estimate_path
+B = 8  # baby steps z^0..z^{B-1} per tick in fourier_coefficients
+CHUNK = 4096  # ticks per chunk in fourier_coefficients
 
 
 class EstimationError(ValueError):
@@ -165,24 +173,38 @@ class FourierCoefficients:
 def fourier_coefficients(inc: IncrementTable, order: int) -> FourierCoefficients:
     """Compute a_j(s) = sum_l e^{-2 pi i s t^j_l} dX^j_l for all assets.
 
-    Power recurrence per asset: with z_l = e^{-2 pi i t^j_l} and
-    p_l = e^{-2 pi i s t^j_l} dX^j_l, a_j(s) is the sum of p and the next
-    frequency is p * z. The error at order s is O(s eps sum_l |dX^j_l|), the
-    order of an exact exp, whose phase 2 pi s t carries O(s eps) rounding.
-    Memory is O(N_j) per asset; no (order+1) x N_j exp table is built. The
-    negative half is the exact conjugate mirror of s = 0..order.
+    Baby-step/giant-step products (Paterson & Stockmeyer 1973): with
+    z_l = e^{-2 pi i t^j_l} and s = kB + r, the baby steps Z[r] = z^r
+    (r < B) and the giant steps P[k] = dX z^{kB} give a_j(kB + r) as entry r
+    of the matrix-vector product Z P[k], one product per giant step. Both are
+    power recurrences, so the error at order s is O(s eps sum_l |dX^j_l|),
+    the order of an exact exp, whose phase 2 pi s t carries O(s eps)
+    rounding. Ticks go in chunks of ``CHUNK``, so memory is O(B CHUNK) per
+    asset; no (order+1) x N_j exp table is built. Each giant step is its own
+    product, never one gemm over all of them, so a table's first entries do
+    not depend on its order: the order-m slice of a larger table is the
+    order-m table bit for bit. The negative half is the exact conjugate
+    mirror of s = 0..order.
     """
     if not is_positive_int(order):
         raise EstimationError("order must be a positive integer")
+    giant = -(-(order + 1) // B)  # ceil((order + 1) / B)
     tables = np.empty((inc.d, 2 * order + 1), dtype=complex)
     for j, asset in enumerate(inc.assets):
-        z = np.exp(-2j * np.pi * asset.times)
-        p = asset.dx.astype(complex)
+        acc = np.zeros((giant, B), dtype=complex)  # acc[k, r] = a_j(kB + r)
+        for start in range(0, asset.times.size, CHUNK):
+            z = np.exp(-2j * np.pi * asset.times[start:start + CHUNK])
+            baby = np.empty((B, z.size), dtype=complex)
+            baby[0] = 1.0
+            for r in range(1, B):
+                np.multiply(baby[r - 1], z, out=baby[r])
+            step = baby[B - 1] * z  # z^B
+            p = asset.dx[start:start + CHUNK].astype(complex)
+            for k in range(giant):
+                acc[k] += baby @ p
+                p *= step
         pos = tables[j, order:]
-        pos[0] = p.sum()
-        for s in range(1, order + 1):
-            p *= z
-            pos[s] = p.sum()
+        pos[:] = acc.ravel()[:order + 1]
         tables[j, :order] = np.conj(pos[1:])[::-1]
     return FourierCoefficients(order=order, asset_ids=inc.asset_ids, tables=tables)
 
@@ -265,64 +287,78 @@ class EstimatorConfig:
             raise EstimationError(f"method {self.method!r} takes no smoothing order l")
 
 
-def _shifted_sums(coeffs: FourierCoefficients, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Re and Im of the time-shifted sums e^{2 pi i s t_g} a_j(s) for s = 1..m, each (G, m, d).
+def _real_stack(coeffs: FourierCoefficients, times: np.ndarray) -> np.ndarray:
+    """h = [a(0); Re g(1..m); Im g(1..m)] with g_j(u) = e^{2 pi i u t_g} a_j(u), shape (G, 2m+1, d).
 
-    Built from real products: numpy's complex multiply picks a fused or a
-    plain loop by operand layout, so a time would get different bits in
-    blocks of different sizes.
+    Real increments give g(-u) = conj(g(u)), so h holds every g_j(u),
+    |u| <= m. Built from real products: numpy's complex multiply picks a
+    fused or a plain loop by operand layout, so a time would get different
+    bits in blocks of different sizes.
     """
     m = coeffs.order
     phase = np.exp(2j * np.pi * times[:, None] * np.arange(1, m + 1))[:, :, None]  # (G, m, 1)
     a = coeffs.tables[:, m + 1:].T  # (m, d)
     a_re, a_im = a.real.copy(), a.imag.copy()
-    p_re = phase.real * a_re - phase.imag * a_im
-    p_im = phase.real * a_im + phase.imag * a_re
-    return p_re, p_im
+    h = np.empty((times.size, 2 * m + 1, coeffs.d))
+    h[:, 0] = coeffs.tables[:, m].real
+    h[:, 1:m + 1] = phase.real * a_re - phase.imag * a_im
+    h[:, m + 1:] = phase.real * a_im + phase.imag * a_re
+    return h
 
 
-def _direct_at(coeffs: FourierCoefficients, c: PSDFunction, times: np.ndarray) -> np.ndarray:
-    """Re g^T T conj(g) with g_j(u) = e^{2 pi i u t} a_j(u), T[u, u'] = c(u - u'), as a real form.
+def _folded_toeplitz(c: PSDFunction) -> np.ndarray:
+    """The real symmetric S = Re(W^T T conj(W)), (2m+1, 2m+1), of ``_direct_at``.
 
-    Real increments make g(-u) = conj(g(u)), so with g(u) = x_u + i y_u
-    (u = 1..m) the vector g = W h is a fixed complex map W of the real
-    h = [a(0); x_1..x_m; y_1..y_m], and V = h^T S h exactly, with the real
-    symmetric S = Re(W^T T conj(W)). S is T with its mirrored rows and
-    columns folded, an O(m^2) gather; each time then costs two real
-    products, (2m+1)^2 d + (2m+1) d^2 multiply-adds, a quarter of the
-    complex form's.
+    g = W h is the fixed complex map from the real stack h of
+    ``_real_stack`` to g(u), |u| <= m, and T[u, u'] = c(u - u'). S is T with
+    its mirrored rows and columns folded, an O(m^2) gather.
     """
-    if coeffs.order != c.m:
-        raise EstimationError(
-            f"weight table covers [-{2 * c.m}, {2 * c.m}] but the Fourier sums "
-            f"were built at cutoff {coeffs.order}"
-        )
     m = c.m
 
     def fold(x):  # W^T x: rows u = 0, u + (-u) and i (u - (-u)) for u = 1..m
         pos, neg = x[m + 1:], x[m - 1::-1]
         return np.concatenate([x[m:m + 1], pos + neg, 1j * (pos - neg)])
 
-    form = fold(fold(c.toeplitz()).conj().T).real.T  # Re(W^T T conj(W)), (2m+1, 2m+1)
-    p_re, p_im = _shifted_sums(coeffs, times)
-    a0 = np.broadcast_to(coeffs.tables[:, m].real, (times.size, 1, coeffs.d))
-    h = np.concatenate([a0, p_re, p_im], axis=1)  # (G, 2m+1, d)
+    return fold(fold(c.toeplitz()).conj().T).real.T
+
+
+def _direct_at(coeffs: FourierCoefficients, form: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Re g^T T conj(g) with g_j(u) = e^{2 pi i u t} a_j(u), T[u, u'] = c(u - u'), as a real form.
+
+    With the real stack h of ``_real_stack`` and S = ``_folded_toeplitz(c)``,
+    V = h^T S h exactly. Each time costs two real products,
+    (2m+1)^2 d + (2m+1) d^2 multiply-adds, a quarter of the complex form's.
+    """
+    m = form.shape[0] // 2
+    if coeffs.order != m:
+        raise EstimationError(
+            f"weight table covers [-{2 * m}, {2 * m}] but the Fourier sums "
+            f"were built at cutoff {coeffs.order}"
+        )
+    h = _real_stack(coeffs, times)
     # one product per time, not one over the block, so a time sums alike in any block
     return np.swapaxes(h, 1, 2) @ (form @ h)
 
 
-def _factorized_at(coeffs: FourierCoefficients, mu: SpectralMeasure, times: np.ndarray) -> np.ndarray:
-    """B^T B with B[g, q, j] = sqrt(w_q) sum_{|s| <= m} e^{2 pi i s (t_g + y_q)} a_j(s).
+def _quadrature_rows(mu: SpectralMeasure, m: int) -> np.ndarray:
+    """Phi[q] = sqrt(w_q) [1, 2 cos(2 pi u y_q), -2 sin(2 pi u y_q)] for u = 1..m, shape (Q, 2m+1).
 
-    The phase splits as e^{2 pi i s t} e^{2 pi i s y}, so the sum over s is
-    one batched product of the atom phases with the time-shifted sums, of
-    which only the real part is kept.
+    Phi h is the smoothed sum of ``_factorized_at``, and Phi^T Phi is, up to
+    rounding, the folded table S of ``_direct_at`` for c = c_from_measure(mu, m).
     """
-    m = coeffs.order
     shift = np.exp(2j * np.pi * np.outer(mu.atoms, np.arange(1, m + 1)))  # (Q, m)
-    p_re, p_im = _shifted_sums(coeffs, times)
-    smooth = coeffs.tables[:, m].real + 2.0 * (shift.real.copy() @ p_re - shift.imag.copy() @ p_im)
-    b = np.sqrt(mu.weights)[:, None] * smooth  # (G, Q, d)
+    rows = np.hstack([np.ones((mu.atoms.size, 1)), 2.0 * shift.real, -2.0 * shift.imag])
+    return np.sqrt(mu.weights)[:, None] * rows
+
+
+def _factorized_at(coeffs: FourierCoefficients, rows: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """b^T b with b[g, q, j] = sqrt(w_q) sum_{|s| <= m} e^{2 pi i s (t_g + y_q)} a_j(s).
+
+    The phase splits as e^{2 pi i s t} e^{2 pi i s y}, and the sum over s is
+    real, so b = Phi h: the rows Phi of ``_quadrature_rows`` times the real
+    stack h of ``_real_stack``, one product per time.
+    """
+    b = rows @ _real_stack(coeffs, times)  # (G, Q, d)
     v = np.swapaxes(b, 1, 2) @ b
     # mirror the upper triangle so entry (j, j') and (j', j) are the same float
     return np.triu(v) + np.swapaxes(np.triu(v, 1), 1, 2)
@@ -423,7 +459,7 @@ def estimate_psd_direct(inc: IncrementTable, c: PSDFunction, t: float) -> VolMat
     """PSD estimator from a Hermitian weight table (double frequency sum)."""
     times = _eval_times([t])
     coeffs = fourier_coefficients(inc, c.m)
-    return VolMatrix(t=float(times[0]), entries=_direct_at(coeffs, c, times)[0])
+    return VolMatrix(t=float(times[0]), entries=_direct_at(coeffs, _folded_toeplitz(c), times)[0])
 
 
 def estimate_psd_factorized(inc: IncrementTable, mu: SpectralMeasure, m: int, t: float) -> VolMatrix:
@@ -435,15 +471,16 @@ def estimate_psd_factorized(inc: IncrementTable, mu: SpectralMeasure, m: int, t:
     times = _eval_times([t])
     if not is_positive_int(m):
         raise EstimationError("cutoff must be a positive integer")
-    coeffs = fourier_coefficients(inc, m)
-    return VolMatrix(t=float(times[0]), entries=_factorized_at(coeffs, mu, times)[0])
+    coeffs, rows = fourier_coefficients(inc, m), _quadrature_rows(mu, m)
+    return VolMatrix(t=float(times[0]), entries=_factorized_at(coeffs, rows, times)[0])
 
 
 def estimate_path(obs: ObservationSet, config: EstimatorConfig) -> VolPath:
     """Apply the configured estimator across the evaluation grid.
 
-    Per-path work (increments, Fourier sums, measure, the classical lag stack)
-    is done once. All four forms then evaluate the grid in blocks of
+    Per-path work (increments, Fourier sums, measure, the classical lag stack,
+    the direct form's folded table S and the factorized form's rows Phi) is
+    done once. All four forms then evaluate the grid in blocks of
     ``GRID_BLOCK`` times, bounding the per-block tables (the classical form
     costs O(L d^2) per time; the generic reference builds its fiber sums once
     per block). Each pointwise estimator is the one-time block, so a path
@@ -457,9 +494,9 @@ def estimate_path(obs: ObservationSet, config: EstimatorConfig) -> VolPath:
     elif config.method == "generic":
         form, args = _generic_at, (inc, generic_spec_from_psd(c_from_measure(mu, m)))
     elif config.method == "psd_direct":
-        form, args = _direct_at, (fourier_coefficients(inc, m), c_from_measure(mu, m))
+        form, args = _direct_at, (fourier_coefficients(inc, m), _folded_toeplitz(c_from_measure(mu, m)))
     else:
-        form, args = _factorized_at, (fourier_coefficients(inc, m), mu)
+        form, args = _factorized_at, (fourier_coefficients(inc, m), _quadrature_rows(mu, m))
     matrices = np.empty((grid.size, inc.d, inc.d))
     for start in range(0, grid.size, GRID_BLOCK):
         matrices[start:start + GRID_BLOCK] = form(*args, grid[start:start + GRID_BLOCK])

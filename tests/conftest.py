@@ -45,6 +45,41 @@ def direct_complex_form(coeffs, c, times):
     return (np.swapaxes(g, 1, 2) @ c.toeplitz() @ np.conj(g)).real
 
 
+def fourier_power_recurrence(inc, order):
+    """a_j(s) for |s| <= order by the plain power recurrence p <- p z, z = e^{-2 pi i t} (test oracle).
+
+    Returns the (d, 2 order + 1) table, negative half mirrored, laid out as
+    ``FourierCoefficients.tables``.
+    """
+    tables = np.empty((inc.d, 2 * order + 1), dtype=complex)
+    for j, asset in enumerate(inc.assets):
+        z = np.exp(-2j * np.pi * asset.times)
+        p = asset.dx.astype(complex)
+        pos = tables[j, order:]
+        pos[0] = p.sum()
+        for s in range(1, order + 1):
+            p *= z
+            pos[s] = p.sum()
+        tables[j, :order] = np.conj(pos[1:])[::-1]
+    return tables
+
+
+def factorized_smooth_form(coeffs, mu, times):
+    """B^T B with B[g, q, j] = sqrt(w_q) (a_j(0) + 2 Re sum_{u=1..m} e^{2 pi i u (t_g + y_q)} a_j(u)) (test oracle).
+
+    The smoothed sum in the atom phases times the time-shifted sums; returns
+    the (G, d, d) stack for the 1-d array of times, upper triangle mirrored.
+    """
+    m = coeffs.order
+    u = np.arange(1, m + 1)
+    shift = np.exp(2j * np.pi * np.outer(mu.atoms, u))  # (Q, m)
+    g = np.exp(2j * np.pi * times[:, None] * u)[:, :, None] * coeffs.tables[:, m + 1:].T  # (G, m, d)
+    smooth = coeffs.tables[:, m].real + 2.0 * (shift @ g).real
+    b = np.sqrt(mu.weights)[:, None] * smooth  # (G, Q, d)
+    v = np.swapaxes(b, 1, 2) @ b
+    return np.triu(v) + np.swapaxes(np.triu(v, 1), 1, 2)
+
+
 def scalar_normals(gen, n):
     """Box-Muller from one ``next_u64`` call per uniform (reference for the lockstep streams).
 

@@ -3,6 +3,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from spotvol import simulation
 from spotvol.cli import main, render_pca_svg, run_bench
 from spotvol.estimator import read_vol_csv
 from spotvol.spectral import pca_ratios
@@ -281,6 +282,19 @@ def test_bench_names_n_when_it_is_below_one(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flag, value", [("--d", 0), ("--d", -2), ("--M", 0), ("--M", -1)])
+def test_bench_names_d_and_m_before_simulating(tmp_path, capsys, monkeypatch, flag, value):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before the flags were checked")
+
+    monkeypatch.setattr(simulation, "simulate", no_simulation)
+    monkeypatch.chdir(tmp_path)
+    assert main(["bench", "--d", "2", "--n", "10", "--M", "2", flag, str(value)]) == 1
+    err = capsys.readouterr().err
+    assert f"{flag} must be a positive integer" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 # sha256 of the README round trip, seed 7. Like the path pins in
 # tests/test_simulation.py these hold for the numpy/BLAS build they were
 # recorded with: the path mixes its streams with a BLAS product, and the
@@ -288,8 +302,8 @@ def test_bench_names_n_when_it_is_below_one(tmp_path, capsys, monkeypatch):
 README_ROUND_TRIP = {
     "ticks.csv": "5ed66ef7eca3878766362b4812f7699376290f7fb60054df10489f1dbc035a85",
     "oracle.csv": "24dac4392f8f2c0c30fb9002650eaff3b329de6f0cbc2caafd858405cf83aa6c",
-    "vol.csv": "6390d80ea24482276c01a027e2aa493e60484d4402da57f2b4b13e77190ab727",
-    "pca.csv": "c03eee915a67586b817b5a431e0a7c466fa378e87b59ad9791c0c5741972e5da",
+    "vol.csv": "0e03236b74ab7636fe3143d4b1c515720fd0998841cd631d0d143733be9b7361",
+    "pca.csv": "bf2b216b4fd647c03bff9023216e035fe0879602480d1c6b802b7ab4b5a32c24",
 }
 
 

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from spotvol.estimator import (
+    CHUNK,
     GRID_BLOCK,
+    B,
     EstimationError,
     EstimatorConfig,
     GenericSpec,
@@ -38,7 +40,13 @@ from spotvol.market_data import AssetIncrements, IncrementTable
 from spotvol.simulation import ConstCorrModel, SamplingScheme, random_loadings, simulate
 from spotvol.spectral import pca_ratios
 
-from conftest import classical_tick_form, direct_complex_form, random_increments
+from conftest import (
+    classical_tick_form,
+    direct_complex_form,
+    factorized_smooth_form,
+    fourier_power_recurrence,
+    random_increments,
+)
 
 
 def one_asset(times, dx, asset_id="A1"):
@@ -88,6 +96,21 @@ def test_fourier_coefficients_recurrence_matches_exp_sums(rng, order):
     direct = np.exp(-2j * np.pi * np.outer(np.arange(-order, order + 1), times)) @ dx
     err = np.max(np.abs(coeffs.tables[0] - direct))
     assert err <= 1e-12 * np.sum(np.abs(dx))
+
+
+# (ticks, order): fewer ticks than baby steps, one chunk exactly, a chunk and
+# one tick, order + 1 not a multiple of B, an order below B, a single tick
+BSGS_SIZES = [(B - 3, 20), (CHUNK - 1, 2 * B - 1), (CHUNK, 2 * B), (CHUNK + 1, 3 * B + 2),
+              (500, 75), (300, B - 3), (1, 40)]
+
+
+@pytest.mark.parametrize("n, order", BSGS_SIZES)
+def test_fourier_coefficients_match_the_power_recurrence(rng, n, order):
+    times = np.sort(rng.random(n))
+    dx = rng.standard_normal(n)
+    inc = one_asset(times, dx)
+    err = np.max(np.abs(fourier_coefficients(inc, order).tables - fourier_power_recurrence(inc, order)))
+    assert err <= 1e-13 * np.sum(np.abs(dx))
 
 
 def test_fourier_coefficients_are_exact_to_rounding_at_high_order():
@@ -371,10 +394,10 @@ def test_psd_direct_rejects_mismatched_table(rng):
     inc = random_increments(rng, 1, 6)
     c = c_from_measure(make_measure(KernelParams(family="flat"), 3), 3)
     coeffs = fourier_coefficients(inc, 2)
-    from spotvol.estimator import _direct_at
+    from spotvol.estimator import _direct_at, _folded_toeplitz
 
     with pytest.raises(EstimationError, match="cutoff"):
-        _direct_at(coeffs, c, 0.5)
+        _direct_at(coeffs, _folded_toeplitz(c), 0.5)
 
 
 def test_psd_direct_matches_generic(rng):
@@ -507,6 +530,32 @@ def test_factorized_matches_direct(rng, params):
         vd = estimate_psd_direct(inc, c, t).entries
         scale = max(np.linalg.norm(vd), 1e-12)
         assert np.linalg.norm(vf - vd) <= 1e-9 * scale
+
+
+SMOOTH_SUM_MEASURES = {
+    "flat": KernelParams(family="flat"),
+    "cauchy": KernelParams(family="cauchy", gamma=0.18),
+    "cauchy-wrapped": KernelParams(family="cauchy", gamma=0.4, wrap=True),
+    "gaussian": KernelParams(family="gaussian", l_gauss=15.0),
+    "gaussian-wrapped": KernelParams(family="gaussian", l_gauss=3.0, wrap=True),
+    "fejer": KernelParams(family="fejer"),
+    # off-centre atoms, as in the psd_direct edge cases
+    "asymmetric": SpectralMeasure(atoms=[-0.2, 0.05, 0.3], weights=[0.5, 0.3, 0.2]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMOOTH_SUM_MEASURES))
+def test_factorized_matches_the_smooth_sum_form(rng, name):
+    # b = Phi h against the smoothed sum in the atom phases it rewrites
+    inc = random_increments(rng, 4, 40)
+    m = 6
+    mu = SMOOTH_SUM_MEASURES[name]
+    if isinstance(mu, KernelParams):
+        mu = make_measure(mu, m)
+    times = np.array([0.0, 0.2 + 0.5 * INTEGER_GUARD, 0.37, 0.5, 1.0 - 0.3 * INTEGER_GUARD, 1.0])
+    got = np.stack([estimate_psd_factorized(inc, mu, m, t).entries for t in times])
+    want = factorized_smooth_form(fourier_coefficients(inc, m), mu, times)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_factorized_bitwise_symmetric_and_psd(rng):

@@ -19,6 +19,9 @@ from spotvol.estimator import (
     GRID_BLOCK,
     EstimatorConfig,
     _direct_at,
+    _factorized_at,
+    _folded_toeplitz,
+    _quadrature_rows,
     estimate_classical,
     estimate_generic,
     estimate_path,
@@ -36,7 +39,7 @@ from spotvol.kernels import (
 )
 from spotvol.market_data import AssetIncrements, IncrementTable, ObservationSet, TickSeries, increments
 
-from conftest import classical_tick_form, direct_complex_form
+from conftest import classical_tick_form, direct_complex_form, factorized_smooth_form
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
 
@@ -281,7 +284,19 @@ def test_psd_direct_matches_the_complex_form(obs, kernel, m, times):
     times = np.array(sorted(times))
     want = direct_complex_form(coeffs, c, times)
     scale = max(max_abs(want), max_abs(direct_complex_form(coeffs, c, np.linspace(0.0, 1.0, 9))))
-    assert max_abs(_direct_at(coeffs, c, times) - want) <= 1e-13 * scale
+    assert max_abs(_direct_at(coeffs, _folded_toeplitz(c), times) - want) <= 1e-13 * scale
+
+
+@PROPERTY
+@given(panels(), KERNELS, ORDERS, st.lists(TIMES, min_size=1, max_size=GRID_BLOCK, unique=True))
+def test_psd_factorized_matches_the_smooth_sum_form(obs, kernel, m, times):
+    # b = Phi h against the smoothed sum in the atom phases it rewrites
+    coeffs = fourier_coefficients(increments(obs), m)
+    mu = make_measure(kernel, m)
+    times = np.array(sorted(times))
+    want = factorized_smooth_form(coeffs, mu, times)
+    scale = max(max_abs(want), max_abs(factorized_smooth_form(coeffs, mu, np.linspace(0.0, 1.0, 9))))
+    assert max_abs(_factorized_at(coeffs, _quadrature_rows(mu, m), times) - want) <= 1e-13 * scale
 
 
 # ----------------------------------------------------------------- tick ingest
