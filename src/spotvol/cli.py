@@ -30,8 +30,9 @@ def _kernel_params(args, m: int) -> kernels.KernelParams:
         raise ValueError("--gamma applies only to --kernel cauchy")
     if args.l_gauss is not None and family != "gaussian":
         raise ValueError("--l-gauss applies only to --kernel gaussian")
-    if args.wrap and family not in ("cauchy", "gaussian"):
-        raise ValueError("--wrap applies only to the cauchy and gaussian kernels")
+    for flag, value in (("--nodes", args.nodes is not None), ("--wrap", args.wrap)):
+        if value and family not in kernels.QUADRATURE_FAMILIES:
+            raise ValueError(f"{flag} applies only to the cauchy and gaussian kernels")
     gamma = args.gamma
     l_gauss = args.l_gauss
     if family == "cauchy" and gamma is None:

@@ -25,6 +25,7 @@ HERMITIAN_RTOL = 1e-10
 WRAP_TERMS = 5          # periodization series truncated at |n| <= WRAP_TERMS
 
 FAMILIES = ("flat", "cauchy", "gaussian", "fejer")
+QUADRATURE_FAMILIES = ("cauchy", "gaussian")  # the families that take nodes and wrap
 
 
 def is_positive_int(value) -> bool:
@@ -99,8 +100,9 @@ class KernelParams:
             raise ValueError(f"l_gauss is only meaningful for the gaussian family, not {self.family!r}")
         if self.nodes is not None and not is_positive_int(self.nodes):
             raise ValueError("nodes must be a positive integer")
-        if self.wrap and self.family not in ("cauchy", "gaussian"):
-            raise ValueError("wrap applies only to the continuous families (cauchy, gaussian)")
+        for name, value in (("nodes", self.nodes is not None), ("wrap", self.wrap)):
+            if value and self.family not in QUADRATURE_FAMILIES:
+                raise ValueError(f"{name} applies only to the continuous families (cauchy, gaussian)")
 
 
 @dataclass(frozen=True)
@@ -236,9 +238,6 @@ class PSDFunction:
         if abs(k) > 2 * self.m:
             raise ValueError(f"k={k} outside the table range [-{2 * self.m}, {2 * self.m}]")
         return complex(self.values[k + 2 * self.m])
-
-    def __call__(self, k: int) -> complex:
-        return self.value(k)
 
     def toeplitz(self) -> np.ndarray:
         """Hermitian Toeplitz matrix T[u, u'] = c(u - u') for u, u' in [-m, m]."""

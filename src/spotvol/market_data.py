@@ -138,8 +138,9 @@ def load_csv(path, price_kind: str = "log") -> ObservationSet:
     time_span. With ``price_kind="raw"`` prices must be positive and are
     log-transformed; with ``"log"`` the price column is taken as is.
 
-    The file is parsed in one pass of numpy's C reader and checked with
-    array operations. Any file that fails a check, or looks unusual, is read
+    The file is parsed in one pass of numpy's C reader, its rows are grouped
+    by asset with one stable sort of the ids, and each asset's ``TickSeries``
+    checks its ticks. Any file that fails a check, or looks unusual, is read
     again by the row parser, which gives the same result on valid input and
     alone raises, naming the file and line.
     """
@@ -158,6 +159,9 @@ def _load_fast(path, price_kind: str) -> ObservationSet | None:
     ``loadtxt``, which warns on it, and so does input that cannot be rewound,
     such as a pipe, before a byte of it is read. An error opening the file
     propagates, as it would from the row parser.
+
+    One stable sort of the ids groups the rows by asset; ``TickSeries`` and
+    ``ObservationSet`` alone check the ticks, and any error they raise falls back.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -178,20 +182,19 @@ def _load_fast(path, price_kind: str) -> ObservationSet | None:
                               dtype=[("a", "S16"), ("t", float), ("p", float)])
     except ValueError:
         return None
-    ids, first, inverse = np.unique(rows["a"], return_index=True, return_inverse=True)
+    order = np.argsort(rows["a"], kind="stable")  # ids grouped, file order kept within each
+    ids = rows["a"][order]
+    starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
+    ends = np.append(starts[1:], ids.size)
+    rank = np.argsort(order[starts])  # assets in order of first appearance
+    starts, ends = starts[rank], ends[rank]
+    ids = ids[starts]
     names = [i.decode("latin-1") for i in ids]
-    if any(len(i) >= rows.dtype["a"].itemsize or not n or n != n.strip() or '"' in n
+    if any(len(i) >= ids.itemsize or not n or n != n.strip() or '"' in n
            for i, n in zip(ids, names)):
         return None
-    rank = np.argsort(first)  # assets in order of first appearance
-    label = np.argsort(rank)[inverse]
-    order = np.argsort(label, kind="stable")  # keeps file order within an asset
     times, prices = rows["t"][order], rows["p"][order]
-    counts = np.bincount(label)
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    if counts.min() < 2 or not (np.isfinite(times).all() and np.isfinite(prices).all()):
-        return None
+    del rows, order  # the peak is one parse, its sort order and the output
     if price_kind == "raw" and not (prices > 0.0).all():
         return None
     # min and max over the assets' end ticks in the row parser's order: same zero sign
@@ -199,19 +202,15 @@ def _load_fast(path, price_kind: str) -> ObservationSet | None:
     span = max(times[ends - 1].tolist()) - t_min
     if not 0.0 < span < math.inf:
         return None
-    times = (times - t_min) / span
-    # strictly increasing after the monotone map implies it before
-    step = np.diff(times) > 0.0
-    step[ends[:-1] - 1] = True
-    if not step.all():
-        return None
+    times -= t_min
+    times /= span
     if price_kind == "raw":
-        prices = np.log(prices)
-    return ObservationSet(
-        series=tuple(TickSeries(names[j], times[a:b], prices[a:b])
-                     for j, a, b in zip(rank, starts, ends)),
-        time_span=span,
-    )
+        np.log(prices, out=prices)
+    try:  # strictly increasing after the monotone map implies it before
+        series = tuple(TickSeries(n, times[a:b], prices[a:b]) for n, a, b in zip(names, starts, ends))
+        return ObservationSet(series=series, time_span=span)
+    except MarketDataError:
+        return None
 
 
 def _load_rows(path, price_kind: str) -> ObservationSet:

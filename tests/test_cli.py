@@ -153,6 +153,15 @@ def test_estimate_checks_its_flags_before_reading_the_ticks(tmp_path, capsys):
     assert not (tmp_path / "v.csv").exists()
 
 
+@pytest.mark.parametrize("kernel", ["flat", "fejer"])
+def test_estimate_rejects_nodes_for_the_exact_kernels(small_ticks, tmp_path, capsys, kernel):
+    out = tmp_path / "v.csv"
+    assert run(["estimate", "--input", small_ticks, "--kernel", kernel, "--nodes", 5,
+                "--out", out]) == 1
+    assert "--nodes applies only to the cauchy and gaussian kernels" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_estimate_per_real_time_rescales(tmp_path):
     ticks = tmp_path / "ticks.csv"
     ticks.write_text(

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from spotvol import estimator
 from spotvol.estimator import (
     CHUNK,
     GRID_BLOCK,
@@ -25,6 +26,9 @@ from spotvol.estimator import (
     read_vol_csv,
     write_vol_csv,
     VolPath,
+    _factorized_at,
+    _quadrature_rows,
+    _real_stack,
 )
 from spotvol.kernels import (
     INTEGER_GUARD,
@@ -567,6 +571,34 @@ def test_factorized_bitwise_symmetric_and_psd(rng):
         assert np.max(np.abs(v - v.T)) == 0.0
         tr = np.trace(v)
         assert np.linalg.eigvalsh(v).min() >= -1e-10 * max(tr, 1e-300)
+
+
+class _CopiedTranspose:
+    """numpy, but ``swapaxes`` returns a copy, so ``swapaxes(b) @ b`` no longer aliases b."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def swapaxes(a, axis1, axis2):
+        return np.swapaxes(a, axis1, axis2).copy()
+
+
+def test_factorized_mirror_symmetrizes_a_plain_product(rng, monkeypatch):
+    # numpy evaluates the aliased b^T b as a symmetric rank-k update, which fills both
+    # triangles alike; a copied transpose forces a plain product whose triangles differ
+    inc = random_increments(rng, 100, 40)
+    m, times = 15, np.array([0.1, 0.35, 0.6, 0.85])
+    coeffs = fourier_coefficients(inc, m)
+    rows = _quadrature_rows(make_measure(KernelParams(family="gaussian", l_gauss=31.0), m), m)
+    b = rows @ _real_stack(coeffs, times)
+    plain = np.swapaxes(b, 1, 2).copy() @ b
+    if np.array_equal(plain, np.swapaxes(plain, 1, 2)):
+        pytest.skip("a plain b^T b is bitwise symmetric with this BLAS")
+    monkeypatch.setattr(estimator, "np", _CopiedTranspose())
+    v = _factorized_at(coeffs, rows, times)
+    np.testing.assert_array_equal(np.triu(v), np.triu(plain))  # the plain product was used
+    np.testing.assert_array_equal(v, np.swapaxes(v, 1, 2))
 
 
 def test_factorized_rank_bound(rng):

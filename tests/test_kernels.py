@@ -226,6 +226,12 @@ def test_kernel_params_validation():
         KernelParams(family="sinc")
 
 
+@pytest.mark.parametrize("family", ["flat", "fejer"])
+def test_kernel_params_reject_nodes_where_no_quadrature_reads_them(family):
+    with pytest.raises(ValueError, match="nodes applies only to the continuous families"):
+        KernelParams(family=family, nodes=5)
+
+
 def test_spectral_measure_validation():
     with pytest.raises(ValueError, match="nonnegative"):
         SpectralMeasure(atoms=np.array([0.0]), weights=np.array([-1.0]))

@@ -1,9 +1,11 @@
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from spotvol import market_data
 from spotvol.market_data import (
     AssetIncrements,
     MarketDataError,
@@ -100,6 +102,37 @@ def test_load_csv_rejects_times_that_collapse_when_normalized(tmp_path):
     with pytest.raises(MarketDataError,
                        match=r"ticks\.csv: asset 'A': times 0\.0 and 5e-324 coincide"):
         load_csv(path)
+
+
+@pytest.mark.parametrize("body, match", [
+    ("A,nan,1.0\nA,1,1.1\nB,0,2.0\nB,2,2.1\n", r"ticks\.csv:2: non-finite"),
+    ("A,0,1.0\nA,2,1.1\nB,nan,2.0\nB,1,2.1\n", r"ticks\.csv:4: non-finite"),
+    ("A,0,1.0\nB,1,2.0\nA,2,1.1\nB,inf,2.1\n", r"ticks\.csv:5: non-finite"),
+    ("A,0,1.0\nB,1,2.0\nA,2,1.1\n", r"'B'.*at least 2 ticks"),
+], ids=["nan first tick of the first asset", "nan first tick", "inf last tick", "one tick"])
+def test_load_csv_leaves_what_tick_series_rejects_to_the_row_parser(tmp_path, body, match):
+    path = _write(tmp_path, "asset,time,price\n" + body)
+    assert market_data._load_fast(path, "log") is None
+    with pytest.raises(MarketDataError, match=match):
+        load_csv(path)
+
+
+def test_load_csv_peak_memory_is_a_few_times_its_output(rng, tmp_path):
+    # one structured parse (32 B a row), its sort order (8 B) and the output (16 B)
+    series = []
+    for j in range(3):
+        times = np.concatenate([[0.0], np.sort(rng.random(20_000)), [1.0]])
+        series.append(TickSeries(f"A{j + 1}", times, np.cumsum(rng.standard_normal(times.size))))
+    path = tmp_path / "panel.csv"
+    write_csv(ObservationSet(series=tuple(series)), path)
+    tracemalloc.start()
+    try:
+        obs = load_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(s.times.size for s in obs.series) >= 50_000
+    assert peak <= 4 * sum(s.times.nbytes + s.values.nbytes for s in obs.series)
 
 
 def per_row_csv(obs, path):
