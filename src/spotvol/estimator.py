@@ -38,8 +38,11 @@ mostly inside matrix-vector products, in O(N_j) memory per asset. The error
 at order s is O(s eps sum_l |dX^j_l|), the same order as an exact exp, whose
 phase 2 pi s t already carries O(s eps) rounding. ``estimate_path`` builds
 the Fourier sums and the real tables S or Phi once and evaluates all four
-forms on blocks of grid times; each pointwise estimator is the block of one
-time.
+forms in one loop over blocks of grid times; each pointwise estimator is the
+block of one time. The psd forms allocate nothing per block: the real stack,
+its product scratch and the first product live in work arrays made once per
+path, the second product is written straight into the path's matrices, and
+the factorized form mirrors its triangle there in place.
 """
 
 from __future__ import annotations
@@ -179,8 +182,9 @@ def fourier_coefficients(inc: IncrementTable, order: int) -> FourierCoefficients
     of the matrix-vector product Z P[k], one product per giant step. Both are
     power recurrences, so the error at order s is O(s eps sum_l |dX^j_l|),
     the order of an exact exp, whose phase 2 pi s t carries O(s eps)
-    rounding. Ticks go in chunks of ``CHUNK``, so memory is O(B CHUNK) per
-    asset; no (order+1) x N_j exp table is built. Each giant step is its own
+    rounding. Ticks go in chunks of ``CHUNK``, whose baby steps all fill one
+    array of B min(CHUNK, max_j N_j) entries made once per call, so memory is
+    O(B CHUNK); no (order+1) x N_j exp table is built. Each giant step is its own
     product, never one gemm over all of them, so a table's first entries do
     not depend on its order: the order-m slice of a larger table is the
     order-m table bit for bit. The negative half is the exact conjugate
@@ -190,11 +194,13 @@ def fourier_coefficients(inc: IncrementTable, order: int) -> FourierCoefficients
         raise EstimationError("order must be a positive integer")
     giant = -(-(order + 1) // B)  # ceil((order + 1) / B)
     tables = np.empty((inc.d, 2 * order + 1), dtype=complex)
+    longest = max(asset.times.size for asset in inc.assets)
+    work = np.empty(B * min(CHUNK, longest), dtype=complex)  # every chunk's baby steps
     for j, asset in enumerate(inc.assets):
         acc = np.zeros((giant, B), dtype=complex)  # acc[k, r] = a_j(kB + r)
         for start in range(0, asset.times.size, CHUNK):
             z = np.exp(-2j * np.pi * asset.times[start:start + CHUNK])
-            baby = np.empty((B, z.size), dtype=complex)
+            baby = work[:B * z.size].reshape(B, z.size)
             baby[0] = 1.0
             for r in range(1, B):
                 np.multiply(baby[r - 1], z, out=baby[r])
@@ -287,23 +293,61 @@ class EstimatorConfig:
             raise EstimationError(f"method {self.method!r} takes no smoothing order l")
 
 
+def _on_grid(form, args, times, d: int) -> np.ndarray:
+    """V at each of ``times``, evaluated in blocks of ``GRID_BLOCK`` times: the one block loop.
+
+    ``form(*args, block)`` does a form's per-path work for blocks of up to
+    ``block`` times, which for the psd forms means making their work arrays,
+    and returns ``at(times, out)``, which writes V at each time of one block
+    into ``out``. The blocks are written straight into the returned array.
+    """
+    n = np.size(times)
+    at = form(*args, min(GRID_BLOCK, n))
+    out = np.empty((n, d, d))
+    for start in range(0, n, GRID_BLOCK):
+        at(times[start:start + GRID_BLOCK], out[start:start + GRID_BLOCK])
+    return out
+
+
+def _stacker(coeffs: FourierCoefficients, block: int):
+    """stack(times) fills and returns the real stack h of ``_real_stack`` for up to ``block`` times.
+
+    h, one (block, m, d) product scratch and Re, Im of a(1..m) are made here,
+    once per path, and every block reuses them; h[:, 0] = a(0) is written
+    once. Each block writes its products into h with ``out=``, by the same
+    IEEE operations in the same order as the expression in
+    ``_real_stack``'s docstring, so a time gets the same bits in any block.
+    """
+    m = coeffs.order
+    a = coeffs.tables[:, m + 1:].T  # (m, d)
+    a_re, a_im = a.real.copy(), a.imag.copy()
+    h = np.empty((block, 2 * m + 1, coeffs.d))
+    h[:, 0] = coeffs.tables[:, m].real
+    scratch = np.empty((block, m, coeffs.d))
+
+    def stack(times: np.ndarray) -> np.ndarray:
+        phase = np.exp(2j * np.pi * times[:, None] * np.arange(1, m + 1))[:, :, None]  # (G, m, 1)
+        re, im, tmp = h[:times.size, 1:m + 1], h[:times.size, m + 1:], scratch[:times.size]
+        np.multiply(phase.real, a_re, out=re)  # Re g = c Re a - s Im a
+        np.subtract(re, np.multiply(phase.imag, a_im, out=tmp), out=re)
+        np.multiply(phase.real, a_im, out=im)  # Im g = c Im a + s Re a
+        np.add(im, np.multiply(phase.imag, a_re, out=tmp), out=im)
+        return h[:times.size]
+
+    return stack
+
+
 def _real_stack(coeffs: FourierCoefficients, times: np.ndarray) -> np.ndarray:
     """h = [a(0); Re g(1..m); Im g(1..m)] with g_j(u) = e^{2 pi i u t_g} a_j(u), shape (G, 2m+1, d).
 
     Real increments give g(-u) = conj(g(u)), so h holds every g_j(u),
-    |u| <= m. Built from real products: numpy's complex multiply picks a
-    fused or a plain loop by operand layout, so a time would get different
-    bits in blocks of different sizes.
+    |u| <= m. With c + i s = e^{2 pi i u t}, Re g = c Re a - s Im a and
+    Im g = c Im a + s Re a, from real products: numpy's complex multiply
+    picks a fused or a plain loop by operand layout, so a time would get
+    different bits in blocks of different sizes. The psd forms build h in
+    per-path arrays by ``_stacker``; this is its one-block use.
     """
-    m = coeffs.order
-    phase = np.exp(2j * np.pi * times[:, None] * np.arange(1, m + 1))[:, :, None]  # (G, m, 1)
-    a = coeffs.tables[:, m + 1:].T  # (m, d)
-    a_re, a_im = a.real.copy(), a.imag.copy()
-    h = np.empty((times.size, 2 * m + 1, coeffs.d))
-    h[:, 0] = coeffs.tables[:, m].real
-    h[:, 1:m + 1] = phase.real * a_re - phase.imag * a_im
-    h[:, m + 1:] = phase.real * a_im + phase.imag * a_re
-    return h
+    return _stacker(coeffs, times.size)(times)
 
 
 def _folded_toeplitz(c: PSDFunction) -> np.ndarray:
@@ -322,22 +366,35 @@ def _folded_toeplitz(c: PSDFunction) -> np.ndarray:
     return fold(fold(c.toeplitz()).conj().T).real.T
 
 
-def _direct_at(coeffs: FourierCoefficients, form: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Re g^T T conj(g) with g_j(u) = e^{2 pi i u t} a_j(u), T[u, u'] = c(u - u'), as a real form.
-
-    With the real stack h of ``_real_stack`` and S = ``_folded_toeplitz(c)``,
-    V = h^T S h exactly. Each time costs two real products,
-    (2m+1)^2 d + (2m+1) d^2 multiply-adds, a quarter of the complex form's.
-    """
-    m = form.shape[0] // 2
+def _direct_form(coeffs: FourierCoefficients, table: np.ndarray, block: int):
+    """``_on_grid``'s form of ``_direct_at``: the real stack and S h in per-path arrays."""
+    m = table.shape[0] // 2
     if coeffs.order != m:
         raise EstimationError(
             f"weight table covers [-{2 * m}, {2 * m}] but the Fourier sums "
             f"were built at cutoff {coeffs.order}"
         )
-    h = _real_stack(coeffs, times)
-    # one product per time, not one over the block, so a time sums alike in any block
-    return np.swapaxes(h, 1, 2) @ (form @ h)
+    stack = _stacker(coeffs, block)
+    sh = np.empty((block, 2 * m + 1, coeffs.d))
+
+    def at(times: np.ndarray, out: np.ndarray) -> None:
+        h = stack(times)
+        # one product per time, not one over the block, so a time sums alike in any block
+        np.matmul(np.swapaxes(h, 1, 2), np.matmul(table, h, out=sh[:times.size]), out=out)
+
+    return at
+
+
+def _direct_at(coeffs: FourierCoefficients, table: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Re g^T T conj(g) with g_j(u) = e^{2 pi i u t} a_j(u), T[u, u'] = c(u - u'), as a real form.
+
+    With the real stack h of ``_real_stack`` and S = ``_folded_toeplitz(c)``,
+    V = h^T S h exactly. Each time costs two real products,
+    (2m+1)^2 d + (2m+1) d^2 multiply-adds, a quarter of the complex form's.
+    h and S h live in work arrays made once per path by ``_direct_form``,
+    and the second product is written straight into the path's matrices.
+    """
+    return _on_grid(_direct_form, (coeffs, table), times, coeffs.d)
 
 
 def _quadrature_rows(mu: SpectralMeasure, m: int) -> np.ndarray:
@@ -351,17 +408,34 @@ def _quadrature_rows(mu: SpectralMeasure, m: int) -> np.ndarray:
     return np.sqrt(mu.weights)[:, None] * rows
 
 
+def _factorized_form(coeffs: FourierCoefficients, rows: np.ndarray, block: int):
+    """``_on_grid``'s form of ``_factorized_at``: the real stack and b = Phi h in per-path arrays."""
+    stack = _stacker(coeffs, block)
+    b = np.empty((block, rows.shape[0], coeffs.d))
+
+    def at(times: np.ndarray, out: np.ndarray) -> None:
+        phi_h = np.matmul(rows, stack(times), out=b[:times.size])
+        np.matmul(np.swapaxes(phi_h, 1, 2), phi_h, out=out)
+        # mirror the upper triangle in place, a row at a time, so entry (j, j') and (j', j)
+        # are the same float
+        for j in range(1, coeffs.d):
+            out[:, j, :j] = out[:, :j, j]
+
+    return at
+
+
 def _factorized_at(coeffs: FourierCoefficients, rows: np.ndarray, times: np.ndarray) -> np.ndarray:
     """b^T b with b[g, q, j] = sqrt(w_q) sum_{|s| <= m} e^{2 pi i s (t_g + y_q)} a_j(s).
 
     The phase splits as e^{2 pi i s t} e^{2 pi i s y}, and the sum over s is
     real, so b = Phi h: the rows Phi of ``_quadrature_rows`` times the real
-    stack h of ``_real_stack``, one product per time.
+    stack h of ``_real_stack``, one product per time. h and b live in work
+    arrays made once per path by ``_factorized_form``; b^T b is written
+    straight into the path's matrices, and its upper triangle is mirrored
+    there in place, so the output is exactly symmetric whichever product
+    numpy picks.
     """
-    b = rows @ _real_stack(coeffs, times)  # (G, Q, d)
-    v = np.swapaxes(b, 1, 2) @ b
-    # mirror the upper triangle so entry (j, j') and (j', j) are the same float
-    return np.triu(v) + np.swapaxes(np.triu(v, 1), 1, 2)
+    return _on_grid(_factorized_form, (coeffs, rows), times, coeffs.d)
 
 
 def _classical_lags(inc: IncrementTable, m: int, l: int | None) -> np.ndarray:
@@ -380,17 +454,21 @@ def _classical_lags(inc: IncrementTable, m: int, l: int | None) -> np.ndarray:
     return np.swapaxes(shifted, 1, 2) @ a[:, l:l + 2 * m + 1].T  # w_k R(k), summed over |u| <= m
 
 
-def _classical_at(lagged: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Re sum_{|k| <= l} e^{2 pi i k t} w_k R(k) from the stack of ``_classical_lags``."""
+def _classical_form(lagged: np.ndarray, block: int):
+    """``_on_grid``'s form of Re sum_{|k| <= l} e^{2 pi i k t} w_k R(k), from ``_classical_lags``."""
     l = lagged.shape[0] // 2
-    phase = np.exp(2j * np.pi * times[:, None] * np.arange(-l, l + 1))  # (G, 2l+1)
-    # one matvec per time (not one gemm) so each time sums in the same order
-    v = (phase[:, None, :] @ lagged.reshape(2 * l + 1, -1))[:, 0]
-    return v.real.reshape(times.size, *lagged.shape[1:])
+
+    def at(times: np.ndarray, out: np.ndarray) -> None:
+        phase = np.exp(2j * np.pi * times[:, None] * np.arange(-l, l + 1))  # (G, 2l+1)
+        # one matvec per time (not one gemm) so each time sums in the same order
+        v = (phase[:, None, :] @ lagged.reshape(2 * l + 1, -1))[:, 0]
+        out[...] = v.real.reshape(out.shape)
+
+    return at
 
 
-def _generic_at(inc: IncrementTable, spec: GenericSpec, times: np.ndarray) -> np.ndarray:
-    """sum_k c_k e^{2 pi i k t} sum_{(s, s') in fiber[k]} a_j(s) a_{j'}(s') on a block of times.
+def _generic_form(inc: IncrementTable, spec: GenericSpec, block: int):
+    """``_on_grid``'s form of sum_k c_k e^{2 pi i k t} sum_{(s, s') in fiber[k]} a_j(s) a_{j'}(s').
 
     Each a_j(s) is its own exp sum over the ticks, and the fiber sums, which
     do not depend on t, are built once per block. Phases are accumulated over
@@ -398,34 +476,38 @@ def _generic_at(inc: IncrementTable, spec: GenericSpec, times: np.ndarray) -> np
     """
     assets = inc.assets
     d = len(assets)
-    raw = np.zeros((times.size, d, d), dtype=complex)
-    size = np.zeros((d, d))  # sum_k |c_k| |fiber sum|, the scale of the imaginary residue
-    for j in range(d):
-        tj, dxj = assets[j].times, assets[j].dx
-        for jp in range(d):
-            tp, dxp = assets[jp].times, assets[jp].dx
-            for k in spec.frequencies:
-                ck = complex(spec.coeffs[k])
-                if ck == 0.0:
-                    continue
-                inner = 0.0 + 0.0j
-                for s, sp in spec.fiber[k]:
-                    left = np.exp(-2j * np.pi * s * tj) @ dxj
-                    right = np.exp(-2j * np.pi * sp * tp) @ dxp
-                    inner += left * right
-                raw[:, j, jp] += ck * inner * np.exp(2j * np.pi * k * times)
-                size[j, jp] += abs(ck) * abs(inner)
-    over = np.abs(raw.imag) > IMAG_RESIDUE_RTOL * size
-    if np.any(over):
-        g, j, jp = np.argwhere(over)[0]
-        warnings.warn(
-            f"imaginary residue {abs(raw.imag[g, j, jp]):.3e} at t={float(times[g])!r} exceeds "
-            f"{IMAG_RESIDUE_RTOL:.0e} of the entry scale {size[j, jp]:.3e}; the weight table "
-            f"is likely not Hermitian",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return raw.real
+
+    def at(times: np.ndarray, out: np.ndarray) -> None:
+        raw = np.zeros((times.size, d, d), dtype=complex)
+        size = np.zeros((d, d))  # sum_k |c_k| |fiber sum|, the scale of the imaginary residue
+        for j in range(d):
+            tj, dxj = assets[j].times, assets[j].dx
+            for jp in range(d):
+                tp, dxp = assets[jp].times, assets[jp].dx
+                for k in spec.frequencies:
+                    ck = complex(spec.coeffs[k])
+                    if ck == 0.0:
+                        continue
+                    inner = 0.0 + 0.0j
+                    for s, sp in spec.fiber[k]:
+                        left = np.exp(-2j * np.pi * s * tj) @ dxj
+                        right = np.exp(-2j * np.pi * sp * tp) @ dxp
+                        inner += left * right
+                    raw[:, j, jp] += ck * inner * np.exp(2j * np.pi * k * times)
+                    size[j, jp] += abs(ck) * abs(inner)
+        over = np.abs(raw.imag) > IMAG_RESIDUE_RTOL * size
+        if np.any(over):
+            g, j, jp = np.argwhere(over)[0]
+            warnings.warn(
+                f"imaginary residue {abs(raw.imag[g, j, jp]):.3e} at t={float(times[g])!r} exceeds "
+                f"{IMAG_RESIDUE_RTOL:.0e} of the entry scale {size[j, jp]:.3e}; the weight table "
+                f"is likely not Hermitian",
+                RuntimeWarning,
+                stacklevel=4,
+            )
+        out[...] = raw.real
+
+    return at
 
 
 def estimate_generic(inc: IncrementTable, spec: GenericSpec, t: float) -> VolMatrix:
@@ -438,7 +520,7 @@ def estimate_generic(inc: IncrementTable, spec: GenericSpec, t: float) -> VolMat
     times = _eval_times([t])
     if spec.coeffs is None:
         raise EstimationError("generic spec carries no weight table; call with_coeffs first")
-    return VolMatrix(t=float(times[0]), entries=_generic_at(inc, spec, times)[0])
+    return VolMatrix(t=float(times[0]), entries=_on_grid(_generic_form, (inc, spec), times, inc.d)[0])
 
 
 def estimate_classical(inc: IncrementTable, m: int, l: int | None, t: float) -> VolMatrix:
@@ -452,7 +534,8 @@ def estimate_classical(inc: IncrementTable, m: int, l: int | None, t: float) -> 
         raise EstimationError("cutoff must be a positive integer")
     if l is not None and not is_positive_int(l):
         raise EstimationError("smoothing order must be a positive integer")
-    return VolMatrix(t=float(times[0]), entries=_classical_at(_classical_lags(inc, m, l), times)[0])
+    lagged = _classical_lags(inc, m, l)
+    return VolMatrix(t=float(times[0]), entries=_on_grid(_classical_form, (lagged,), times, inc.d)[0])
 
 
 def estimate_psd_direct(inc: IncrementTable, c: PSDFunction, t: float) -> VolMatrix:
@@ -481,25 +564,26 @@ def estimate_path(obs: ObservationSet, config: EstimatorConfig) -> VolPath:
     Per-path work (increments, Fourier sums, measure, the classical lag stack,
     the direct form's folded table S and the factorized form's rows Phi) is
     done once. All four forms then evaluate the grid in blocks of
-    ``GRID_BLOCK`` times, bounding the per-block tables (the classical form
-    costs O(L d^2) per time; the generic reference builds its fiber sums once
-    per block). Each pointwise estimator is the one-time block, so a path
-    equals its pointwise evaluations bit for bit.
+    ``GRID_BLOCK`` times through ``_on_grid``. The psd forms make their work
+    arrays (the real stack, its product scratch and the first product) once
+    per path, sized for one block, and write their second product straight
+    into the path's matrices; the classical form costs O(L d^2) per time and
+    the generic reference builds its fiber sums once per block. Each
+    pointwise estimator is the one-time block, so a path equals its
+    pointwise evaluations bit for bit.
     """
     inc = increments(obs)
     m, grid = config.m, config.eval_grid
     mu = make_measure(config.kernel, m) if config.method in KERNEL_METHODS else None
     if config.method == "classical":
-        form, args = _classical_at, (_classical_lags(inc, m, config.l),)
+        form, args = _classical_form, (_classical_lags(inc, m, config.l),)
     elif config.method == "generic":
-        form, args = _generic_at, (inc, generic_spec_from_psd(c_from_measure(mu, m)))
+        form, args = _generic_form, (inc, generic_spec_from_psd(c_from_measure(mu, m)))
     elif config.method == "psd_direct":
-        form, args = _direct_at, (fourier_coefficients(inc, m), _folded_toeplitz(c_from_measure(mu, m)))
+        form, args = _direct_form, (fourier_coefficients(inc, m), _folded_toeplitz(c_from_measure(mu, m)))
     else:
-        form, args = _factorized_at, (fourier_coefficients(inc, m), _quadrature_rows(mu, m))
-    matrices = np.empty((grid.size, inc.d, inc.d))
-    for start in range(0, grid.size, GRID_BLOCK):
-        matrices[start:start + GRID_BLOCK] = form(*args, grid[start:start + GRID_BLOCK])
+        form, args = _factorized_form, (fourier_coefficients(inc, m), _quadrature_rows(mu, m))
+    matrices = _on_grid(form, args, grid, inc.d)
     return VolPath(times=grid.copy(), matrices=matrices, asset_ids=obs.asset_ids, config=config)
 
 

@@ -202,8 +202,10 @@ def _load_fast(path, price_kind: str) -> ObservationSet | None:
     span = max(times[ends - 1].tolist()) - t_min
     if not 0.0 < span < math.inf:
         return None
-    times -= t_min
-    times /= span
+    # an out-of-order tick may overflow here; TickSeries rejects the result
+    with np.errstate(over="ignore", invalid="ignore"):
+        times -= t_min
+        times /= span
     if price_kind == "raw":
         np.log(prices, out=prices)
     try:  # strictly increasing after the monotone map implies it before

@@ -117,6 +117,21 @@ def test_fourier_coefficients_match_the_power_recurrence(rng, n, order):
     assert err <= 1e-13 * np.sum(np.abs(dx))
 
 
+@pytest.mark.parametrize("order", [5, 40])
+@pytest.mark.parametrize("reverse", [False, True], ids=["listed order", "reversed"])
+def test_fourier_coefficients_rows_equal_their_single_asset_tables(rng, order, reverse):
+    # every chunk of every asset views one baby-step array sized by the longest asset
+    counts = [1, B - 1, CHUNK + 1, 2 * CHUNK, 3, 50]
+    assets = tuple(
+        AssetIncrements(asset_id=f"A{j + 1}", times=np.sort(rng.random(n)), dx=rng.standard_normal(n))
+        for j, n in enumerate(counts[::-1] if reverse else counts)
+    )
+    tables = fourier_coefficients(IncrementTable(assets=assets), order).tables
+    for row, asset in zip(tables, assets):
+        own = fourier_coefficients(IncrementTable(assets=(asset,)), order).tables[0]
+        assert row.tobytes() == own.tobytes()
+
+
 def test_fourier_coefficients_are_exact_to_rounding_at_high_order():
     # one tick just below 1: an exp of the rounded phase 2 pi s t errs by
     # O(s eps), so the reference takes each phase from the exact fractional
@@ -736,6 +751,29 @@ def test_estimate_path_matches_pointwise_estimators(rng, method):
             path = estimate_path(obs, config)
             for t, mat in zip(grid, path.matrices):
                 np.testing.assert_array_equal(mat, pointwise(inc, t).entries)
+
+
+@pytest.mark.parametrize("method", ["psd_factorized", "psd_direct"])
+def test_paths_share_no_work_arrays(rng, method):
+    # the work arrays are per path: a second path on a grid of the same size neither
+    # aliases nor rewrites the first
+    from spotvol.market_data import ObservationSet, TickSeries
+
+    def panel(n):
+        series = []
+        for j in range(4):
+            times = np.concatenate([[0.0], np.sort(rng.random(n)), [1.0]])
+            series.append(TickSeries(f"A{j + 1}", times, np.cumsum(rng.standard_normal(times.size)) * 0.1))
+        return ObservationSet(series=tuple(series))
+
+    kernel = KernelParams(family="gaussian", l_gauss=11.0)
+    first = estimate_path(panel(40), EstimatorConfig(method=method, m=5, kernel=kernel,
+                                                     eval_grid=np.linspace(0.0, 1.0, GRID_BLOCK + 5)))
+    kept = first.matrices.tobytes()
+    second = estimate_path(panel(25), EstimatorConfig(method=method, m=5, kernel=kernel,
+                                                      eval_grid=np.linspace(0.05, 0.95, GRID_BLOCK + 5)))
+    assert not np.shares_memory(first.matrices, second.matrices)
+    assert first.matrices.tobytes() == kept
 
 
 def test_classical_path_memory_at_trading_day_size(rng):

@@ -96,6 +96,14 @@ def test_load_csv_rejects_a_time_span_that_overflows(tmp_path):
         load_csv(path)
 
 
+def test_load_csv_rejects_an_out_of_order_tick_whose_shift_overflows(tmp_path):
+    # the span is finite, but 1e308 - (-1e308) is not: no overflow warning before the fallback
+    path = _write(tmp_path, "asset,time,price\nA,-1e308,1\nA,1e308,2\nA,0,3\n")
+    assert market_data._load_fast(path, "log") is None
+    with pytest.raises(MarketDataError, match="strictly increasing"):
+        load_csv(path)
+
+
 def test_load_csv_rejects_times_that_collapse_when_normalized(tmp_path):
     # strictly increasing raw times, but 5e-324 / 2 rounds to 0
     path = _write(tmp_path, "asset,time,price\nA,0,1\nA,5e-324,2\nA,2,3\n")
