@@ -40,9 +40,12 @@ phase 2 pi s t already carries O(s eps) rounding. ``estimate_path`` builds
 the Fourier sums and the real tables S or Phi once and evaluates all four
 forms in one loop over blocks of grid times; each pointwise estimator is the
 block of one time. The psd forms allocate nothing per block: the real stack,
-its product scratch and the first product live in work arrays made once per
-path, the second product is written straight into the path's matrices, and
-the factorized form mirrors its triangle there in place.
+the cos and sin of its phases expanded across the assets (the cos array
+doubling as the product scratch) and the first product live in work arrays
+made once per path, the second product is written straight into the path's
+matrices, and the factorized form mirrors its triangle there in place. Every
+per-block operand is contiguous: S and Phi are C-contiguous, and the stack's
+products run over whole m d rows.
 """
 
 from __future__ import annotations
@@ -312,10 +315,13 @@ def _on_grid(form, args, times, d: int) -> np.ndarray:
 def _stacker(coeffs: FourierCoefficients, block: int):
     """stack(times) fills and returns the real stack h of ``_real_stack`` for up to ``block`` times.
 
-    h, one (block, m, d) product scratch and Re, Im of a(1..m) are made here,
-    once per path, and every block reuses them; h[:, 0] = a(0) is written
-    once. Each block writes its products into h with ``out=``, by the same
-    IEEE operations in the same order as the expression in
+    h, the expanded cos and sin of the phases, each (block, m, d), and Re,
+    Im of a(1..m) are made here, once per path, and every block reuses them;
+    h[:, 0] = a(0) is written once. Each block copies cos and sin of its
+    phases across the d columns, so the four real products and the two sums
+    run over contiguous m d rows, written into h with ``out=``; the cos
+    array is the product scratch once c Re a and c Im a are done. The IEEE
+    operations and their order are those of the expression in
     ``_real_stack``'s docstring, so a time gets the same bits in any block.
     """
     m = coeffs.order
@@ -323,16 +329,19 @@ def _stacker(coeffs: FourierCoefficients, block: int):
     a_re, a_im = a.real.copy(), a.imag.copy()
     h = np.empty((block, 2 * m + 1, coeffs.d))
     h[:, 0] = coeffs.tables[:, m].real
-    scratch = np.empty((block, m, coeffs.d))
+    cos, sin = np.empty((block, m, coeffs.d)), np.empty((block, m, coeffs.d))
 
     def stack(times: np.ndarray) -> np.ndarray:
         phase = np.exp(2j * np.pi * times[:, None] * np.arange(1, m + 1))[:, :, None]  # (G, m, 1)
-        re, im, tmp = h[:times.size, 1:m + 1], h[:times.size, m + 1:], scratch[:times.size]
-        np.multiply(phase.real, a_re, out=re)  # Re g = c Re a - s Im a
-        np.subtract(re, np.multiply(phase.imag, a_im, out=tmp), out=re)
-        np.multiply(phase.real, a_im, out=im)  # Im g = c Im a + s Re a
-        np.add(im, np.multiply(phase.imag, a_re, out=tmp), out=im)
-        return h[:times.size]
+        n = times.size
+        re, im, c, s = h[:n, 1:m + 1], h[:n, m + 1:], cos[:n], sin[:n]
+        np.copyto(c, phase.real)
+        np.copyto(s, phase.imag)
+        np.multiply(c, a_re, out=re)  # Re g = c Re a - s Im a
+        np.multiply(c, a_im, out=im)  # Im g = c Im a + s Re a
+        np.subtract(re, np.multiply(s, a_im, out=c), out=re)  # c is the scratch from here on
+        np.add(im, np.multiply(s, a_re, out=c), out=im)
+        return h[:n]
 
     return stack
 
@@ -351,11 +360,13 @@ def _real_stack(coeffs: FourierCoefficients, times: np.ndarray) -> np.ndarray:
 
 
 def _folded_toeplitz(c: PSDFunction) -> np.ndarray:
-    """The real symmetric S = Re(W^T T conj(W)), (2m+1, 2m+1), of ``_direct_at``.
+    """The real symmetric S = Re(W^T T conj(W)), (2m+1, 2m+1), of ``_direct_at``, C-contiguous.
 
     g = W h is the fixed complex map from the real stack h of
     ``_real_stack`` to g(u), |u| <= m, and T[u, u'] = c(u - u'). S is T with
-    its mirrored rows and columns folded, an O(m^2) gather.
+    its mirrored rows and columns folded, an O(m^2) gather. The real part of
+    the complex fold is a strided view, so S is copied out once here and
+    every block's S h gets a BLAS-ready operand.
     """
     m = c.m
 
@@ -363,7 +374,7 @@ def _folded_toeplitz(c: PSDFunction) -> np.ndarray:
         pos, neg = x[m + 1:], x[m - 1::-1]
         return np.concatenate([x[m:m + 1], pos + neg, 1j * (pos - neg)])
 
-    return fold(fold(c.toeplitz()).conj().T).real.T
+    return np.ascontiguousarray(fold(fold(c.toeplitz()).conj().T).real.T)
 
 
 def _direct_form(coeffs: FourierCoefficients, table: np.ndarray, block: int):
@@ -393,6 +404,7 @@ def _direct_at(coeffs: FourierCoefficients, table: np.ndarray, times: np.ndarray
     (2m+1)^2 d + (2m+1) d^2 multiply-adds, a quarter of the complex form's.
     h and S h live in work arrays made once per path by ``_direct_form``,
     and the second product is written straight into the path's matrices.
+    S is C-contiguous and h a contiguous slice, so BLAS reads both in place.
     """
     return _on_grid(_direct_form, (coeffs, table), times, coeffs.d)
 
@@ -565,12 +577,12 @@ def estimate_path(obs: ObservationSet, config: EstimatorConfig) -> VolPath:
     the direct form's folded table S and the factorized form's rows Phi) is
     done once. All four forms then evaluate the grid in blocks of
     ``GRID_BLOCK`` times through ``_on_grid``. The psd forms make their work
-    arrays (the real stack, its product scratch and the first product) once
-    per path, sized for one block, and write their second product straight
-    into the path's matrices; the classical form costs O(L d^2) per time and
-    the generic reference builds its fiber sums once per block. Each
-    pointwise estimator is the one-time block, so a path equals its
-    pointwise evaluations bit for bit.
+    arrays (the real stack, the expanded cos and sin of its phases and the
+    first product) once per path, sized for one block, and write their
+    second product straight into the path's matrices; the classical form
+    costs O(L d^2) per time and the generic reference builds its fiber sums
+    once per block. Each pointwise estimator is the one-time block, so a
+    path equals its pointwise evaluations bit for bit.
     """
     inc = increments(obs)
     m, grid = config.m, config.eval_grid
@@ -600,7 +612,7 @@ def write_vol_csv(path: VolPath, file) -> None:
     """Serialize a path as CSV: t plus the row-major upper triangle V_i_j."""
     iu, ju = np.triu_indices(path.d)
     rows = np.column_stack([path.times, path.matrices[:, iu, ju]])
-    write_rows(file, _vol_header(path.d), [("", rows)])
+    write_rows(file, _vol_header(path.d), rows)
 
 
 def read_vol_csv(file) -> VolPath:

@@ -288,23 +288,28 @@ def _load_rows(path, price_kind: str) -> ObservationSet:
     return ObservationSet(series=tuple(series), time_span=span)
 
 
-def write_rows(path, header, blocks) -> None:
-    """Write the header, then a line per row of each ``(prefix, rows)`` block; floats by repr."""
+def write_rows(path, header, rows) -> None:
+    """Write the header, then a line per row of a 2-d float array; floats by repr."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for prefix, rows in blocks:
-            fh.writelines(prefix + ",".join(map(repr, row.tolist())) + "\n" for row in rows)
+        fh.writelines(",".join(map(repr, row.tolist())) + "\n" for row in rows)
 
 
 def write_csv(obs: ObservationSet, path) -> None:
     """Write an observation set in the long tick format (prices as log-prices).
 
     Round-trips through ``load_csv(..., price_kind="log")``: once the global
-    tick span is exactly [0, 1], renormalizing is the identity.
+    tick span is exactly [0, 1], renormalizing is the identity. Floats are
+    written by ``repr``, taken over each column at once, and each asset's
+    rows are joined into one string, so memory follows the largest asset.
     """
-    def block(s: TickSeries):
+    def block(s: TickSeries) -> str:
         field = io.StringIO()  # the id as in a full row, so one holding a newline is quoted
         csv.writer(field, lineterminator="\n").writerow([s.asset_id, ""])
-        return field.getvalue()[:-1], np.column_stack([s.times, s.values])
+        prefix = field.getvalue()[:-1]
+        cols = zip(map(repr, s.times.tolist()), map(repr, s.values.tolist()))
+        return "".join([f"{prefix}{t},{v}\n" for t, v in cols])
 
-    write_rows(path, TICK_HEADER, map(block, obs.series))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(TICK_HEADER) + "\n")
+        fh.writelines(map(block, obs.series))

@@ -151,12 +151,13 @@ def _box_muller(raw: np.ndarray, n: int) -> np.ndarray:
     """The first n normals of one stream's raw outputs, taken in (u1, u2) pairs.
 
     u1 = ((x >> 11) + 1) 2^-53 lies in (0, 1]. numpy does only exact
-    conversions and single IEEE products; the transcendentals are ``math``'s.
+    conversions, single IEEE products and the correctly rounded square root;
+    the log, cos and sin are ``math``'s.
     """
     bits = raw >> 11
     u1 = ((bits[0::2] + 1).astype(float) * _TWO_NEG53).tolist()
     angle = ((2.0 * math.pi) * (bits[1::2].astype(float) * _TWO_NEG53)).tolist()
-    r = np.fromiter(map(math.sqrt, [-2.0 * math.log(u) for u in u1]), float, len(u1))
+    r = np.sqrt(-2.0 * np.fromiter(map(math.log, u1), float, len(u1)))
     out = np.empty(2 * len(u1))
     out[0::2] = r * np.fromiter(map(math.cos, angle), float, len(u1))
     out[1::2] = r * np.fromiter(map(math.sin, angle), float, len(u1))

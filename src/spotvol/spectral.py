@@ -125,4 +125,4 @@ def write_pca_csv(pca: PcaPath, path) -> None:
     k = pca.reports[0].ratios.size
     header = ["t"] + [f"lambda_{i + 1}" for i in range(d)] + [f"r{m + 1}" for m in range(k)]
     rows = np.array([[rep.t, *rep.eigenvalues, *rep.ratios] for rep in pca.reports])
-    write_rows(path, header, [("", rows)])
+    write_rows(path, header, rows)

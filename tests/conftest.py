@@ -45,6 +45,24 @@ def direct_complex_form(coeffs, c, times):
     return (np.swapaxes(g, 1, 2) @ c.toeplitz() @ np.conj(g)).real
 
 
+def broadcast_phase_stack(coeffs, times):
+    """h = [a(0); Re g(1..m); Im g(1..m)], g_j(u) = e^{2 pi i u t} a_j(u), with the phases broadcast (test oracle).
+
+    The real stack as one expression per half: c Re a - s Im a and
+    c Im a + s Re a, with the (G, m, 1) cos and sin broadcast against the
+    (m, d) parts of a. Returns the (G, 2m+1, d) stack for the 1-d array of
+    times.
+    """
+    m = coeffs.order
+    a = coeffs.tables[:, m + 1:].T  # (m, d)
+    phase = np.exp(2j * np.pi * times[:, None] * np.arange(1, m + 1))[:, :, None]  # (G, m, 1)
+    h = np.empty((times.size, 2 * m + 1, coeffs.d))
+    h[:, 0] = coeffs.tables[:, m].real
+    h[:, 1:m + 1] = phase.real * a.real - phase.imag * a.imag
+    h[:, m + 1:] = phase.real * a.imag + phase.imag * a.real
+    return h
+
+
 def fourier_power_recurrence(inc, order):
     """a_j(s) for |s| <= order by the plain power recurrence p <- p z, z = e^{-2 pi i t} (test oracle).
 

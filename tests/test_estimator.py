@@ -27,8 +27,10 @@ from spotvol.estimator import (
     write_vol_csv,
     VolPath,
     _factorized_at,
+    _folded_toeplitz,
     _quadrature_rows,
     _real_stack,
+    _stacker,
 )
 from spotvol.kernels import (
     INTEGER_GUARD,
@@ -45,6 +47,7 @@ from spotvol.simulation import ConstCorrModel, SamplingScheme, random_loadings, 
 from spotvol.spectral import pca_ratios
 
 from conftest import (
+    broadcast_phase_stack,
     classical_tick_form,
     direct_complex_form,
     factorized_smooth_form,
@@ -500,6 +503,19 @@ def test_psd_direct_path_over_two_blocks_matches_the_complex_form(rng):
     assert np.max(np.abs(path.matrices - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("d", [1, 3, 40])
+@pytest.mark.parametrize("size", [1, 5, GRID_BLOCK])
+def test_real_stack_matches_the_broadcast_phase_stack_bit_for_bit(rng, d, size):
+    coeffs = fourier_coefficients(random_increments(rng, d, 30), 9)
+    times = np.sort(rng.random(size))
+    want = broadcast_phase_stack(coeffs, times).tobytes()
+    assert _real_stack(coeffs, times).tobytes() == want
+    # and in per-path work arrays of a full block, after another block has filled them
+    stack = _stacker(coeffs, GRID_BLOCK)
+    stack(np.sort(rng.random(GRID_BLOCK)))
+    assert stack(times).tobytes() == want
+
+
 # -------------------------------------------------------------- psd factorized
 
 
@@ -575,6 +591,18 @@ def test_factorized_matches_the_smooth_sum_form(rng, name):
     got = np.stack([estimate_psd_factorized(inc, mu, m, t).entries for t in times])
     want = factorized_smooth_form(fourier_coefficients(inc, m), mu, times)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name", sorted(SMOOTH_SUM_MEASURES))
+def test_psd_tables_are_c_contiguous_float64(name):
+    # every block multiplies by S or Phi, which BLAS then reads without a copy
+    m = 7
+    mu = SMOOTH_SUM_MEASURES[name]
+    if isinstance(mu, KernelParams):
+        mu = make_measure(mu, m)
+    for table in (_folded_toeplitz(c_from_measure(mu, m)), _quadrature_rows(mu, m)):
+        assert table.dtype == np.float64
+        assert table.flags.c_contiguous
 
 
 def test_factorized_bitwise_symmetric_and_psd(rng):
