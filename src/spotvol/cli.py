@@ -49,7 +49,7 @@ def _kernel_params(args, m: int) -> kernels.KernelParams:
 
 
 def _check_count(flag: str, value: int) -> None:
-    """A size flag (--d, --n, --M), checked before anything is simulated from it."""
+    """A count flag (--d, --n, --r, --M, --L, --top), checked before anything is read or simulated."""
     if not kernels.is_positive_int(value):
         raise ValueError(f"{flag} must be a positive integer")
 
@@ -64,6 +64,7 @@ def _build_model(args) -> simulation.SimModel:
         return simulation.SinVolModel(
             base=np.full(d, args.a), swing=np.full(d, args.b), corr=args.rho
         )
+    _check_count("--r", args.r)
     loadings = simulation.random_loadings(d, args.r, args.seed)
     return simulation.FactorModel(loadings=loadings, idio=args.eps)
 
@@ -92,6 +93,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_estimate(args) -> int:
     method = args.method.replace("-", "_")
+    _check_count("--M", args.M)
+    if args.L is not None:
+        _check_count("--L", args.L)
     if args.L is not None and method != "classical":
         raise ValueError("--L applies only to --method classical")
     kernel = None
@@ -181,6 +185,7 @@ def render_pca_svg(pca: spectral.PcaPath) -> str:
 
 
 def _cmd_pca(args) -> int:
+    _check_count("--top", args.top)
     path = est_mod.read_vol_csv(args.input)
     pca = spectral.pca_ratios(path, top=args.top)
     spectral.write_pca_csv(pca, args.out_csv)

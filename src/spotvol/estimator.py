@@ -36,16 +36,21 @@ entry r of Z P[k], the baby steps Z[r] = z^r times the giant step
 P[k] = dX z^{kB}, over chunks of ticks. The pass is O(M N_j) multiply-adds,
 mostly inside matrix-vector products, in O(N_j) memory per asset. The error
 at order s is O(s eps sum_l |dX^j_l|), the same order as an exact exp, whose
-phase 2 pi s t already carries O(s eps) rounding. ``estimate_path`` builds
-the Fourier sums and the real tables S or Phi once and evaluates all four
-forms in one loop over blocks of grid times; each pointwise estimator is the
-block of one time. The psd forms allocate nothing per block: the real stack,
-the cos and sin of its phases expanded across the assets (the cos array
-doubling as the product scratch) and the first product live in work arrays
-made once per path, the second product is written straight into the path's
-matrices, and the factorized form mirrors its triangle there in place. Every
-per-block operand is contiguous: S and Phi are C-contiguous, and the stack's
-products run over whole m d rows.
+phase 2 pi s t already carries O(s eps) rounding.
+
+Every estimator takes one route, ``_on_grid``: each form takes its
+estimator's public inputs, does its per-path work once (its checks, the
+Fourier sums, the classical lag stack, the folded table S or the rows Phi,
+and the psd forms' work arrays), and evaluates the times in blocks of
+``GRID_BLOCK``. ``estimate_path`` only chooses a form and its inputs, and a
+pointwise estimator hands the same form its one time, so a path equals its
+pointwise evaluations bit for bit. The psd forms allocate nothing per block:
+the real stack, the cos and sin of its phases expanded across the assets
+(the cos array doubling as the product scratch) and the first product live
+in work arrays made once per path, the second product is written straight
+into the path's matrices, and the factorized form mirrors its triangle there
+in place. Every per-block operand is contiguous: S and Phi are C-contiguous,
+and the stack's products run over whole m d rows.
 """
 
 from __future__ import annotations
@@ -299,9 +304,10 @@ class EstimatorConfig:
 def _on_grid(form, args, times, d: int) -> np.ndarray:
     """V at each of ``times``, evaluated in blocks of ``GRID_BLOCK`` times: the one block loop.
 
-    ``form(*args, block)`` does a form's per-path work for blocks of up to
-    ``block`` times, which for the psd forms means making their work arrays,
-    and returns ``at(times, out)``, which writes V at each time of one block
+    ``form(*args, block)`` takes its estimator's inputs and does the form's
+    per-path work for blocks of up to ``block`` times: its checks, the
+    Fourier sums, its table and, for the psd forms, their work arrays. It
+    returns ``at(times, out)``, which writes V at each time of one block
     into ``out``. The blocks are written straight into the returned array.
     """
     n = np.size(times)
@@ -313,7 +319,14 @@ def _on_grid(form, args, times, d: int) -> np.ndarray:
 
 
 def _stacker(coeffs: FourierCoefficients, block: int):
-    """stack(times) fills and returns the real stack h of ``_real_stack`` for up to ``block`` times.
+    """stack(times) fills and returns the real stack h of up to ``block`` times, shape (G, 2m+1, d).
+
+    h = [a(0); Re g(1..m); Im g(1..m)] with g_j(u) = e^{2 pi i u t_g} a_j(u).
+    Real increments give g(-u) = conj(g(u)), so h holds every g_j(u),
+    |u| <= m. With c + i s = e^{2 pi i u t}, Re g = c Re a - s Im a and
+    Im g = c Im a + s Re a, from real products: numpy's complex multiply
+    picks a fused or a plain loop by operand layout, so a time would get
+    different bits in blocks of different sizes.
 
     h, the expanded cos and sin of the phases, each (block, m, d), and Re,
     Im of a(1..m) are made here, once per path, and every block reuses them;
@@ -321,8 +334,8 @@ def _stacker(coeffs: FourierCoefficients, block: int):
     phases across the d columns, so the four real products and the two sums
     run over contiguous m d rows, written into h with ``out=``; the cos
     array is the product scratch once c Re a and c Im a are done. The IEEE
-    operations and their order are those of the expression in
-    ``_real_stack``'s docstring, so a time gets the same bits in any block.
+    operations and their order are those of the two expressions above, so
+    a time gets the same bits in any block.
     """
     m = coeffs.order
     a = coeffs.tables[:, m + 1:].T  # (m, d)
@@ -346,27 +359,14 @@ def _stacker(coeffs: FourierCoefficients, block: int):
     return stack
 
 
-def _real_stack(coeffs: FourierCoefficients, times: np.ndarray) -> np.ndarray:
-    """h = [a(0); Re g(1..m); Im g(1..m)] with g_j(u) = e^{2 pi i u t_g} a_j(u), shape (G, 2m+1, d).
-
-    Real increments give g(-u) = conj(g(u)), so h holds every g_j(u),
-    |u| <= m. With c + i s = e^{2 pi i u t}, Re g = c Re a - s Im a and
-    Im g = c Im a + s Re a, from real products: numpy's complex multiply
-    picks a fused or a plain loop by operand layout, so a time would get
-    different bits in blocks of different sizes. The psd forms build h in
-    per-path arrays by ``_stacker``; this is its one-block use.
-    """
-    return _stacker(coeffs, times.size)(times)
-
-
 def _folded_toeplitz(c: PSDFunction) -> np.ndarray:
-    """The real symmetric S = Re(W^T T conj(W)), (2m+1, 2m+1), of ``_direct_at``, C-contiguous.
+    """The real symmetric S = Re(W^T T conj(W)), (2m+1, 2m+1), of ``_direct_form``, C-contiguous.
 
-    g = W h is the fixed complex map from the real stack h of
-    ``_real_stack`` to g(u), |u| <= m, and T[u, u'] = c(u - u'). S is T with
-    its mirrored rows and columns folded, an O(m^2) gather. The real part of
-    the complex fold is a strided view, so S is copied out once here and
-    every block's S h gets a BLAS-ready operand.
+    g = W h is the fixed complex map from the real stack h of ``_stacker``
+    to g(u), |u| <= m, and T[u, u'] = c(u - u'). S is T with its mirrored
+    rows and columns folded, an O(m^2) gather. The real part of the complex
+    fold is a strided view, so S is copied out once here and every block's
+    S h gets a BLAS-ready operand.
     """
     m = c.m
 
@@ -377,16 +377,20 @@ def _folded_toeplitz(c: PSDFunction) -> np.ndarray:
     return np.ascontiguousarray(fold(fold(c.toeplitz()).conj().T).real.T)
 
 
-def _direct_form(coeffs: FourierCoefficients, table: np.ndarray, block: int):
-    """``_on_grid``'s form of ``_direct_at``: the real stack and S h in per-path arrays."""
-    m = table.shape[0] // 2
-    if coeffs.order != m:
-        raise EstimationError(
-            f"weight table covers [-{2 * m}, {2 * m}] but the Fourier sums "
-            f"were built at cutoff {coeffs.order}"
-        )
+def _direct_form(inc: IncrementTable, c: PSDFunction, block: int):
+    """Re g^T T conj(g) with g_j(u) = e^{2 pi i u t} a_j(u), T[u, u'] = c(u - u'), as a real form.
+
+    The Fourier sums and S = ``_folded_toeplitz(c)`` both come from the one
+    table c, at its cutoff. With the real stack h of ``_stacker``,
+    V = h^T S h exactly. Each time costs two real products,
+    (2m+1)^2 d + (2m+1) d^2 multiply-adds, a quarter of the complex form's.
+    h and S h live in work arrays made here once per path, and the second
+    product is written straight into the path's matrices. S is C-contiguous
+    and h a contiguous slice, so BLAS reads both in place.
+    """
+    coeffs, table = fourier_coefficients(inc, c.m), _folded_toeplitz(c)
     stack = _stacker(coeffs, block)
-    sh = np.empty((block, 2 * m + 1, coeffs.d))
+    sh = np.empty((block, 2 * c.m + 1, inc.d))
 
     def at(times: np.ndarray, out: np.ndarray) -> None:
         h = stack(times)
@@ -396,82 +400,66 @@ def _direct_form(coeffs: FourierCoefficients, table: np.ndarray, block: int):
     return at
 
 
-def _direct_at(coeffs: FourierCoefficients, table: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Re g^T T conj(g) with g_j(u) = e^{2 pi i u t} a_j(u), T[u, u'] = c(u - u'), as a real form.
-
-    With the real stack h of ``_real_stack`` and S = ``_folded_toeplitz(c)``,
-    V = h^T S h exactly. Each time costs two real products,
-    (2m+1)^2 d + (2m+1) d^2 multiply-adds, a quarter of the complex form's.
-    h and S h live in work arrays made once per path by ``_direct_form``,
-    and the second product is written straight into the path's matrices.
-    S is C-contiguous and h a contiguous slice, so BLAS reads both in place.
-    """
-    return _on_grid(_direct_form, (coeffs, table), times, coeffs.d)
-
-
 def _quadrature_rows(mu: SpectralMeasure, m: int) -> np.ndarray:
     """Phi[q] = sqrt(w_q) [1, 2 cos(2 pi u y_q), -2 sin(2 pi u y_q)] for u = 1..m, shape (Q, 2m+1).
 
-    Phi h is the smoothed sum of ``_factorized_at``, and Phi^T Phi is, up to
-    rounding, the folded table S of ``_direct_at`` for c = c_from_measure(mu, m).
+    Phi h is the smoothed sum of ``_factorized_form``, and Phi^T Phi is, up
+    to rounding, the folded table S of ``_direct_form`` for
+    c = c_from_measure(mu, m).
     """
     shift = np.exp(2j * np.pi * np.outer(mu.atoms, np.arange(1, m + 1)))  # (Q, m)
     rows = np.hstack([np.ones((mu.atoms.size, 1)), 2.0 * shift.real, -2.0 * shift.imag])
     return np.sqrt(mu.weights)[:, None] * rows
 
 
-def _factorized_form(coeffs: FourierCoefficients, rows: np.ndarray, block: int):
-    """``_on_grid``'s form of ``_factorized_at``: the real stack and b = Phi h in per-path arrays."""
+def _factorized_form(inc: IncrementTable, mu: SpectralMeasure, m: int, block: int):
+    """b^T b with b[g, q, j] = sqrt(w_q) sum_{|s| <= m} e^{2 pi i s (t_g + y_q)} a_j(s).
+
+    The phase splits as e^{2 pi i s t} e^{2 pi i s y}, and the sum over s is
+    real, so b = Phi h: the rows Phi of ``_quadrature_rows`` times the real
+    stack h of ``_stacker``, one product per time. h and b live in work
+    arrays made here once per path; b^T b is written straight into the
+    path's matrices, and its upper triangle is mirrored there in place, so
+    the output is exactly symmetric whichever product numpy picks.
+    """
+    if not is_positive_int(m):
+        raise EstimationError("cutoff must be a positive integer")
+    coeffs, rows = fourier_coefficients(inc, m), _quadrature_rows(mu, m)
     stack = _stacker(coeffs, block)
-    b = np.empty((block, rows.shape[0], coeffs.d))
+    b = np.empty((block, rows.shape[0], inc.d))
 
     def at(times: np.ndarray, out: np.ndarray) -> None:
         phi_h = np.matmul(rows, stack(times), out=b[:times.size])
         np.matmul(np.swapaxes(phi_h, 1, 2), phi_h, out=out)
         # mirror the upper triangle in place, a row at a time, so entry (j, j') and (j', j)
         # are the same float
-        for j in range(1, coeffs.d):
+        for j in range(1, inc.d):
             out[:, j, :j] = out[:, :j, j]
 
     return at
 
 
-def _factorized_at(coeffs: FourierCoefficients, rows: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """b^T b with b[g, q, j] = sqrt(w_q) sum_{|s| <= m} e^{2 pi i s (t_g + y_q)} a_j(s).
-
-    The phase splits as e^{2 pi i s t} e^{2 pi i s y}, and the sum over s is
-    real, so b = Phi h: the rows Phi of ``_quadrature_rows`` times the real
-    stack h of ``_real_stack``, one product per time. h and b live in work
-    arrays made once per path by ``_factorized_form``; b^T b is written
-    straight into the path's matrices, and its upper triangle is mirrored
-    there in place, so the output is exactly symmetric whichever product
-    numpy picks.
-    """
-    return _on_grid(_factorized_form, (coeffs, rows), times, coeffs.d)
-
-
-def _classical_lags(inc: IncrementTable, m: int, l: int | None) -> np.ndarray:
-    """The classical form's lag stack w_k R(k) for |k| <= l, shape (2l+1, d, d).
+def _classical_form(inc: IncrementTable, m: int, l: int | None, block: int):
+    """Re sum_{|k| <= l} e^{2 pi i k t} w_k R(k), from the lag stack w_k R(k) built once per path.
 
     The smoothing order l defaults to the cutoff m. The sums come from one
     table at order m + l, whose order-m slice is the order-m table bit for
-    bit; R is one gather and one batched product.
+    bit; the lag stack, |k| <= l, is one gather and one batched product.
     """
+    if not is_positive_int(m):
+        raise EstimationError("cutoff must be a positive integer")
     if l is None:
         l = m
+    elif not is_positive_int(l):
+        raise EstimationError("smoothing order must be a positive integer")
     a = fourier_coefficients(inc, m + l).tables  # a[j, s + m + l] = a_j(s)
     k = np.arange(-l, l + 1)
     shifted = a.T[k[:, None] - np.arange(-m, m + 1) + m + l]  # [k, u, j] = a_j(k - u)
     shifted *= ((1.0 - np.abs(k) / (l + 1)) / (2 * m + 1))[:, None, None]  # w_k
-    return np.swapaxes(shifted, 1, 2) @ a[:, l:l + 2 * m + 1].T  # w_k R(k), summed over |u| <= m
-
-
-def _classical_form(lagged: np.ndarray, block: int):
-    """``_on_grid``'s form of Re sum_{|k| <= l} e^{2 pi i k t} w_k R(k), from ``_classical_lags``."""
-    l = lagged.shape[0] // 2
+    lagged = np.swapaxes(shifted, 1, 2) @ a[:, l:l + 2 * m + 1].T  # w_k R(k), summed over |u| <= m
 
     def at(times: np.ndarray, out: np.ndarray) -> None:
-        phase = np.exp(2j * np.pi * times[:, None] * np.arange(-l, l + 1))  # (G, 2l+1)
+        phase = np.exp(2j * np.pi * times[:, None] * k)  # (G, 2l+1)
         # one matvec per time (not one gemm) so each time sums in the same order
         v = (phase[:, None, :] @ lagged.reshape(2 * l + 1, -1))[:, 0]
         out[...] = v.real.reshape(out.shape)
@@ -486,6 +474,8 @@ def _generic_form(inc: IncrementTable, spec: GenericSpec, block: int):
     do not depend on t, are built once per block. Phases are accumulated over
     k elementwise, so a time sums alike in a block of any size.
     """
+    if spec.coeffs is None:
+        raise EstimationError("generic spec carries no weight table; call with_coeffs first")
     assets = inc.assets
     d = len(assets)
 
@@ -530,8 +520,6 @@ def estimate_generic(inc: IncrementTable, spec: GenericSpec, t: float) -> VolMat
     warning is emitted when the imaginary residue is large.
     """
     times = _eval_times([t])
-    if spec.coeffs is None:
-        raise EstimationError("generic spec carries no weight table; call with_coeffs first")
     return VolMatrix(t=float(times[0]), entries=_on_grid(_generic_form, (inc, spec), times, inc.d)[0])
 
 
@@ -542,19 +530,13 @@ def estimate_classical(inc: IncrementTable, m: int, l: int | None, t: float) -> 
     time-smoothing kernel attaches to the row asset's ticks only.
     """
     times = _eval_times([t])
-    if not is_positive_int(m):
-        raise EstimationError("cutoff must be a positive integer")
-    if l is not None and not is_positive_int(l):
-        raise EstimationError("smoothing order must be a positive integer")
-    lagged = _classical_lags(inc, m, l)
-    return VolMatrix(t=float(times[0]), entries=_on_grid(_classical_form, (lagged,), times, inc.d)[0])
+    return VolMatrix(t=float(times[0]), entries=_on_grid(_classical_form, (inc, m, l), times, inc.d)[0])
 
 
 def estimate_psd_direct(inc: IncrementTable, c: PSDFunction, t: float) -> VolMatrix:
     """PSD estimator from a Hermitian weight table (double frequency sum)."""
     times = _eval_times([t])
-    coeffs = fourier_coefficients(inc, c.m)
-    return VolMatrix(t=float(times[0]), entries=_direct_at(coeffs, _folded_toeplitz(c), times)[0])
+    return VolMatrix(t=float(times[0]), entries=_on_grid(_direct_form, (inc, c), times, inc.d)[0])
 
 
 def estimate_psd_factorized(inc: IncrementTable, mu: SpectralMeasure, m: int, t: float) -> VolMatrix:
@@ -564,37 +546,31 @@ def estimate_psd_factorized(inc: IncrementTable, mu: SpectralMeasure, m: int, t:
     exactly symmetric and positive semi-definite up to rounding.
     """
     times = _eval_times([t])
-    if not is_positive_int(m):
-        raise EstimationError("cutoff must be a positive integer")
-    coeffs, rows = fourier_coefficients(inc, m), _quadrature_rows(mu, m)
-    return VolMatrix(t=float(times[0]), entries=_factorized_at(coeffs, rows, times)[0])
+    return VolMatrix(t=float(times[0]), entries=_on_grid(_factorized_form, (inc, mu, m), times, inc.d)[0])
 
 
 def estimate_path(obs: ObservationSet, config: EstimatorConfig) -> VolPath:
     """Apply the configured estimator across the evaluation grid.
 
-    Per-path work (increments, Fourier sums, measure, the classical lag stack,
-    the direct form's folded table S and the factorized form's rows Phi) is
-    done once. All four forms then evaluate the grid in blocks of
-    ``GRID_BLOCK`` times through ``_on_grid``. The psd forms make their work
-    arrays (the real stack, the expanded cos and sin of its phases and the
-    first product) once per path, sized for one block, and write their
-    second product straight into the path's matrices; the classical form
-    costs O(L d^2) per time and the generic reference builds its fiber sums
-    once per block. Each pointwise estimator is the one-time block, so a
-    path equals its pointwise evaluations bit for bit.
+    The increments and, for the kernel methods, the measure are built once.
+    The configured form then gets its inputs and the grid through
+    ``_on_grid``, the route each pointwise estimator takes with its one
+    time, so a path equals its pointwise evaluations bit for bit. The form
+    does its per-path work (the Fourier sums, the classical lag stack, the
+    folded table S or the rows Phi, and the psd forms' work arrays) once and
+    evaluates the grid in blocks of ``GRID_BLOCK`` times.
     """
     inc = increments(obs)
     m, grid = config.m, config.eval_grid
     mu = make_measure(config.kernel, m) if config.method in KERNEL_METHODS else None
     if config.method == "classical":
-        form, args = _classical_form, (_classical_lags(inc, m, config.l),)
+        form, args = _classical_form, (inc, m, config.l)
     elif config.method == "generic":
         form, args = _generic_form, (inc, generic_spec_from_psd(c_from_measure(mu, m)))
     elif config.method == "psd_direct":
-        form, args = _direct_form, (fourier_coefficients(inc, m), _folded_toeplitz(c_from_measure(mu, m)))
+        form, args = _direct_form, (inc, c_from_measure(mu, m))
     else:
-        form, args = _factorized_form, (fourier_coefficients(inc, m), _quadrature_rows(mu, m))
+        form, args = _factorized_form, (inc, mu, m)
     matrices = _on_grid(form, args, grid, inc.d)
     return VolPath(times=grid.copy(), matrices=matrices, asset_ids=obs.asset_ids, config=config)
 

@@ -3,7 +3,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from spotvol import simulation
+from spotvol import estimator, market_data, simulation
 from spotvol.cli import main, render_pca_svg, run_bench
 from spotvol.estimator import read_vol_csv
 from spotvol.spectral import pca_ratios
@@ -299,6 +299,28 @@ def test_bench_names_d_and_m_before_simulating(tmp_path, capsys, monkeypatch, fl
     monkeypatch.setattr(simulation, "simulate", no_simulation)
     monkeypatch.chdir(tmp_path)
     assert main(["bench", "--d", "2", "--n", "10", "--M", "2", flag, str(value)]) == 1
+    err = capsys.readouterr().err
+    assert f"{flag} must be a positive integer" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["estimate", "--input", "ticks.csv", "--M", "0"], "--M"),
+    (["estimate", "--input", "ticks.csv", "--M", "-1"], "--M"),
+    (["estimate", "--input", "ticks.csv", "--method", "classical", "--L", "0"], "--L"),
+    (["simulate", "--model", "factor", "--r", "0"], "--r"),
+    (["pca", "--input", "vol.csv", "--top", "0"], "--top"),
+], ids=["estimate-M-0", "estimate-M--1", "estimate-L-0", "simulate-r-0", "pca-top-0"])
+def test_counts_are_named_before_anything_is_read_or_simulated(tmp_path, capsys, monkeypatch,
+                                                               argv, flag):
+    def not_yet(*args, **kwargs):
+        raise AssertionError("read or simulated before the flags were checked")
+
+    for module, name in ((market_data, "load_csv"), (estimator, "read_vol_csv"),
+                         (simulation, "random_loadings"), (simulation, "simulate")):
+        monkeypatch.setattr(module, name, not_yet)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
     err = capsys.readouterr().err
     assert f"{flag} must be a positive integer" in err
     assert list(tmp_path.iterdir()) == []

@@ -26,10 +26,10 @@ from spotvol.estimator import (
     read_vol_csv,
     write_vol_csv,
     VolPath,
-    _factorized_at,
+    _factorized_form,
     _folded_toeplitz,
+    _on_grid,
     _quadrature_rows,
-    _real_stack,
     _stacker,
 )
 from spotvol.kernels import (
@@ -257,6 +257,16 @@ def test_generic_residue_warning_names_the_time(rng):
         estimate_generic(inc, build_fiber(1).with_coeffs(coeffs), 0.4)
 
 
+def test_generic_residue_warning_points_at_the_caller(rng):
+    # the warning's stack level counts the frames between the caller and the form
+    inc = random_increments(rng, 1, 6)
+    coeffs = {k: 1.0 for k in range(-2, 3)}
+    coeffs[1] = 1.0 + 0.9j
+    with pytest.warns(RuntimeWarning, match="imaginary residue") as record:
+        estimate_generic(inc, build_fiber(1).with_coeffs(coeffs), 0.4)
+    assert [w.filename for w in record] == [__file__]
+
+
 def test_generic_no_residue_warning_where_the_matrix_vanishes():
     # V(t) vanishes at zeros of the flat measure's kernel while its terms do not
     inc = one_asset([1.0], [0.375])
@@ -333,7 +343,7 @@ PINNED_ASYNC = IncrementTable(
 
 @pytest.mark.parametrize("m, l", [(3, 2), (15, 15), (40, 7)])
 def test_classical_lags_read_the_order_m_table_bit_for_bit(rng, m, l):
-    # _classical_lags takes the order-m sums from the slice of its order-(m + l) table
+    # _classical_form takes the order-m sums from the slice of its order-(m + l) table
     inc = random_increments(rng, 3, 60)
     wide = fourier_coefficients(inc, m + l).tables[:, l:l + 2 * m + 1]
     narrow = fourier_coefficients(inc, m).tables
@@ -410,16 +420,6 @@ def test_psd_direct_hand_evaluated_zero():
     got = estimate_psd_direct(inc, c, 0.0).entries[0, 0]
     assert abs(want) < 1e-25
     assert abs(got) < 1e-25
-
-
-def test_psd_direct_rejects_mismatched_table(rng):
-    inc = random_increments(rng, 1, 6)
-    c = c_from_measure(make_measure(KernelParams(family="flat"), 3), 3)
-    coeffs = fourier_coefficients(inc, 2)
-    from spotvol.estimator import _direct_at, _folded_toeplitz
-
-    with pytest.raises(EstimationError, match="cutoff"):
-        _direct_at(coeffs, _folded_toeplitz(c), 0.5)
 
 
 def test_psd_direct_matches_generic(rng):
@@ -509,7 +509,7 @@ def test_real_stack_matches_the_broadcast_phase_stack_bit_for_bit(rng, d, size):
     coeffs = fourier_coefficients(random_increments(rng, d, 30), 9)
     times = np.sort(rng.random(size))
     want = broadcast_phase_stack(coeffs, times).tobytes()
-    assert _real_stack(coeffs, times).tobytes() == want
+    assert _stacker(coeffs, times.size)(times).tobytes() == want
     # and in per-path work arrays of a full block, after another block has filled them
     stack = _stacker(coeffs, GRID_BLOCK)
     stack(np.sort(rng.random(GRID_BLOCK)))
@@ -633,13 +633,14 @@ def test_factorized_mirror_symmetrizes_a_plain_product(rng, monkeypatch):
     inc = random_increments(rng, 100, 40)
     m, times = 15, np.array([0.1, 0.35, 0.6, 0.85])
     coeffs = fourier_coefficients(inc, m)
-    rows = _quadrature_rows(make_measure(KernelParams(family="gaussian", l_gauss=31.0), m), m)
-    b = rows @ _real_stack(coeffs, times)
+    mu = make_measure(KernelParams(family="gaussian", l_gauss=31.0), m)
+    rows = _quadrature_rows(mu, m)
+    b = rows @ _stacker(coeffs, times.size)(times)
     plain = np.swapaxes(b, 1, 2).copy() @ b
     if np.array_equal(plain, np.swapaxes(plain, 1, 2)):
         pytest.skip("a plain b^T b is bitwise symmetric with this BLAS")
     monkeypatch.setattr(estimator, "np", _CopiedTranspose())
-    v = _factorized_at(coeffs, rows, times)
+    v = _on_grid(_factorized_form, (inc, mu, m), times, inc.d)
     np.testing.assert_array_equal(np.triu(v), np.triu(plain))  # the plain product was used
     np.testing.assert_array_equal(v, np.swapaxes(v, 1, 2))
 
@@ -802,6 +803,44 @@ def test_paths_share_no_work_arrays(rng, method):
                                                       eval_grid=np.linspace(0.05, 0.95, GRID_BLOCK + 5)))
     assert not np.shares_memory(first.matrices, second.matrices)
     assert first.matrices.tobytes() == kept
+
+
+# sha256 prefixes of the path matrices of the classical form and of both psd forms
+# under three measures; the README round trip pins only the default factorized form.
+# One seeded panel, whose 40-time grid spans two evaluation blocks. Like
+# README_ROUND_TRIP in tests/test_cli.py these hold for the numpy/BLAS build they were
+# recorded with: every form evaluates through BLAS products.
+FORM_PATH_PINS = {
+    ("classical", None): "aede29d38e34b87a",
+    ("psd_direct", "gaussian"): "cbb4a998fbb8fe19",
+    ("psd_direct", "cauchy"): "e290aabbd0ef853c",
+    ("psd_direct", "fejer"): "af51b16e1029d701",
+    ("psd_factorized", "gaussian"): "595d591ba747a294",
+    ("psd_factorized", "cauchy"): "829ba2142e4d1d66",
+    ("psd_factorized", "fejer"): "caf396626ec26325",
+}
+
+
+def test_non_default_form_paths_are_pinned():
+    import hashlib
+
+    from spotvol.market_data import ObservationSet, TickSeries
+
+    rng = np.random.default_rng(19)
+    series = []
+    for j in range(4):
+        times = np.concatenate([[0.0], np.sort(rng.random(59)), [1.0]])
+        series.append(TickSeries(f"A{j + 1}", times, np.cumsum(rng.standard_normal(times.size)) * 0.1))
+    obs = ObservationSet(series=tuple(series))
+    m, grid = 5, np.arange(1, 41) / 40
+    kernels = {"gaussian": KernelParams(family="gaussian", l_gauss=float(2 * m + 1)),
+               "cauchy": KernelParams(family="cauchy", gamma=(2 * m + 1) ** -0.5),
+               "fejer": KernelParams(family="fejer"), None: None}
+    got = {}
+    for method, family in FORM_PATH_PINS:
+        config = EstimatorConfig(method=method, eval_grid=grid, m=m, kernel=kernels[family])
+        got[method, family] = hashlib.sha256(estimate_path(obs, config).matrices.tobytes()).hexdigest()[:16]
+    assert got == FORM_PATH_PINS
 
 
 def test_classical_path_memory_at_trading_day_size(rng):

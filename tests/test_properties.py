@@ -18,10 +18,9 @@ from spotvol import market_data
 from spotvol.estimator import (
     GRID_BLOCK,
     EstimatorConfig,
-    _direct_at,
-    _factorized_at,
-    _folded_toeplitz,
-    _quadrature_rows,
+    _direct_form,
+    _factorized_form,
+    _on_grid,
     estimate_classical,
     estimate_generic,
     estimate_path,
@@ -279,24 +278,26 @@ def test_psd_forms_agree_on_gaps_inside_the_integer_guard(obs, kernel, m, data):
 @given(panels(), KERNELS, ORDERS, st.lists(TIMES, min_size=1, max_size=GRID_BLOCK, unique=True))
 def test_psd_direct_matches_the_complex_form(obs, kernel, m, times):
     # the real form h^T S h against the complex g^T T conj(g) it rewrites
-    coeffs = fourier_coefficients(increments(obs), m)
+    inc = increments(obs)
+    coeffs = fourier_coefficients(inc, m)
     c = c_from_measure(make_measure(kernel, m), m)
     times = np.array(sorted(times))
     want = direct_complex_form(coeffs, c, times)
     scale = max(max_abs(want), max_abs(direct_complex_form(coeffs, c, np.linspace(0.0, 1.0, 9))))
-    assert max_abs(_direct_at(coeffs, _folded_toeplitz(c), times) - want) <= 1e-13 * scale
+    assert max_abs(_on_grid(_direct_form, (inc, c), times, inc.d) - want) <= 1e-13 * scale
 
 
 @PROPERTY
 @given(panels(), KERNELS, ORDERS, st.lists(TIMES, min_size=1, max_size=GRID_BLOCK, unique=True))
 def test_psd_factorized_matches_the_smooth_sum_form(obs, kernel, m, times):
     # b = Phi h against the smoothed sum in the atom phases it rewrites
-    coeffs = fourier_coefficients(increments(obs), m)
+    inc = increments(obs)
+    coeffs = fourier_coefficients(inc, m)
     mu = make_measure(kernel, m)
     times = np.array(sorted(times))
     want = factorized_smooth_form(coeffs, mu, times)
     scale = max(max_abs(want), max_abs(factorized_smooth_form(coeffs, mu, np.linspace(0.0, 1.0, 9))))
-    assert max_abs(_factorized_at(coeffs, _quadrature_rows(mu, m), times) - want) <= 1e-13 * scale
+    assert max_abs(_on_grid(_factorized_form, (inc, mu, m), times, inc.d) - want) <= 1e-13 * scale
 
 
 # ----------------------------------------------------------------- tick ingest
