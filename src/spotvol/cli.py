@@ -19,8 +19,6 @@ from . import estimator as est_mod
 from . import kernels, market_data, simulation, spectral
 
 def _eval_grid(points: int) -> np.ndarray:
-    if points < 1:
-        raise ValueError("grid must be a positive integer")
     return np.arange(1, points + 1) / points
 
 
@@ -49,7 +47,7 @@ def _kernel_params(args, m: int) -> kernels.KernelParams:
 
 
 def _check_count(flag: str, value: int) -> None:
-    """A count flag (--d, --n, --r, --M, --L, --top), checked before anything is read or simulated."""
+    """A count flag, such as --d, --M, --nodes or --grid, checked before anything is read or simulated."""
     if not kernels.is_positive_int(value):
         raise ValueError(f"{flag} must be a positive integer")
 
@@ -71,6 +69,7 @@ def _build_model(args) -> simulation.SimModel:
 
 def _cmd_simulate(args) -> int:
     _check_count("--n", args.n)  # before it sets the fine grid's size
+    _check_count("--grid", args.grid)
     model = _build_model(args)
     grid = _eval_grid(args.grid)
     fine_steps = args.fine_steps if args.fine_steps is not None else 10 * args.n
@@ -93,9 +92,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_estimate(args) -> int:
     method = args.method.replace("-", "_")
-    _check_count("--M", args.M)
-    if args.L is not None:
-        _check_count("--L", args.L)
+    counts = (("--M", args.M), ("--L", args.L), ("--nodes", args.nodes), ("--grid", args.grid))
+    for flag, value in counts:
+        if value is not None:
+            _check_count(flag, value)
     if args.L is not None and method != "classical":
         raise ValueError("--L applies only to --method classical")
     kernel = None
@@ -271,6 +271,9 @@ def run_bench(d: int, n: int, m: int, reps: int, grid: int, seed: int, out=None)
 
 
 def _cmd_bench(args) -> int:
+    _check_count("--reps", args.reps)
+    if args.grid < 0:
+        raise ValueError("--grid must be a nonnegative integer")
     run_bench(d=args.d, n=args.n, m=args.M, reps=args.reps, grid=args.grid, seed=args.seed)
     return 0
 

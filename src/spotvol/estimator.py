@@ -44,13 +44,13 @@ Fourier sums, the classical lag stack, the folded table S or the rows Phi,
 and the psd forms' work arrays), and evaluates the times in blocks of
 ``GRID_BLOCK``. ``estimate_path`` only chooses a form and its inputs, and a
 pointwise estimator hands the same form its one time, so a path equals its
-pointwise evaluations bit for bit. The psd forms allocate nothing per block:
-the real stack, the cos and sin of its phases expanded across the assets
-(the cos array doubling as the product scratch) and the first product live
-in work arrays made once per path, the second product is written straight
-into the path's matrices, and the factorized form mirrors its triangle there
-in place. Every per-block operand is contiguous: S and Phi are C-contiguous,
-and the stack's products run over whole m d rows.
+pointwise evaluations bit for bit. Both psd forms share one per-path core,
+``_stacker``: it builds the Fourier sums, the real stack h, one product
+scratch and the first product S h or Phi h, all in work arrays made once per
+path, so the forms allocate nothing per block. The direct form keeps only S
+and h^T (S h); the factorized form keeps only Phi, b^T b and its triangle
+mirror. The second product is written straight into the path's matrices.
+S and Phi are C-contiguous, so BLAS reads them in place.
 """
 
 from __future__ import annotations
@@ -318,43 +318,44 @@ def _on_grid(form, args, times, d: int) -> np.ndarray:
     return out
 
 
-def _stacker(coeffs: FourierCoefficients, block: int):
-    """stack(times) fills and returns the real stack h of up to ``block`` times, shape (G, 2m+1, d).
+def _stacker(inc: IncrementTable, m: int, table: np.ndarray, block: int):
+    """The psd forms' per-path core: stack(times) returns (h, table @ h) for up to ``block`` times.
 
-    h = [a(0); Re g(1..m); Im g(1..m)] with g_j(u) = e^{2 pi i u t_g} a_j(u).
-    Real increments give g(-u) = conj(g(u)), so h holds every g_j(u),
-    |u| <= m. With c + i s = e^{2 pi i u t}, Re g = c Re a - s Im a and
+    h = [a(0); Re g(1..m); Im g(1..m)], shape (G, 2m+1, d), is the real stack
+    of g_j(u) = e^{2 pi i u t_g} a_j(u) over the order-m Fourier sums. Real
+    increments give g(-u) = conj(g(u)), so h holds every g_j(u), |u| <= m.
+    With c + i s = e^{2 pi i u t}, Re g = c Re a - s Im a and
     Im g = c Im a + s Re a, from real products: numpy's complex multiply
     picks a fused or a plain loop by operand layout, so a time would get
-    different bits in blocks of different sizes.
+    different bits in blocks of different sizes. Each product is an
+    ``einsum`` that broadcasts a block's phases across the assets, written
+    into h or one (block, m, d) scratch with ``out=``; the IEEE operations
+    and their order are those of the two expressions above, so a time gets
+    the same bits in any block.
 
-    h, the expanded cos and sin of the phases, each (block, m, d), and Re,
-    Im of a(1..m) are made here, once per path, and every block reuses them;
-    h[:, 0] = a(0) is written once. Each block copies cos and sin of its
-    phases across the d columns, so the four real products and the two sums
-    run over contiguous m d rows, written into h with ``out=``; the cos
-    array is the product scratch once c Re a and c Im a are done. The IEEE
-    operations and their order are those of the two expressions above, so
-    a time gets the same bits in any block.
+    The Fourier sums, Re and Im of a(1..m), h (with h[:, 0] = a(0) written
+    once), the scratch and the first product, (block, rows of table, d), are
+    made here once per path and every block reuses them. The first product
+    is one ``matmul`` per time, not one over the block, so a time sums alike
+    in any block.
     """
-    m = coeffs.order
+    coeffs = fourier_coefficients(inc, m)
     a = coeffs.tables[:, m + 1:].T  # (m, d)
     a_re, a_im = a.real.copy(), a.imag.copy()
-    h = np.empty((block, 2 * m + 1, coeffs.d))
+    h = np.empty((block, 2 * m + 1, inc.d))
     h[:, 0] = coeffs.tables[:, m].real
-    cos, sin = np.empty((block, m, coeffs.d)), np.empty((block, m, coeffs.d))
+    scratch = np.empty((block, m, inc.d))
+    th = np.empty((block, table.shape[0], inc.d))
 
-    def stack(times: np.ndarray) -> np.ndarray:
-        phase = np.exp(2j * np.pi * times[:, None] * np.arange(1, m + 1))[:, :, None]  # (G, m, 1)
+    def stack(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        phase = np.exp(2j * np.pi * times[:, None] * np.arange(1, m + 1))  # (G, m)
         n = times.size
-        re, im, c, s = h[:n, 1:m + 1], h[:n, m + 1:], cos[:n], sin[:n]
-        np.copyto(c, phase.real)
-        np.copyto(s, phase.imag)
-        np.multiply(c, a_re, out=re)  # Re g = c Re a - s Im a
-        np.multiply(c, a_im, out=im)  # Im g = c Im a + s Re a
-        np.subtract(re, np.multiply(s, a_im, out=c), out=re)  # c is the scratch from here on
-        np.add(im, np.multiply(s, a_re, out=c), out=im)
-        return h[:n]
+        c, s, re, im, tmp = phase.real, phase.imag, h[:n, 1:m + 1], h[:n, m + 1:], scratch[:n]
+        np.einsum("gu,uj->guj", c, a_re, out=re)  # Re g = c Re a - s Im a
+        np.einsum("gu,uj->guj", c, a_im, out=im)  # Im g = c Im a + s Re a
+        np.subtract(re, np.einsum("gu,uj->guj", s, a_im, out=tmp), out=re)
+        np.add(im, np.einsum("gu,uj->guj", s, a_re, out=tmp), out=im)
+        return h[:n], np.matmul(table, h[:n], out=th[:n])
 
     return stack
 
@@ -381,21 +382,16 @@ def _direct_form(inc: IncrementTable, c: PSDFunction, block: int):
     """Re g^T T conj(g) with g_j(u) = e^{2 pi i u t} a_j(u), T[u, u'] = c(u - u'), as a real form.
 
     The Fourier sums and S = ``_folded_toeplitz(c)`` both come from the one
-    table c, at its cutoff. With the real stack h of ``_stacker``,
-    V = h^T S h exactly. Each time costs two real products,
-    (2m+1)^2 d + (2m+1) d^2 multiply-adds, a quarter of the complex form's.
-    h and S h live in work arrays made here once per path, and the second
-    product is written straight into the path's matrices. S is C-contiguous
-    and h a contiguous slice, so BLAS reads both in place.
+    table c, at its cutoff. With the real stack h and S h from ``_stacker``,
+    V = h^T (S h) exactly, written straight into the path's matrices. Each
+    time costs two real products, (2m+1)^2 d + (2m+1) d^2 multiply-adds, a
+    quarter of the complex form's.
     """
-    coeffs, table = fourier_coefficients(inc, c.m), _folded_toeplitz(c)
-    stack = _stacker(coeffs, block)
-    sh = np.empty((block, 2 * c.m + 1, inc.d))
+    stack = _stacker(inc, c.m, _folded_toeplitz(c), block)
 
     def at(times: np.ndarray, out: np.ndarray) -> None:
-        h = stack(times)
-        # one product per time, not one over the block, so a time sums alike in any block
-        np.matmul(np.swapaxes(h, 1, 2), np.matmul(table, h, out=sh[:times.size]), out=out)
+        h, sh = stack(times)
+        np.matmul(np.swapaxes(h, 1, 2), sh, out=out)
 
     return at
 
@@ -417,20 +413,17 @@ def _factorized_form(inc: IncrementTable, mu: SpectralMeasure, m: int, block: in
 
     The phase splits as e^{2 pi i s t} e^{2 pi i s y}, and the sum over s is
     real, so b = Phi h: the rows Phi of ``_quadrature_rows`` times the real
-    stack h of ``_stacker``, one product per time. h and b live in work
-    arrays made here once per path; b^T b is written straight into the
-    path's matrices, and its upper triangle is mirrored there in place, so
-    the output is exactly symmetric whichever product numpy picks.
+    stack h, the first product of ``_stacker``. b^T b is written straight
+    into the path's matrices, and its upper triangle is mirrored there in
+    place, so the output is exactly symmetric whichever product numpy picks.
     """
     if not is_positive_int(m):
         raise EstimationError("cutoff must be a positive integer")
-    coeffs, rows = fourier_coefficients(inc, m), _quadrature_rows(mu, m)
-    stack = _stacker(coeffs, block)
-    b = np.empty((block, rows.shape[0], inc.d))
+    stack = _stacker(inc, m, _quadrature_rows(mu, m), block)
 
     def at(times: np.ndarray, out: np.ndarray) -> None:
-        phi_h = np.matmul(rows, stack(times), out=b[:times.size])
-        np.matmul(np.swapaxes(phi_h, 1, 2), phi_h, out=out)
+        b = stack(times)[1]
+        np.matmul(np.swapaxes(b, 1, 2), b, out=out)
         # mirror the upper triangle in place, a row at a time, so entry (j, j') and (j', j)
         # are the same float
         for j in range(1, inc.d):

@@ -266,9 +266,7 @@ def _load_rows(path, price_kind: str) -> ObservationSet:
                 raise MarketDataError(f"asset {asset!r}: non-positive raw price {bad[0]!r}")
     t_min = min(ts[0] for ts in raw_times.values())
     t_max = max(ts[-1] for ts in raw_times.values())
-    span = t_max - t_min
-    if not span > 0.0:
-        raise MarketDataError("all timestamps coincide; cannot normalize the time axis")
+    span = t_max - t_min  # positive: every asset has two strictly increasing ticks
     if not span < math.inf:
         raise MarketDataError(f"{path}: time span from {t_min!r} to {t_max!r} is not finite")
     series = []

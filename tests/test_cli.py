@@ -82,6 +82,15 @@ def test_estimate_reference_protocol_flags(small_ticks, tmp_path):
     assert np.all(tr >= 0.0)
 
 
+def test_estimate_cauchy_defaults_gamma_to_the_reference_scale(small_ticks, tmp_path):
+    # gamma = (2M+1)^-1/2, 0.1796053020267749 at M = 15
+    default, explicit = tmp_path / "default.csv", tmp_path / "explicit.csv"
+    base = ["estimate", "--input", small_ticks, "--M", 15, "--kernel", "cauchy", "--grid", 20]
+    assert run(base + ["--out", default]) == 0
+    assert run(base + ["--gamma", "0.1796053020267749", "--out", explicit]) == 0
+    assert default.read_bytes() == explicit.read_bytes()
+
+
 def test_estimate_gaussian_rate_flags(small_ticks, tmp_path):
     for rate in (31.0, 2.36):
         out = tmp_path / f"vol_{rate}.csv"
@@ -304,15 +313,23 @@ def test_bench_names_d_and_m_before_simulating(tmp_path, capsys, monkeypatch, fl
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("argv, flag", [
-    (["estimate", "--input", "ticks.csv", "--M", "0"], "--M"),
-    (["estimate", "--input", "ticks.csv", "--M", "-1"], "--M"),
-    (["estimate", "--input", "ticks.csv", "--method", "classical", "--L", "0"], "--L"),
-    (["simulate", "--model", "factor", "--r", "0"], "--r"),
-    (["pca", "--input", "vol.csv", "--top", "0"], "--top"),
-], ids=["estimate-M-0", "estimate-M--1", "estimate-L-0", "simulate-r-0", "pca-top-0"])
+@pytest.mark.parametrize("argv, message", [
+    (["estimate", "--input", "ticks.csv", "--M", "0"], "--M must be a positive integer"),
+    (["estimate", "--input", "ticks.csv", "--M", "-1"], "--M must be a positive integer"),
+    (["estimate", "--input", "ticks.csv", "--method", "classical", "--L", "0"],
+     "--L must be a positive integer"),
+    (["simulate", "--model", "factor", "--r", "0"], "--r must be a positive integer"),
+    (["pca", "--input", "vol.csv", "--top", "0"], "--top must be a positive integer"),
+    (["estimate", "--input", "ticks.csv", "--nodes", "0"], "--nodes must be a positive integer"),
+    (["estimate", "--input", "ticks.csv", "--grid", "0"], "--grid must be a positive integer"),
+    (["simulate", "--model", "const-corr", "--grid", "0"], "--grid must be a positive integer"),
+    (["bench", "--d", "2", "--n", "10", "--M", "2", "--reps", "0"], "--reps must be a positive integer"),
+    (["bench", "--d", "2", "--n", "10", "--M", "2", "--grid", "-1"],
+     "--grid must be a nonnegative integer"),
+], ids=["estimate-M-0", "estimate-M--1", "estimate-L-0", "simulate-r-0", "pca-top-0",
+        "estimate-nodes-0", "estimate-grid-0", "simulate-grid-0", "bench-reps-0", "bench-grid--1"])
 def test_counts_are_named_before_anything_is_read_or_simulated(tmp_path, capsys, monkeypatch,
-                                                               argv, flag):
+                                                               argv, message):
     def not_yet(*args, **kwargs):
         raise AssertionError("read or simulated before the flags were checked")
 
@@ -322,7 +339,7 @@ def test_counts_are_named_before_anything_is_read_or_simulated(tmp_path, capsys,
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert f"{flag} must be a positive integer" in err
+    assert message in err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -506,14 +506,40 @@ def test_psd_direct_path_over_two_blocks_matches_the_complex_form(rng):
 @pytest.mark.parametrize("d", [1, 3, 40])
 @pytest.mark.parametrize("size", [1, 5, GRID_BLOCK])
 def test_real_stack_matches_the_broadcast_phase_stack_bit_for_bit(rng, d, size):
-    coeffs = fourier_coefficients(random_increments(rng, d, 30), 9)
+    inc, m = random_increments(rng, d, 30), 9
+    coeffs, table = fourier_coefficients(inc, m), np.eye(2 * m + 1)
     times = np.sort(rng.random(size))
     want = broadcast_phase_stack(coeffs, times).tobytes()
-    assert _stacker(coeffs, times.size)(times).tobytes() == want
+    assert _stacker(inc, m, table, times.size)(times)[0].tobytes() == want
     # and in per-path work arrays of a full block, after another block has filled them
-    stack = _stacker(coeffs, GRID_BLOCK)
+    stack = _stacker(inc, m, table, GRID_BLOCK)
     stack(np.sort(rng.random(GRID_BLOCK)))
-    assert stack(times).tobytes() == want
+    assert stack(times)[0].tobytes() == want
+
+
+@pytest.mark.parametrize("method", ["psd_direct", "psd_factorized"])
+def test_psd_paths_with_a_zero_asset_equal_their_pointwise_values_at_the_grid_ends(rng, method):
+    from spotvol.market_data import ObservationSet, TickSeries, increments as make_increments
+
+    series = []
+    for j, moves in enumerate((True, False, True)):
+        times = np.concatenate([[0.0], np.sort(rng.random(40)), [1.0]])
+        values = np.cumsum(rng.standard_normal(times.size)) if moves else np.full(times.size, 0.7)
+        series.append(TickSeries(f"A{j + 1}", times, values))
+    obs = ObservationSet(series=tuple(series))
+    kernel, m = KernelParams(family="cauchy", gamma=0.2), 7
+    grid = np.linspace(0.0, 1.0, GRID_BLOCK + 5)  # two blocks, from 0 to 1
+    path = estimate_path(obs, EstimatorConfig(method=method, eval_grid=grid, m=m, kernel=kernel))
+    inc, mu = make_increments(obs), make_measure(kernel, m)
+    if method == "psd_direct":
+        c = c_from_measure(mu, m)
+        points = [estimate_psd_direct(inc, c, t).entries for t in grid]
+    else:
+        points = [estimate_psd_factorized(inc, mu, m, t).entries for t in grid]
+    assert path.matrices.tobytes() == np.stack(points).tobytes()
+    assert np.all(path.matrices[:, 1, :] == 0.0)
+    assert np.all(path.matrices[:, :, 1] == 0.0)
+    assert np.all(np.diagonal(path.matrices, axis1=1, axis2=2)[:, [0, 2]] > 0.0)
 
 
 # -------------------------------------------------------------- psd factorized
@@ -632,10 +658,8 @@ def test_factorized_mirror_symmetrizes_a_plain_product(rng, monkeypatch):
     # triangles alike; a copied transpose forces a plain product whose triangles differ
     inc = random_increments(rng, 100, 40)
     m, times = 15, np.array([0.1, 0.35, 0.6, 0.85])
-    coeffs = fourier_coefficients(inc, m)
     mu = make_measure(KernelParams(family="gaussian", l_gauss=31.0), m)
-    rows = _quadrature_rows(mu, m)
-    b = rows @ _stacker(coeffs, times.size)(times)
+    b = _stacker(inc, m, _quadrature_rows(mu, m), times.size)(times)[1]
     plain = np.swapaxes(b, 1, 2).copy() @ b
     if np.array_equal(plain, np.swapaxes(plain, 1, 2)):
         pytest.skip("a plain b^T b is bitwise symmetric with this BLAS")
@@ -1025,9 +1049,24 @@ def test_read_vol_csv_rejects_non_finite(tmp_path, row):
     ("t,V_1_1\n0.25,1.0\n0.25,2.0\n", r"vol\.csv:3: times must be strictly increasing, got 0\.25 after 0\.25"),
     ("t,V_1_1\n0.5,1.0\n0.25,2.0\n", r"vol\.csv:3: times must be strictly increasing"),
     ("t,V_1_1\n0.5,1.0\n0.75,abc\n", r"vol\.csv:3: could not convert string to float: 'abc'"),
-], ids=["blank-header", "no-matrix-columns", "repeated-time", "decreasing-time", "bad-entry"])
+    ("t,V_1_1,V_1_3,V_2_2\n0.5,1.0,0.0,1.0\n", r"vol\.csv: unexpected header"),
+    ("t,V_1_1,V_1_2\n0.5,1.0,0.0\n", r"vol\.csv: 2 matrix columns do not form an upper triangle"),
+    ("t,V_1_1\n0.5,1.0,2.0\n", r"vol\.csv:2: expected 2 columns"),
+    ("t,V_1_1\n", r"vol\.csv: no data rows"),
+], ids=["blank-header", "no-matrix-columns", "repeated-time", "decreasing-time", "bad-entry",
+        "wrong-names", "not-a-triangle", "wrong-column-count", "header-only"])
 def test_read_vol_csv_rejects_a_bad_header_and_unordered_times(tmp_path, text, match):
     f = tmp_path / "vol.csv"
     f.write_text(text)
     with pytest.raises(EstimationError, match=match):
         read_vol_csv(f)
+
+
+@pytest.mark.parametrize("times, matrices, match", [
+    (np.array([]), np.ones((0, 1, 1)), "at least one time"),
+    (np.array([0.5, 0.5]), np.ones((2, 1, 1)), "strictly increasing"),
+    (np.array([0.25, 0.75]), np.ones((2, 2, 2)), r"shape \(2, 2, 2\), expected \(2, 1, 1\)"),
+], ids=["empty-grid", "repeated-time", "wrong-shape"])
+def test_vol_path_rejects_an_empty_grid_unordered_times_and_a_wrong_shape(times, matrices, match):
+    with pytest.raises(EstimationError, match=match):
+        VolPath(times=times, matrices=matrices, asset_ids=("A1",))

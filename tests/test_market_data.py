@@ -112,6 +112,12 @@ def test_load_csv_rejects_times_that_collapse_when_normalized(tmp_path):
         load_csv(path)
 
 
+def test_load_csv_names_the_line_of_a_non_numeric_field(tmp_path):
+    path = _write(tmp_path, "asset,time,price\nA,abc,1\nA,1,2\n")
+    with pytest.raises(MarketDataError, match=r"ticks\.csv:2: could not convert string to float: 'abc'"):
+        load_csv(path)
+
+
 @pytest.mark.parametrize("body, match", [
     ("A,nan,1.0\nA,1,1.1\nB,0,2.0\nB,2,2.1\n", r"ticks\.csv:2: non-finite"),
     ("A,0,1.0\nA,2,1.1\nB,nan,2.0\nB,1,2.1\n", r"ticks\.csv:4: non-finite"),

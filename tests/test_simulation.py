@@ -84,6 +84,19 @@ def test_const_corr_rejects_non_psd():
         ConstCorrModel(covariance=np.array([[1.0, 0.4], [0.1, 1.0]]))
 
 
+def test_const_corr_at_rho_one_takes_the_eigen_square_root():
+    cov = simulation.equicorrelation(3, 1.0)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(cov)  # singular: simulate falls back on the eigen square root
+    factor = simulation._psd_factor(cov)
+    np.testing.assert_allclose(factor @ factor.T, cov, atol=1e-14)
+    fine, oracle = simulate(ConstCorrModel(covariance=cov), 200, 4)
+    assert np.all(np.isfinite(fine.values))
+    # perfectly correlated unit-variance assets move together
+    np.testing.assert_allclose(fine.values[1:], np.broadcast_to(fine.values[0], (2, 201)), atol=1e-12)
+    np.testing.assert_array_equal(oracle.at(0.5), cov)
+
+
 def test_sin_vol_zero_swing_reduces_to_const():
     model = SinVolModel(base=np.array([1.0]), swing=np.array([0.0]), corr=0.0)
     fine, oracle = simulate(model, 300, 5)
