@@ -67,56 +67,3 @@ from .simulation import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "MarketDataError",
-    "TickSeries",
-    "ObservationSet",
-    "AssetIncrements",
-    "IncrementTable",
-    "load_csv",
-    "write_csv",
-    "increments",
-    "KernelParams",
-    "SpectralMeasure",
-    "PSDFunction",
-    "PsdCheck",
-    "dirichlet_eval",
-    "fejer_eval",
-    "make_measure",
-    "c_from_measure",
-    "verify_psd_function",
-    "EstimationError",
-    "GenericSpec",
-    "EstimatorConfig",
-    "FourierCoefficients",
-    "VolMatrix",
-    "VolPath",
-    "fourier_coefficients",
-    "build_fiber",
-    "generic_spec_from_psd",
-    "estimate_generic",
-    "estimate_classical",
-    "estimate_psd_direct",
-    "estimate_psd_factorized",
-    "estimate_path",
-    "write_vol_csv",
-    "read_vol_csv",
-    "EigenReport",
-    "PcaPath",
-    "pca_ratios",
-    "rank_estimate",
-    "write_pca_csv",
-    "ConstCorrModel",
-    "SinVolModel",
-    "FactorModel",
-    "SamplingScheme",
-    "FinePath",
-    "OracleVolPath",
-    "ScoreCard",
-    "simulate",
-    "sample",
-    "score",
-    "random_loadings",
-    "__version__",
-]

@@ -578,7 +578,15 @@ def _vol_header(d: int) -> list[str]:
 
 
 def write_vol_csv(path: VolPath, file) -> None:
-    """Serialize a path as CSV: t plus the row-major upper triangle V_i_j."""
+    """Serialize a path as CSV: t plus the row-major upper triangle V_i_j.
+
+    A non-finite matrix, which ``read_vol_csv`` would reject, raises
+    ``EstimationError`` naming its time before the file is opened.
+    """
+    finite = np.isfinite(path.matrices).all(axis=(1, 2))
+    if not finite.all():
+        t = path.times[np.argmin(finite)]
+        raise EstimationError(f"non-finite volatility matrix at t={t}; nothing written to {file}")
     iu, ju = np.triu_indices(path.d)
     rows = np.column_stack([path.times, path.matrices[:, iu, ju]])
     write_rows(file, _vol_header(path.d), rows)

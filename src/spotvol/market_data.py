@@ -13,12 +13,14 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 PRICE_KINDS = ("log", "raw")
 TICK_HEADER = ("asset", "time", "price")  # columns of the long tick format
+COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")  # np.loadtxt opens these decompressing
 
 
 class MarketDataError(ValueError):
@@ -138,10 +140,13 @@ def load_csv(path, price_kind: str = "log") -> ObservationSet:
     time_span. With ``price_kind="raw"`` prices must be positive and are
     log-transformed; with ``"log"`` the price column is taken as is.
 
-    The file is parsed in one pass of numpy's C reader, its rows are grouped
-    by asset with one stable sort of the ids, and each asset's ``TickSeries``
-    checks its ticks. Any file that fails a check, or looks unusual, is read
-    again by the row parser, which gives the same result on valid input and
+    The file is parsed in one pass of numpy's C reader, which ``np.loadtxt``
+    feeds in blocks from the path; its rows are grouped by asset with one
+    stable sort of the ids, and each asset's ``TickSeries`` checks its ticks.
+    A ``path`` that is not a ``str`` or ``os.PathLike`` (an open file
+    descriptor, say), a name ending in one of ``COMPRESSED_SUFFIXES`` or
+    holding ``://``, and any file that fails a check or looks unusual, are
+    read by the row parser, which gives the same result on valid input and
     alone raises, naming the file and line.
     """
     if price_kind not in PRICE_KINDS:
@@ -153,33 +158,41 @@ def load_csv(path, price_kind: str = "log") -> ObservationSet:
 def _load_fast(path, price_kind: str) -> ObservationSet | None:
     """The row parser's result from ``np.loadtxt``, or None where it must decide.
 
-    Ids are read as 16-byte latin-1 fields: an id that may have been cut
-    short falls back, and so does a file holding a NUL, which such a field
-    would drop from the end of an id. A blank body falls back before
-    ``loadtxt``, which warns on it, and so does input that cannot be rewound,
-    such as a pipe, before a byte of it is read. An error opening the file
-    propagates, as it would from the row parser.
+    numpy parses in C blocks only when it is given the path, and it picks its
+    opener by that path: it would decompress a name ending in one of
+    ``COMPRESSED_SUFFIXES`` and may fetch one holding ``://`` as a URL. Such
+    a name, or a ``path`` that is not a ``str`` or ``os.PathLike`` naming a
+    ``str``, falls back before anything is opened.
+
+    A prescan by its own handle checks the header. Input that cannot be read
+    twice, such as a pipe, falls back before a byte of it is read. Ids are
+    read as 16-byte latin-1 fields: an id that may have been cut short falls
+    back, and so does a file holding a NUL, which such a field would drop
+    from the end of an id. A blank body falls back before ``loadtxt``, which
+    warns on it. An error opening the file propagates, as it would from the
+    row parser.
 
     One stable sort of the ids groups the rows by asset; ``TickSeries`` and
     ``ObservationSet`` alone check the ticks, and any error they raise falls back.
     """
+    name = os.fspath(path) if isinstance(path, os.PathLike) else path
+    if not isinstance(name, str) or name.endswith(COMPRESSED_SUFFIXES) or "://" in name:
+        return None
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(name, newline="", encoding="utf-8") as fh:
             if not fh.seekable():
                 return None
             if fh.readline() != ",".join(TICK_HEADER) + "\n":
                 return None
-            body = fh.tell()
             blank = True
             for chunk in iter(lambda: fh.read(1 << 16), ""):
                 if "\0" in chunk:
                     return None
                 blank = blank and chunk.isspace()
-            if blank:
-                return None
-            fh.seek(body)
-            rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=1,
-                              dtype=[("a", "S16"), ("t", float), ("p", float)])
+        if blank:
+            return None
+        rows = np.loadtxt(name, skiprows=1, encoding="utf-8", delimiter=",", comments=None,
+                          ndmin=1, dtype=[("a", "S16"), ("t", float), ("p", float)])
     except ValueError:
         return None
     order = np.argsort(rows["a"], kind="stable")  # ids grouped, file order kept within each

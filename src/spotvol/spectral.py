@@ -65,10 +65,11 @@ def pca_ratios(path: "VolPath", top: int = 3) -> PcaPath:
 
     Eigenvalues in ``[-1e-10 * trace, 0)`` are clamped to zero before the
     ratios are formed, so every ratio lies in [0, 1]. Each time is checked in
-    turn: a non-finite entry, a nonpositive trace, an asymmetry above
-    ``1e-10 * max|A|``, or an eigenvalue below ``-1e-10 * trace`` (the input
-    did not come from a positive semi-definite estimator) raises
-    ``ValueError`` naming the first time that fails.
+    turn: a non-finite entry, a nonpositive trace, a subnormal max|A| (whose
+    tolerances would underflow to 0), an asymmetry above ``1e-10 * max|A|``,
+    or an eigenvalue below ``-1e-10 * trace`` (the input did not come from a
+    positive semi-definite estimator) raises ``ValueError`` naming the first
+    time that fails.
     """
     if not is_positive_int(top):
         raise ValueError("top must be a positive integer")
@@ -79,7 +80,8 @@ def pca_ratios(path: "VolPath", top: int = 3) -> PcaPath:
         traces = np.trace(mats, axis1=1, axis2=2)
         asym = np.max(np.abs(mats - np.swapaxes(mats, 1, 2)), axis=(1, 2))
         scale = np.max(np.abs(mats), axis=(1, 2))
-    bad = ~finite | ~(traces > 0.0) | (asym > SYMMETRY_RTOL * scale)
+    tiny = np.finfo(float).tiny  # below it, the relative tolerances underflow to 0
+    bad = ~finite | ~(traces > 0.0) | (scale < tiny) | (asym > SYMMETRY_RTOL * scale)
     n_ok = int(np.argmax(bad)) if bad.any() else bad.size
     # times before the first malformed matrix may still fail the PSD floor
     eigvals = np.linalg.eigvalsh(mats[:n_ok], UPLO="U")[:, ::-1]
@@ -96,6 +98,11 @@ def pca_ratios(path: "VolPath", top: int = 3) -> PcaPath:
             raise ValueError(f"non-finite volatility matrix at t={t}")
         if not traces[n_ok] > 0.0:
             raise ValueError(f"degenerate volatility matrix at t={t}: trace={traces[n_ok]:.3e}")
+        if scale[n_ok] < tiny:
+            raise ValueError(
+                f"subnormal volatility matrix at t={t}: max|A| = {scale[n_ok]:.3e} is below the "
+                f"smallest normal double {tiny:.3e}, so no tolerance relative to it holds"
+            )
         raise ValueError(
             f"at t={t}: matrix is not symmetric: max|A - A.T| = {asym[n_ok]:.3e} exceeds "
             f"{SYMMETRY_RTOL:.0e} * max|A| = {SYMMETRY_RTOL * scale[n_ok]:.3e}"

@@ -273,6 +273,20 @@ def test_cli_error_paths(tmp_path, capsys):
 
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # V overflows first
+def test_estimate_writes_nothing_when_the_path_is_not_finite(rng, tmp_path, capsys):
+    ticks, vol = tmp_path / "ticks.csv", tmp_path / "vol.csv"
+    rows = ["asset,time,price"]
+    for asset in ("A", "B", "C"):
+        times = np.sort(rng.random(200)).tolist()
+        prices = (rng.choice([-1.0, 1.0], 200) * rng.random(200) * 1e300).tolist()
+        rows += [f"{asset},{t!r},{p!r}" for t, p in zip(times, prices)]
+    ticks.write_text("\n".join(rows) + "\n")
+    assert run(["estimate", "--input", ticks, "--out", vol]) == 1
+    assert "non-finite volatility matrix at t=0.0066" in capsys.readouterr().err
+    assert not vol.exists()
+
+
 def test_simulate_writes_nothing_when_a_flag_is_invalid(tmp_path, capsys):
     ticks, oracle = tmp_path / "ticks.csv", tmp_path / "oracle.csv"
     assert run(["simulate", "--model", "const-corr", "--d", 2, "--n", 20, "--grid", 0,

@@ -1035,6 +1035,17 @@ def test_write_vol_csv_bytes_match_the_per_row_writer_and_round_trip(rng, tmp_pa
     np.testing.assert_array_equal(back.matrices.view(np.int64), mats.view(np.int64))
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+def test_write_vol_csv_refuses_a_non_finite_matrix_before_opening_the_file(tmp_path, entry):
+    mats = np.stack([np.eye(2)] * 3)
+    mats[1:, 0, 1] = entry  # the first bad time is named
+    path = VolPath(times=np.array([0.25, 0.5, 0.75]), matrices=mats, asset_ids=("A", "B"))
+    f = tmp_path / "vol.csv"
+    with pytest.raises(EstimationError, match=r"non-finite volatility matrix at t=0\.5"):
+        write_vol_csv(path, f)
+    assert not f.exists()
+
+
 @pytest.mark.parametrize("row", ["0.5,1.0,nan,1.0", "0.5,inf,0.0,1.0", "nan,1.0,0.0,1.0"])
 def test_read_vol_csv_rejects_non_finite(tmp_path, row):
     f = tmp_path / "vol.csv"

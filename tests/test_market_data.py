@@ -1,5 +1,6 @@
 import csv
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -129,6 +130,41 @@ def test_load_csv_leaves_what_tick_series_rejects_to_the_row_parser(tmp_path, bo
     assert market_data._load_fast(path, "log") is None
     with pytest.raises(MarketDataError, match=match):
         load_csv(path)
+
+
+TWO_ASSETS = "asset,time,price\nA,0,1.5\nB,1,2.0\nA,2,1.25\nB,3,2.5\nA,4,1.75\n"
+
+
+def loaded(obs):
+    return obs.time_span, [(s.asset_id, s.times.tobytes(), s.values.tobytes()) for s in obs.series]
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_load_csv_reads_a_plain_file_with_a_compressed_suffix_by_the_row_parser(tmp_path, suffix):
+    # np.loadtxt would open such a name through a decompressor
+    path = _write(tmp_path, TWO_ASSETS, name="ticks.csv" + suffix)
+    assert market_data._load_fast(path, "log") is None
+    assert loaded(load_csv(path)) == loaded(market_data._load_rows(path, "log"))
+
+
+def test_load_csv_reads_a_name_like_a_url_by_the_row_parser(tmp_path, monkeypatch):
+    # np.loadtxt would fetch such a name as a URL although a local file has it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file:" / "localhost").mkdir(parents=True)
+    name = "file://localhost/ticks.csv"
+    (tmp_path / name).write_text(TWO_ASSETS, encoding="utf-8")
+    assert market_data._load_fast(name, "log") is None
+    assert loaded(load_csv(name)) == loaded(market_data._load_rows(name, "log"))
+
+
+def test_load_csv_gives_one_result_for_a_path_a_str_and_a_file_descriptor(tmp_path):
+    path = _write(tmp_path, TWO_ASSETS)
+    want = loaded(market_data._load_rows(path, "raw"))
+    assert market_data._load_fast(str(path), "raw") is not None
+    assert loaded(load_csv(path, "raw")) == loaded(load_csv(str(path), "raw")) == want
+    fd = os.open(path, os.O_RDONLY)  # the row parser reads it, and closes it
+    assert market_data._load_fast(fd, "raw") is None
+    assert loaded(load_csv(fd, "raw")) == want
 
 
 def test_load_csv_peak_memory_is_a_few_times_its_output(rng, tmp_path):

@@ -3,7 +3,9 @@ import csv
 import numpy as np
 import pytest
 
-from spotvol.estimator import VolPath
+from spotvol.estimator import EstimatorConfig, VolPath, estimate_path
+from spotvol.kernels import KernelParams
+from spotvol.market_data import ObservationSet, TickSeries
 from spotvol.spectral import (
     EigenReport,
     PcaPath,
@@ -90,6 +92,24 @@ def test_pca_ratios_names_first_failing_time():
         pca_ratios(_path_of([good, asym, not_psd], times))
     with pytest.raises(ValueError, match=r"degenerate volatility matrix at t=0\.2"):
         pca_ratios(_path_of([np.zeros((2, 2)), asym, np.diag([1.0, np.nan])], times))
+
+
+def test_pca_ratios_rejects_a_subnormal_matrix_by_name(rng):
+    tiny = np.finfo(float).tiny
+    pca_ratios(_path_of([np.eye(2) * tiny]))  # the smallest normal scale passes
+    with pytest.raises(ValueError, match=r"subnormal volatility matrix at t=0\.6: max\|A\| = 1\.1"):
+        pca_ratios(_path_of([np.eye(2), np.eye(2) * tiny / 2], times=[0.2, 0.6]))
+    # a psd_direct path of 1e-160 increments: its symmetry bound would underflow to 0
+    series = []
+    for j in range(3):
+        times = np.concatenate([[0.0], np.sort(rng.random(198)), [1.0]])
+        series.append(TickSeries(f"A{j + 1}", times, np.cumsum(rng.standard_normal(200)) * 1e-160))
+    config = EstimatorConfig(method="psd_direct", eval_grid=np.arange(1, 151) / 150, m=15,
+                             kernel=KernelParams(family="gaussian", l_gauss=31.0))
+    path = estimate_path(ObservationSet(series=tuple(series)), config)
+    assert 0.0 < np.abs(path.matrices).max() < tiny
+    with pytest.raises(ValueError, match=r"subnormal volatility matrix at t=0\.0066"):
+        pca_ratios(path)
 
 
 def test_pca_full_ratio_reaches_one(rng):
