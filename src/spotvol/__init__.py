@@ -31,7 +31,6 @@ from .estimator import (
     EstimationError,
     GenericSpec,
     EstimatorConfig,
-    FourierCoefficients,
     VolMatrix,
     VolPath,
     fourier_coefficients,

@@ -22,28 +22,22 @@ def _eval_grid(points: int) -> np.ndarray:
     return np.arange(1, points + 1) / points
 
 
-def _kernel_params(args, m: int) -> kernels.KernelParams:
-    family = args.kernel if args.kernel is not None else "gaussian"
-    if args.gamma is not None and family != "cauchy":
-        raise ValueError("--gamma applies only to --kernel cauchy")
-    if args.l_gauss is not None and family != "gaussian":
-        raise ValueError("--l-gauss applies only to --kernel gaussian")
-    for flag, value in (("--nodes", args.nodes is not None), ("--wrap", args.wrap)):
-        if value and family not in kernels.QUADRATURE_FAMILIES:
-            raise ValueError(f"{flag} applies only to the cauchy and gaussian kernels")
-    gamma = args.gamma
-    l_gauss = args.l_gauss
-    if family == "cauchy" and gamma is None:
-        gamma = (2 * m + 1) ** -0.5
-    if family == "gaussian" and l_gauss is None:
-        l_gauss = float(2 * m + 1)
-    return kernels.KernelParams(
-        family=family,
-        gamma=gamma,
-        l_gauss=l_gauss,
-        nodes=args.nodes,
-        wrap=args.wrap,
-    )
+KERNEL_FLAGS = {"gamma": "--gamma", "l_gauss": "--l-gauss", "nodes": "--nodes", "wrap": "--wrap"}
+
+
+def _kernel_params(family: str | None, fields: dict, m: int) -> kernels.KernelParams:
+    family = family if family is not None else "gaussian"
+    stray = kernels.stray_field(family, fields)
+    if stray is not None:
+        families = kernels.FIELD_FAMILIES[stray]
+        plural = "s" if len(families) > 1 else ""
+        raise ValueError(
+            f"{KERNEL_FLAGS[stray]} applies only to the {' and '.join(families)} kernel{plural}")
+    if family == "cauchy" and fields["gamma"] is None:
+        fields = {**fields, "gamma": (2 * m + 1) ** -0.5}
+    if family == "gaussian" and fields["l_gauss"] is None:
+        fields = {**fields, "l_gauss": float(2 * m + 1)}
+    return kernels.KernelParams(family=family, **fields)
 
 
 def _check_count(flag: str, value: int) -> None:
@@ -98,16 +92,11 @@ def _cmd_estimate(args) -> int:
             _check_count(flag, value)
     if args.L is not None and method != "classical":
         raise ValueError("--L applies only to --method classical")
+    fields = {name: getattr(args, name) for name in KERNEL_FLAGS}
     kernel = None
     if method in est_mod.KERNEL_METHODS:
-        kernel = _kernel_params(args, args.M)
-    elif (
-        args.kernel is not None
-        or args.gamma is not None
-        or args.l_gauss is not None
-        or args.nodes is not None
-        or args.wrap
-    ):
+        kernel = _kernel_params(args.kernel, fields, args.M)
+    elif args.kernel is not None or kernels.stray_field(None, fields) is not None:
         raise ValueError("kernel flags apply only to the psd-* and generic methods")
     config = est_mod.EstimatorConfig(
         method=method,
@@ -117,7 +106,7 @@ def _cmd_estimate(args) -> int:
         kernel=kernel,
     )
     obs = market_data.load_csv(args.input, price_kind=args.price_kind)
-    min_ticks = min(s.n_increments for s in obs.series)
+    min_ticks = min(s.times.size for s in obs.series) - 1
     if args.M >= min_ticks:
         print(
             f"warning: cutoff M={args.M} is at or above the smallest increment "

@@ -30,7 +30,9 @@ increment series, all built from windowed Fourier sums of the increments:
 
 The per-asset Fourier sums a_j(s) = sum_l e^{-2 pi i s t^j_l} dX^j_l are
 precomputed once per path and shared by every form except the generic
-reference. They are built by baby-step/giant-step products (Paterson &
+reference. ``fourier_coefficients`` returns them up to order M as one
+complex (d, 2M+1) array a, laid out as a[j, s + M] = a_j(s). They are
+built by baby-step/giant-step products (Paterson &
 Stockmeyer 1973): with z = e^{-2 pi i t^j_l} and s = kB + r, a_j(s) is
 entry r of Z P[k], the baby steps Z[r] = z^r times the giant step
 P[k] = dX z^{kB}, over chunks of ticks. The pass is O(M N_j) multiply-adds,
@@ -50,7 +52,8 @@ scratch and the first product S h or Phi h, all in work arrays made once per
 path, so the forms allocate nothing per block. The direct form keeps only S
 and h^T (S h); the factorized form keeps only Phi, b^T b and its triangle
 mirror. The second product is written straight into the path's matrices.
-S and Phi are C-contiguous, so BLAS reads them in place.
+S and Phi are C-contiguous, so BLAS reads them in place. A path, or a
+pointwise value, with a non-finite matrix raises ``EstimationError``.
 """
 
 from __future__ import annotations
@@ -129,9 +132,6 @@ class GenericSpec:
     def with_coeffs(self, coeffs: Mapping[int, complex]) -> "GenericSpec":
         return GenericSpec(frequencies=self.frequencies, fiber=self.fiber, coeffs=dict(coeffs))
 
-    def fiber_size(self, k: int) -> int:
-        return len(self.fiber[k])
-
 
 def build_fiber(m: int) -> GenericSpec:
     """Fiber over {-2m, ..., 2m} whose estimator is positive semi-definite.
@@ -158,31 +158,13 @@ def generic_spec_from_psd(c: PSDFunction) -> GenericSpec:
     return build_fiber(c.m).with_coeffs({k: c.value(k) for k in range(-2 * c.m, 2 * c.m + 1)})
 
 
-@dataclass(frozen=True)
-class FourierCoefficients:
-    """Per-asset windowed Fourier sums a_j(s) for s in [-order, order].
+def fourier_coefficients(inc: IncrementTable, order: int) -> np.ndarray:
+    """Compute a_j(s) = sum_l e^{-2 pi i s t^j_l} dX^j_l for every asset and |s| <= order.
 
-    ``tables[j, s + order]`` holds a_j(s); real increments give the conjugate
-    symmetry a_j(-s) = conj(a_j(s)), which is exact here because the negative
-    half is mirrored from the positive half.
-    """
-
-    order: int
-    asset_ids: tuple[str, ...]
-    tables: np.ndarray  # complex, shape (d, 2*order + 1)
-
-    @property
-    def d(self) -> int:
-        return len(self.asset_ids)
-
-    def coeff(self, asset: int, s: int) -> complex:
-        if abs(s) > self.order:
-            raise EstimationError(f"s={s} outside [-{self.order}, {self.order}]")
-        return complex(self.tables[asset, s + self.order])
-
-
-def fourier_coefficients(inc: IncrementTable, order: int) -> FourierCoefficients:
-    """Compute a_j(s) = sum_l e^{-2 pi i s t^j_l} dX^j_l for all assets.
+    Returns the complex (d, 2 order + 1) array a with a[j, s + order] = a_j(s),
+    one row per asset of ``inc``. Real increments give the conjugate symmetry
+    a_j(-s) = conj(a_j(s)), which is exact here: the negative half is the
+    conjugate mirror of s = 0..order.
 
     Baby-step/giant-step products (Paterson & Stockmeyer 1973): with
     z_l = e^{-2 pi i t^j_l} and s = kB + r, the baby steps Z[r] = z^r
@@ -195,13 +177,12 @@ def fourier_coefficients(inc: IncrementTable, order: int) -> FourierCoefficients
     O(B CHUNK); no (order+1) x N_j exp table is built. Each giant step is its own
     product, never one gemm over all of them, so a table's first entries do
     not depend on its order: the order-m slice of a larger table is the
-    order-m table bit for bit. The negative half is the exact conjugate
-    mirror of s = 0..order.
+    order-m table bit for bit.
     """
     if not is_positive_int(order):
         raise EstimationError("order must be a positive integer")
     giant = -(-(order + 1) // B)  # ceil((order + 1) / B)
-    tables = np.empty((inc.d, 2 * order + 1), dtype=complex)
+    a = np.empty((inc.d, 2 * order + 1), dtype=complex)
     longest = max(asset.times.size for asset in inc.assets)
     work = np.empty(B * min(CHUNK, longest), dtype=complex)  # every chunk's baby steps
     for j, asset in enumerate(inc.assets):
@@ -217,10 +198,10 @@ def fourier_coefficients(inc: IncrementTable, order: int) -> FourierCoefficients
             for k in range(giant):
                 acc[k] += baby @ p
                 p *= step
-        pos = tables[j, order:]
+        pos = a[j, order:]
         pos[:] = acc.ravel()[:order + 1]
-        tables[j, :order] = np.conj(pos[1:])[::-1]
-    return FourierCoefficients(order=order, asset_ids=inc.asset_ids, tables=tables)
+        a[j, :order] = np.conj(pos[1:])[::-1]
+    return a
 
 
 @dataclass(frozen=True)
@@ -259,9 +240,6 @@ class VolPath:
 
     def __len__(self) -> int:
         return int(self.times.size)
-
-    def __getitem__(self, i: int) -> VolMatrix:
-        return VolMatrix(t=float(self.times[i]), entries=self.matrices[i])
 
     @property
     def d(self) -> int:
@@ -309,12 +287,25 @@ def _on_grid(form, args, times, d: int) -> np.ndarray:
     Fourier sums, its table and, for the psd forms, their work arrays. It
     returns ``at(times, out)``, which writes V at each time of one block
     into ``out``. The blocks are written straight into the returned array.
+
+    Increments near the end of the double range overflow V, so numpy's
+    overflow warnings are off and a non-finite matrix raises
+    ``EstimationError`` naming its first time. The path's sum screens for
+    one with no temporary; as finite entries can overflow it too, a flagged
+    path is then checked entry by entry.
     """
-    n = np.size(times)
-    at = form(*args, min(GRID_BLOCK, n))
-    out = np.empty((n, d, d))
-    for start in range(0, n, GRID_BLOCK):
-        at(times[start:start + GRID_BLOCK], out[start:start + GRID_BLOCK])
+    times = _eval_times(times)
+    n = times.size
+    with np.errstate(over="ignore", invalid="ignore"):
+        at = form(*args, min(GRID_BLOCK, n))
+        out = np.empty((n, d, d))  # after the form's arrays, so freeing those leaves no heap top to trim
+        for start in range(0, n, GRID_BLOCK):
+            at(times[start:start + GRID_BLOCK], out[start:start + GRID_BLOCK])
+        screen = np.sum(out)
+    if not np.isfinite(screen):
+        finite = np.isfinite(out).all(axis=(1, 2))
+        if not finite.all():
+            raise EstimationError(f"non-finite volatility matrix at t={times[np.argmin(finite)]}")
     return out
 
 
@@ -340,10 +331,10 @@ def _stacker(inc: IncrementTable, m: int, table: np.ndarray, block: int):
     in any block.
     """
     coeffs = fourier_coefficients(inc, m)
-    a = coeffs.tables[:, m + 1:].T  # (m, d)
+    a = coeffs[:, m + 1:].T  # (m, d)
     a_re, a_im = a.real.copy(), a.imag.copy()
     h = np.empty((block, 2 * m + 1, inc.d))
-    h[:, 0] = coeffs.tables[:, m].real
+    h[:, 0] = coeffs[:, m].real
     scratch = np.empty((block, m, inc.d))
     th = np.empty((block, table.shape[0], inc.d))
 
@@ -445,7 +436,7 @@ def _classical_form(inc: IncrementTable, m: int, l: int | None, block: int):
         l = m
     elif not is_positive_int(l):
         raise EstimationError("smoothing order must be a positive integer")
-    a = fourier_coefficients(inc, m + l).tables  # a[j, s + m + l] = a_j(s)
+    a = fourier_coefficients(inc, m + l)  # a[j, s + m + l] = a_j(s)
     k = np.arange(-l, l + 1)
     shifted = a.T[k[:, None] - np.arange(-m, m + 1) + m + l]  # [k, u, j] = a_j(k - u)
     shifted *= ((1.0 - np.abs(k) / (l + 1)) / (2 * m + 1))[:, None, None]  # w_k
@@ -512,8 +503,7 @@ def estimate_generic(inc: IncrementTable, spec: GenericSpec, t: float) -> VolMat
     Intended for tests and small inputs; the real part is returned and a
     warning is emitted when the imaginary residue is large.
     """
-    times = _eval_times([t])
-    return VolMatrix(t=float(times[0]), entries=_on_grid(_generic_form, (inc, spec), times, inc.d)[0])
+    return VolMatrix(t=float(t), entries=_on_grid(_generic_form, (inc, spec), [t], inc.d)[0])
 
 
 def estimate_classical(inc: IncrementTable, m: int, l: int | None, t: float) -> VolMatrix:
@@ -522,14 +512,12 @@ def estimate_classical(inc: IncrementTable, m: int, l: int | None, t: float) -> 
     ``l`` defaults to ``m``. The output is not symmetric in general: the
     time-smoothing kernel attaches to the row asset's ticks only.
     """
-    times = _eval_times([t])
-    return VolMatrix(t=float(times[0]), entries=_on_grid(_classical_form, (inc, m, l), times, inc.d)[0])
+    return VolMatrix(t=float(t), entries=_on_grid(_classical_form, (inc, m, l), [t], inc.d)[0])
 
 
 def estimate_psd_direct(inc: IncrementTable, c: PSDFunction, t: float) -> VolMatrix:
     """PSD estimator from a Hermitian weight table (double frequency sum)."""
-    times = _eval_times([t])
-    return VolMatrix(t=float(times[0]), entries=_on_grid(_direct_form, (inc, c), times, inc.d)[0])
+    return VolMatrix(t=float(t), entries=_on_grid(_direct_form, (inc, c), [t], inc.d)[0])
 
 
 def estimate_psd_factorized(inc: IncrementTable, mu: SpectralMeasure, m: int, t: float) -> VolMatrix:
@@ -538,8 +526,7 @@ def estimate_psd_factorized(inc: IncrementTable, mu: SpectralMeasure, m: int, t:
     Rank of the output is at most min(d, number of atoms); the matrix is
     exactly symmetric and positive semi-definite up to rounding.
     """
-    times = _eval_times([t])
-    return VolMatrix(t=float(times[0]), entries=_on_grid(_factorized_form, (inc, mu, m), times, inc.d)[0])
+    return VolMatrix(t=float(t), entries=_on_grid(_factorized_form, (inc, mu, m), [t], inc.d)[0])
 
 
 def estimate_path(obs: ObservationSet, config: EstimatorConfig) -> VolPath:

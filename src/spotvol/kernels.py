@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,12 +25,30 @@ HERMITIAN_RTOL = 1e-10
 WRAP_TERMS = 5          # periodization series truncated at |n| <= WRAP_TERMS
 
 FAMILIES = ("flat", "cauchy", "gaussian", "fejer")
-QUADRATURE_FAMILIES = ("cauchy", "gaussian")  # the families that take nodes and wrap
+QUADRATURE_FAMILIES = ("cauchy", "gaussian")  # the continuous families, discretized on nodes
+
+# Each optional field of KernelParams and the families it applies to. A field
+# set off its KernelParams default applies only to these.
+FIELD_FAMILIES = {
+    "gamma": ("cauchy",),
+    "l_gauss": ("gaussian",),
+    "nodes": QUADRATURE_FAMILIES,
+    "wrap": QUADRATURE_FAMILIES,
+}
 
 
 def is_positive_int(value) -> bool:
     """True for an integer >= 1 (numpy integers included), False for bools and floats."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
+
+
+def stray_field(family: str | None, values) -> str | None:
+    """The first field of ``values`` (field -> value) off its default that ``family`` lacks, else None."""
+    defaults = {f.name: f.default for f in fields(KernelParams)}
+    for name, value in values.items():
+        if value != defaults[name] and family not in FIELD_FAMILIES[name]:
+            return name
+    return None
 
 
 def _reduced(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -88,21 +106,18 @@ class KernelParams:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}; expected one of {FAMILIES}")
-        if self.family == "cauchy":
-            if self.gamma is None or not 0.0 < self.gamma < math.inf:
-                raise ValueError(f"cauchy family requires a finite gamma > 0, got {self.gamma!r}")
-        elif self.gamma is not None:
-            raise ValueError(f"gamma is only meaningful for the cauchy family, not {self.family!r}")
-        if self.family == "gaussian":
-            if self.l_gauss is None or not 0.0 < self.l_gauss < math.inf:
-                raise ValueError(f"gaussian family requires a finite l_gauss > 0, got {self.l_gauss!r}")
-        elif self.l_gauss is not None:
-            raise ValueError(f"l_gauss is only meaningful for the gaussian family, not {self.family!r}")
+        stray = stray_field(self.family, {name: getattr(self, name) for name in FIELD_FAMILIES})
+        if stray is not None:
+            families = FIELD_FAMILIES[stray]
+            group = (f"the {families[0]} family" if len(families) == 1
+                     else f"the continuous families ({', '.join(families)})")
+            raise ValueError(f"{stray} applies only to {group}, not {self.family!r}")
+        if self.family == "cauchy" and (self.gamma is None or not 0.0 < self.gamma < math.inf):
+            raise ValueError(f"cauchy family requires a finite gamma > 0, got {self.gamma!r}")
+        if self.family == "gaussian" and (self.l_gauss is None or not 0.0 < self.l_gauss < math.inf):
+            raise ValueError(f"gaussian family requires a finite l_gauss > 0, got {self.l_gauss!r}")
         if self.nodes is not None and not is_positive_int(self.nodes):
             raise ValueError("nodes must be a positive integer")
-        for name, value in (("nodes", self.nodes is not None), ("wrap", self.wrap)):
-            if value and self.family not in QUADRATURE_FAMILIES:
-                raise ValueError(f"{name} applies only to the continuous families (cauchy, gaussian)")
 
 
 @dataclass(frozen=True)
@@ -131,10 +146,6 @@ class SpectralMeasure:
             raise ValueError("atoms must lie in [-1/2, 1/2)")
         if np.unique(atoms).size != atoms.size:
             raise ValueError("atoms must be pairwise distinct")
-
-    @property
-    def mass(self) -> float:
-        return float(np.sum(self.weights))
 
     def __len__(self) -> int:
         return int(self.atoms.size)
@@ -269,11 +280,6 @@ class PsdCheck:
     ok: bool
     min_eigenvalue: float
     bound: float
-
-    @property
-    def violation(self) -> float:
-        """How far the minimum eigenvalue fell below the allowed bound (0 when ok)."""
-        return 0.0 if self.ok else self.bound - self.min_eigenvalue
 
 
 def verify_psd_function(c: PSDFunction) -> PsdCheck:

@@ -51,10 +51,6 @@ class TickSeries:
         if times[0] < 0.0 or times[-1] > 1.0:
             raise MarketDataError(f"{self.asset_id}: times must lie in [0, 1]")
 
-    @property
-    def n_increments(self) -> int:
-        return int(self.times.size - 1)
-
 
 @dataclass(frozen=True)
 class ObservationSet:
@@ -115,10 +111,6 @@ class IncrementTable:
     @property
     def d(self) -> int:
         return len(self.assets)
-
-    @property
-    def asset_ids(self) -> tuple[str, ...]:
-        return tuple(a.asset_id for a in self.assets)
 
 
 def increments(obs: ObservationSet) -> IncrementTable:

@@ -84,13 +84,6 @@ class Xoshiro256PP:
         self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
         return result
 
-    def uniform(self) -> float:
-        """Uniform draw in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * _TWO_NEG53
-
-    def uniforms(self, n: int) -> np.ndarray:
-        return _uniforms(_lockstep_u64([self], n)[:, 0])
-
     def normals(self, n: int) -> np.ndarray:
         """Standard normals via Box-Muller; pairs drawn as (u1, u2), u1 in (0, 1]."""
         return _box_muller(_lockstep_u64([self], 2 * ((n + 1) // 2))[:, 0], n)
@@ -143,7 +136,7 @@ def _lockstep_u64(rngs: Sequence[Xoshiro256PP], steps: int) -> np.ndarray:
 
 
 def _uniforms(raw: np.ndarray) -> np.ndarray:
-    """Uniforms in [0, 1) with 53 random bits, as ``Xoshiro256PP.uniform`` makes them."""
+    """Uniforms in [0, 1) with 53 random bits: (x >> 11) 2^-53 for each raw draw x."""
     return (raw >> 11).astype(float) * _TWO_NEG53
 
 
@@ -286,10 +279,6 @@ class FinePath:
     values: np.ndarray     # (d, steps + 1)
     asset_ids: tuple[str, ...]
 
-    @property
-    def steps(self) -> int:
-        return int(self.times.size - 1)
-
 
 @dataclass(frozen=True)
 class OracleVolPath:
@@ -402,7 +391,7 @@ def sample(fine: FinePath, scheme: SamplingScheme, seed: int) -> ObservationSet:
     substream j * 101. The endpoints give every asset at least 2 ticks once
     the fine grid has a step; on a one-point grid ``TickSeries`` rejects it.
     """
-    steps = fine.steps
+    steps = fine.times.size - 1
     d = fine.values.shape[0]
     if scheme.kind == "sync_uniform":
         n = scheme.n_target
@@ -426,7 +415,6 @@ class ScoreCard:
     times: np.ndarray
     rel_frobenius: np.ndarray
     mean_rel_frobenius: float
-    max_rel_frobenius: float
     ratio_error: np.ndarray
     mean_ratio_error: float
     max_ratio_error: float
@@ -460,7 +448,6 @@ def score(est: VolPath, oracle: OracleVolPath, burn: float = 0.1) -> ScoreCard:
         times=times,
         rel_frobenius=rel,
         mean_rel_frobenius=float(np.mean(rel)),
-        max_rel_frobenius=float(np.max(rel)),
         ratio_error=ratio_err,
         mean_ratio_error=float(np.mean(ratio_err)),
         max_ratio_error=float(np.max(ratio_err)),

@@ -37,11 +37,12 @@ def classical_tick_form(inc, m, l, t):
 def direct_complex_form(coeffs, c, times):
     """Re g^T T conj(g) in complex arithmetic, g_j(u) = e^{2 pi i u t} a_j(u) for |u| <= m (test oracle).
 
+    coeffs[j, u + m] = a_j(u) are the order-m Fourier sums and
     T[u, u'] = c(u - u') is the weight table's Toeplitz matrix; returns the
     (G, d, d) stack for the 1-d array of times.
     """
     u = np.arange(-c.m, c.m + 1)
-    g = np.exp(2j * np.pi * times[:, None] * u)[:, :, None] * coeffs.tables.T
+    g = np.exp(2j * np.pi * times[:, None] * u)[:, :, None] * coeffs.T
     return (np.swapaxes(g, 1, 2) @ c.toeplitz() @ np.conj(g)).real
 
 
@@ -50,14 +51,14 @@ def broadcast_phase_stack(coeffs, times):
 
     The real stack as one expression per half: c Re a - s Im a and
     c Im a + s Re a, with the (G, m, 1) cos and sin broadcast against the
-    (m, d) parts of a. Returns the (G, 2m+1, d) stack for the 1-d array of
-    times.
+    (m, d) parts of a, the order-m Fourier sums coeffs[j, u + m] = a_j(u).
+    Returns the (G, 2m+1, d) stack for the 1-d array of times.
     """
-    m = coeffs.order
-    a = coeffs.tables[:, m + 1:].T  # (m, d)
+    d, m = coeffs.shape[0], coeffs.shape[1] // 2
+    a = coeffs[:, m + 1:].T  # (m, d)
     phase = np.exp(2j * np.pi * times[:, None] * np.arange(1, m + 1))[:, :, None]  # (G, m, 1)
-    h = np.empty((times.size, 2 * m + 1, coeffs.d))
-    h[:, 0] = coeffs.tables[:, m].real
+    h = np.empty((times.size, 2 * m + 1, d))
+    h[:, 0] = coeffs[:, m].real
     h[:, 1:m + 1] = phase.real * a.real - phase.imag * a.imag
     h[:, m + 1:] = phase.real * a.imag + phase.imag * a.real
     return h
@@ -67,7 +68,7 @@ def fourier_power_recurrence(inc, order):
     """a_j(s) for |s| <= order by the plain power recurrence p <- p z, z = e^{-2 pi i t} (test oracle).
 
     Returns the (d, 2 order + 1) table, negative half mirrored, laid out as
-    ``FourierCoefficients.tables``.
+    ``fourier_coefficients`` returns it.
     """
     tables = np.empty((inc.d, 2 * order + 1), dtype=complex)
     for j, asset in enumerate(inc.assets):
@@ -85,14 +86,15 @@ def fourier_power_recurrence(inc, order):
 def factorized_smooth_form(coeffs, mu, times):
     """B^T B with B[g, q, j] = sqrt(w_q) (a_j(0) + 2 Re sum_{u=1..m} e^{2 pi i u (t_g + y_q)} a_j(u)) (test oracle).
 
-    The smoothed sum in the atom phases times the time-shifted sums; returns
-    the (G, d, d) stack for the 1-d array of times, upper triangle mirrored.
+    The smoothed sum in the atom phases times the time-shifted sums, from the
+    order-m Fourier sums coeffs[j, u + m] = a_j(u); returns the (G, d, d)
+    stack for the 1-d array of times, upper triangle mirrored.
     """
-    m = coeffs.order
+    m = coeffs.shape[1] // 2
     u = np.arange(1, m + 1)
     shift = np.exp(2j * np.pi * np.outer(mu.atoms, u))  # (Q, m)
-    g = np.exp(2j * np.pi * times[:, None] * u)[:, :, None] * coeffs.tables[:, m + 1:].T  # (G, m, d)
-    smooth = coeffs.tables[:, m].real + 2.0 * (shift @ g).real
+    g = np.exp(2j * np.pi * times[:, None] * u)[:, :, None] * coeffs[:, m + 1:].T  # (G, m, d)
+    smooth = coeffs[:, m].real + 2.0 * (shift @ g).real
     b = np.sqrt(mu.weights)[:, None] * smooth  # (G, Q, d)
     v = np.swapaxes(b, 1, 2) @ b
     return np.triu(v) + np.swapaxes(np.triu(v, 1), 1, 2)
@@ -116,11 +118,11 @@ def scalar_normals(gen, n):
 
 
 def scalar_poisson_indices(gen, rate, steps):
-    """Fine-grid indices of Poisson arrivals, one ``uniform`` call per gap (reference)."""
+    """Fine-grid indices of Poisson arrivals, one ``next_u64`` call per gap (reference)."""
     arrivals = [0]
     t = 0.0
     while True:
-        t += -math.log(1.0 - gen.uniform()) / rate
+        t += -math.log(1.0 - (gen.next_u64() >> 11) * 2**-53) / rate
         if t >= 1.0:
             break
         arrivals.append(int(round(t * steps)))

@@ -273,7 +273,6 @@ def test_cli_error_paths(tmp_path, capsys):
 
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # V overflows first
 def test_estimate_writes_nothing_when_the_path_is_not_finite(rng, tmp_path, capsys):
     ticks, vol = tmp_path / "ticks.csv", tmp_path / "vol.csv"
     rows = ["asset,time,price"]

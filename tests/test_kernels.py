@@ -101,7 +101,7 @@ def test_cauchy_measure_truncated_mass():
     mu = make_measure(KernelParams(family="cauchy", gamma=0.18, nodes=31), 15)
     assert len(mu) == 31
     assert np.all(mu.weights > 0.0)
-    assert mu.mass < 1.0 / 31.0  # truncation of a unit-mass density, scaled by 1/31
+    assert mu.weights.sum() < 1.0 / 31.0  # truncation of a unit-mass density, scaled by 1/31
 
 
 def test_gaussian_measure_grid_and_default_nodes():
@@ -197,7 +197,7 @@ def test_verify_psd_violation_detected():
     want_min = min(lam_odd, lam_lo, lam_hi)
     assert want_min < 0
     assert abs(check.min_eigenvalue - want_min) < 1e-10
-    assert check.violation > 0.0
+    assert check.min_eigenvalue < check.bound
 
 
 def test_psd_function_table_coverage_and_hermitian_gate():
@@ -230,6 +230,11 @@ def test_kernel_params_validation():
 def test_kernel_params_reject_nodes_where_no_quadrature_reads_them(family):
     with pytest.raises(ValueError, match="nodes applies only to the continuous families"):
         KernelParams(family=family, nodes=5)
+
+
+@pytest.mark.parametrize("family", ["flat", "fejer"])
+def test_kernel_params_take_a_numpy_false_wrap_where_no_quadrature_reads_it(family):
+    assert not KernelParams(family=family, wrap=np.False_).wrap
 
 
 def test_spectral_measure_validation():

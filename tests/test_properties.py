@@ -30,6 +30,7 @@ from spotvol.estimator import (
     generic_spec_from_psd,
 )
 from spotvol.kernels import (
+    FAMILIES,
     INTEGER_GUARD,
     KernelParams,
     c_from_measure,
@@ -199,6 +200,8 @@ def test_psd_path_equals_pointwise_bitwise(obs, kernel, m, method, grid):
     inc = increments(obs)
     for t, mat in zip(grid, path.matrices):
         np.testing.assert_array_equal(mat, form(inc, t))
+    if method == "psd_factorized":
+        assert path.matrices.tobytes() == np.swapaxes(path.matrices, 1, 2).tobytes()
 
 
 @PROPERTY
@@ -237,6 +240,28 @@ def test_a_zero_increment_at_a_price_level_leaves_the_path(obs, kernel, m, metho
                              **({"l": data.draw(ORDERS)} if method == "classical" else {"kernel": kernel}))
     v, v_more = (estimate_path(o, config).matrices for o in (obs, more))
     assert max_abs(v_more - v) <= 1e-12 * max_abs(v)
+
+
+# k_j + k_j' within +-800 keeps the scaled path normal, where scaling by 2^k is exact:
+# |V| < 1e4 here (at most 39 increments of at most 1), and 2^-800 is about 1e-241
+POWERS = st.integers(-400, 400)
+
+
+@settings(PROPERTY, max_examples=25)
+@pytest.mark.parametrize("method, family", [("classical", None)] + [
+    (method, family) for method in PSD_FORMS for family in FAMILIES])
+@given(obs=panels(), m=ORDERS, data=st.data())
+def test_powers_of_two_scale_the_path_bit_for_bit(method, family, obs, m, data):
+    # asset j's prices times 2^k_j scale V[j, j'] by exactly 2^(k_j + k_j')
+    k = np.array(data.draw(st.lists(POWERS, min_size=obs.d, max_size=obs.d)))
+    scaled = ObservationSet(series=tuple(
+        TickSeries(s.asset_id, s.times, np.ldexp(s.values, kj)) for s, kj in zip(obs.series, k)
+    ))
+    extra = ({"l": data.draw(ORDERS)} if method == "classical"
+             else {"kernel": data.draw(KERNELS.filter(lambda p: p.family == family))})
+    config = EstimatorConfig(method=method, eval_grid=np.linspace(0.0, 1.0, 9), m=m, **extra)
+    v, got = (estimate_path(o, config).matrices for o in (obs, scaled))
+    assert got.tobytes() == np.ldexp(v, k[:, None] + k[None, :]).tobytes()
 
 
 @st.composite

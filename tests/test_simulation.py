@@ -39,7 +39,7 @@ def test_xoshiro_reference_stream():
 
 def test_uniforms_and_normals_shape_and_range():
     rng = Xoshiro256PP(123)
-    u = rng.uniforms(1000)
+    u = simulation._uniforms(simulation._lockstep_u64([rng], 1000)[:, 0])
     assert u.shape == (1000,)
     assert np.all((0.0 <= u) & (u < 1.0))
     z = Xoshiro256PP(123).normals(1001)
@@ -437,7 +437,8 @@ def test_normals_and_uniforms_equal_the_scalar_draws(n):
         gen, ref = Xoshiro256PP(seed), Xoshiro256PP(seed)
         same_bits(gen.normals(n), scalar_normals(ref, n))
         same_bits(gen.normals(3), scalar_normals(ref, 3))
-        same_bits(gen.uniforms(n), np.array([ref.uniform() for _ in range(n)]))
+        same_bits(simulation._uniforms(simulation._lockstep_u64([gen], n)[:, 0]),
+                  np.array([(ref.next_u64() >> 11) * 2**-53 for _ in range(n)]))
         assert gen.next_u64() == ref.next_u64()
 
 
