@@ -10,8 +10,9 @@ bytes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
-import time
+import timeit
 
 import numpy as np
 
@@ -115,12 +116,7 @@ def _cmd_estimate(args) -> int:
         )
     path = est_mod.estimate_path(obs, config)
     if args.per_real_time:
-        path = est_mod.VolPath(
-            times=path.times,
-            matrices=path.matrices / obs.time_span,
-            asset_ids=path.asset_ids,
-            config=config,
-        )
+        path = dataclasses.replace(path, matrices=path.matrices / obs.time_span)
     est_mod.write_vol_csv(path, args.out)
     print(f"estimated {path.d}x{path.d} volatility at {len(path)} times -> {args.out}")
     return 0
@@ -184,16 +180,16 @@ def _cmd_pca(args) -> int:
     return 0
 
 
-def run_bench(d: int, n: int, m: int, reps: int, grid: int, seed: int, out=None) -> dict:
+def run_bench(d: int, n: int, m: int, reps: int, grid: int, seed: int) -> dict:
     """Time the reference estimator against the factorized one on one instance.
 
     Asserts numerical agreement (1e-9 relative Frobenius) at the probe time
-    before timing anything; returns the timing report as a dict.
+    before timing anything; returns the timing report as a dict. Each
+    single-time timing is the best of ``reps`` runs and the grid is timed
+    once, all by ``timeit`` with the garbage collector on.
     """
     for flag, value in (("--d", d), ("--n", n), ("--M", m)):
         _check_count(flag, value)
-    if out is None:
-        out = sys.stdout
     if reps < 1:
         raise ValueError("repetitions must be a positive integer")
     if grid < 0:
@@ -213,17 +209,10 @@ def run_bench(d: int, n: int, m: int, reps: int, grid: int, seed: int, out=None)
         raise RuntimeError(
             f"reference and factorized estimators disagree: relative difference {diff:.3e}"
         )
-
-    def best_of(fn) -> float:
-        times = []
-        for _ in range(reps):
-            start = time.perf_counter()
-            fn()
-            times.append(time.perf_counter() - start)
-        return min(times)
-
-    ref_single = best_of(lambda: est_mod.estimate_generic(inc, spec, t_probe))
-    fac_single = best_of(lambda: est_mod.estimate_psd_factorized(inc, mu, m, t_probe))
+    ref_single, fac_single = (
+        min(timeit.repeat(fn, setup="gc.enable()", number=1, repeat=reps))
+        for fn in (lambda: est_mod.estimate_generic(inc, spec, t_probe),
+                   lambda: est_mod.estimate_psd_factorized(inc, mu, m, t_probe)))
     report = {
         "d": d,
         "n": n,
@@ -233,29 +222,24 @@ def run_bench(d: int, n: int, m: int, reps: int, grid: int, seed: int, out=None)
         "factorized_single_t": fac_single,
         "speedup_single_t": ref_single / fac_single,
     }
-    print(f"instance: d={d}, n={n} ticks/asset (poisson), M={m}, seed={seed}", file=out)
-    print(f"agreement at t={t_probe}: relative Frobenius difference {diff:.3e}", file=out)
-    print(f"reference (fiber sum), single t:  {ref_single:.6f} s", file=out)
-    print(f"factorized (quadrature), single t: {fac_single:.6f} s", file=out)
-    print(f"speedup, single t: {report['speedup_single_t']:.1f}x", file=out)
+    print(f"instance: d={d}, n={n} ticks/asset (poisson), M={m}, seed={seed}")
+    print(f"agreement at t={t_probe}: relative Frobenius difference {diff:.3e}")
+    print(f"reference (fiber sum), single t:  {ref_single:.6f} s")
+    print(f"factorized (quadrature), single t: {fac_single:.6f} s")
+    print(f"speedup, single t: {report['speedup_single_t']:.1f}x")
     if grid > 0:
         grid_times = _eval_grid(grid)
-        gen_cfg = est_mod.EstimatorConfig(method="generic", eval_grid=grid_times, m=m, kernel=kernel)
-        fac_cfg = est_mod.EstimatorConfig(
-            method="psd_factorized", eval_grid=grid_times, m=m, kernel=kernel
-        )
-        start = time.perf_counter()
-        est_mod.estimate_path(obs, gen_cfg)
-        ref_grid = time.perf_counter() - start
-        start = time.perf_counter()
-        est_mod.estimate_path(obs, fac_cfg)
-        fac_grid = time.perf_counter() - start
+        configs = [est_mod.EstimatorConfig(method=method, eval_grid=grid_times, m=m, kernel=kernel)
+                   for method in ("generic", "psd_factorized")]
+        ref_grid, fac_grid = (
+            timeit.timeit(lambda: est_mod.estimate_path(obs, config), setup="gc.enable()", number=1)
+            for config in configs)
         report["reference_grid"] = ref_grid
         report["factorized_grid"] = fac_grid
         report["speedup_grid"] = ref_grid / fac_grid
-        print(f"reference over {grid}-point grid:  {ref_grid:.6f} s", file=out)
-        print(f"factorized over {grid}-point grid: {fac_grid:.6f} s", file=out)
-        print(f"speedup, grid: {report['speedup_grid']:.1f}x", file=out)
+        print(f"reference over {grid}-point grid:  {ref_grid:.6f} s")
+        print(f"factorized over {grid}-point grid: {fac_grid:.6f} s")
+        print(f"speedup, grid: {report['speedup_grid']:.1f}x")
     return report
 
 

@@ -142,7 +142,8 @@ def load_csv(path, price_kind: str = "log") -> ObservationSet:
     alone raises, naming the file and line.
     """
     if price_kind not in PRICE_KINDS:
-        raise MarketDataError(f"price_kind must be 'log' or 'raw', got {price_kind!r}")
+        raise MarketDataError(
+            f"price_kind must be {' or '.join(map(repr, PRICE_KINDS))}, got {price_kind!r}")
     obs = _load_fast(path, price_kind)
     return obs if obs is not None else _load_rows(path, price_kind)
 

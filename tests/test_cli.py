@@ -251,10 +251,30 @@ def test_bench_small_instance_agreement(capsys):
     assert report["reference_grid"] > 0.0 and report["factorized_grid"] > 0.0
 
 
+BENCH_LINES = ("instance:", "agreement at t=0.5:", "reference (fiber sum), single t:",
+               "factorized (quadrature), single t:", "speedup, single t:",
+               "reference over 2-point grid:", "factorized over 2-point grid:", "speedup, grid:")
+
+
+@pytest.mark.parametrize("grid, lines", [(2, 8), (0, 5)])
+def test_bench_prints_its_lines_in_order(capsys, grid, lines):
+    argv = ["bench", "--d", "2", "--n", "20", "--M", "3", "--reps", "1", "--grid", str(grid)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == lines
+    for line, label in zip(out, BENCH_LINES):
+        assert line.startswith(label), (line, label)
+
+
 def test_bench_rejects_zero_reps():
     with pytest.raises(ValueError, match="repetitions"):
         run_bench(d=2, n=10, m=2, reps=0, grid=0, seed=1)
     assert main(["bench", "--d", "2", "--n", "10", "--M", "2", "--reps", "0"]) == 1
+
+
+def test_bench_rejects_a_negative_grid():
+    with pytest.raises(ValueError, match="grid must be nonnegative"):
+        run_bench(d=2, n=10, m=2, reps=1, grid=-1, seed=1)
 
 
 def test_cli_error_paths(tmp_path, capsys):
@@ -302,6 +322,13 @@ def test_simulate_names_n_when_it_is_below_one(tmp_path, capsys, n, extra):
     err = capsys.readouterr().err
     assert "--n must be a positive integer" in err
     assert "fine_steps" not in err and "n_target" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_simulate_rejects_fine_steps_below_ten_per_tick(tmp_path, capsys):
+    assert run(["simulate", "--model", "const-corr", "--n", 20, "--fine-steps", 199,
+                "--out-ticks", tmp_path / "ticks.csv", "--out-oracle", tmp_path / "oracle.csv"]) == 1
+    assert "--fine-steps must be at least 10 * n = 200" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

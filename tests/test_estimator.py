@@ -1080,6 +1080,14 @@ def test_write_vol_csv_refuses_a_non_finite_matrix_before_opening_the_file(tmp_p
     assert not f.exists()
 
 
+def test_read_vol_csv_skips_a_blank_line_between_rows(tmp_path):
+    f = tmp_path / "vol.csv"
+    f.write_text("t,V_1_1\n0.25,1.0\n\n0.5,2.0\n")
+    path = read_vol_csv(f)
+    np.testing.assert_array_equal(path.times, [0.25, 0.5])
+    np.testing.assert_array_equal(path.matrices, [[[1.0]], [[2.0]]])
+
+
 @pytest.mark.parametrize("row", ["0.5,1.0,nan,1.0", "0.5,inf,0.0,1.0", "nan,1.0,0.0,1.0"])
 def test_read_vol_csv_rejects_non_finite(tmp_path, row):
     f = tmp_path / "vol.csv"

@@ -167,6 +167,25 @@ def test_load_csv_gives_one_result_for_a_path_a_str_and_a_file_descriptor(tmp_pa
     assert loaded(load_csv(fd, "raw")) == want
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_load_csv_reads_a_pipe_by_the_row_parser(tmp_path):
+    # the fast path must not read a byte of input it cannot read twice
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, TWO_ASSETS.encode())
+        os.close(write_end)  # the pipe is complete, so no read blocks
+        name = f"/proc/self/fd/{read_end}"
+        assert market_data._load_fast(name, "raw") is None
+        assert loaded(load_csv(name, "raw")) == loaded(load_csv(_write(tmp_path, TWO_ASSETS), "raw"))
+    finally:
+        os.close(read_end)
+
+
+def test_load_csv_rejects_an_unknown_price_kind(tmp_path):
+    with pytest.raises(MarketDataError, match=r"^price_kind must be 'log' or 'raw', got 'bad'$"):
+        load_csv(_write(tmp_path, TWO_ASSETS), price_kind="bad")
+
+
 def test_load_csv_peak_memory_is_a_few_times_its_output(rng, tmp_path):
     # one structured parse (32 B a row), its sort order (8 B) and the output (16 B)
     series = []

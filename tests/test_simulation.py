@@ -307,6 +307,15 @@ def test_score_burn_window():
         score(path, oracle, burn=0.6)
 
 
+def test_score_names_the_window_when_no_time_falls_inside_it():
+    model = ConstCorrModel(covariance=np.eye(2))
+    _, oracle = simulate(model, 100, 0)
+    times = np.array([0.05, 0.95])
+    path = VolPath(times=times, matrices=oracle.path(times), asset_ids=("A1", "A2"))
+    with pytest.raises(ValueError, match=r"^no evaluation times inside \[0\.1, 0\.9\]$"):
+        score(path, oracle, burn=0.1)
+
+
 def test_score_matches_the_per_time_reference(rng):
     model = SinVolModel(base=np.array([1.0, 1.5, 2.0]), swing=np.array([0.4, 0.2, 0.9]), corr=0.3)
     _, oracle = simulate(model, 100, 0)
