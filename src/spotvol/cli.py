@@ -188,12 +188,10 @@ def run_bench(d: int, n: int, m: int, reps: int, grid: int, seed: int) -> dict:
     single-time timing is the best of ``reps`` runs and the grid is timed
     once, all by ``timeit`` with the garbage collector on.
     """
-    for flag, value in (("--d", d), ("--n", n), ("--M", m)):
+    for flag, value in (("--d", d), ("--n", n), ("--M", m), ("--reps", reps)):
         _check_count(flag, value)
-    if reps < 1:
-        raise ValueError("repetitions must be a positive integer")
-    if grid < 0:
-        raise ValueError("grid must be nonnegative")
+    if grid != 0 and not kernels.is_positive_int(grid):
+        raise ValueError("--grid must be a nonnegative integer")
     model = simulation.ConstCorrModel(covariance=simulation.equicorrelation(d, 0.3))
     fine, _ = simulation.simulate(model, 10 * n, seed)
     obs = simulation.sample(fine, simulation.SamplingScheme(kind="poisson", n_target=n), seed)
@@ -244,9 +242,6 @@ def run_bench(d: int, n: int, m: int, reps: int, grid: int, seed: int) -> dict:
 
 
 def _cmd_bench(args) -> int:
-    _check_count("--reps", args.reps)
-    if args.grid < 0:
-        raise ValueError("--grid must be a nonnegative integer")
     run_bench(d=args.d, n=args.n, m=args.M, reps=args.reps, grid=args.grid, seed=args.seed)
     return 0
 

@@ -93,13 +93,27 @@ def _eval_times(times) -> np.ndarray:
     """Evaluation times as a float array: nonempty, 1-d, in [0, 1], strictly increasing."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
-        raise EstimationError("evaluation times must be a nonempty 1-d array")
+        raise EstimationError("times must be a nonempty 1-d array")
     outside = ~((times >= 0.0) & (times <= 1.0))
     if np.any(outside):
-        raise EstimationError(f"evaluation times must lie in [0, 1], got {float(times[outside][0])!r}")
-    if np.any(np.diff(times) <= 0.0):
-        raise EstimationError("evaluation times must be strictly increasing")
+        bad = float(times[outside][0])
+        kind = "out-of-range" if np.isfinite(bad) else "non-finite"
+        raise EstimationError(f"{kind} time {bad!r}: times must be finite and lie in [0, 1]")
+    step = np.diff(times) <= 0.0
+    if np.any(step):
+        i = int(np.argmax(step))
+        raise EstimationError(f"times must be strictly increasing, got {times[i + 1]} after {times[i]}")
     return times
+
+
+def _require_finite(times, matrices: np.ndarray) -> None:
+    """Raise ``EstimationError`` at the first of ``times`` whose matrix is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        screen = np.sum(matrices)  # one pass, no temporary; finite entries can overflow it too
+    if not np.isfinite(screen):
+        finite = np.isfinite(matrices).all(axis=(1, 2))
+        if not finite.all():
+            raise EstimationError(f"non-finite volatility matrix at t={times[np.argmin(finite)]}")
 
 
 @dataclass(frozen=True)
@@ -206,15 +220,18 @@ def fourier_coefficients(inc: IncrementTable, order: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class VolMatrix:
-    """Estimated spot volatility matrix at one time."""
+    """Estimated spot volatility matrix at one time; a non-finite entry raises ``EstimationError``."""
 
     t: float
     entries: np.ndarray  # (d, d)
 
+    def __post_init__(self) -> None:
+        _require_finite([self.t], self.entries[None])
+
 
 @dataclass(frozen=True)
 class VolPath:
-    """Estimated matrices over a strictly increasing evaluation grid."""
+    """Estimated finite matrices over evaluation times that ``_eval_times`` accepts."""
 
     times: np.ndarray
     matrices: np.ndarray  # (n, d, d)
@@ -222,21 +239,16 @@ class VolPath:
     config: "EstimatorConfig | None" = None
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
+        times = _eval_times(self.times)
         matrices = np.asarray(self.matrices, dtype=float)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "matrices", matrices)
-        if times.ndim != 1 or times.size == 0:
-            raise EstimationError("a volatility path needs at least one time")
-        if not np.all(np.isfinite(times)):
-            raise EstimationError("path times must be finite")
-        if np.any(np.diff(times) <= 0.0):
-            raise EstimationError("path times must be strictly increasing")
         d = len(self.asset_ids)
         if matrices.shape != (times.size, d, d):
             raise EstimationError(
                 f"matrix block has shape {matrices.shape}, expected {(times.size, d, d)}"
             )
+        _require_finite(times, matrices)
 
     def __len__(self) -> int:
         return int(self.times.size)
@@ -289,10 +301,8 @@ def _on_grid(form, args, times, d: int) -> np.ndarray:
     into ``out``. The blocks are written straight into the returned array.
 
     Increments near the end of the double range overflow V, so numpy's
-    overflow warnings are off and a non-finite matrix raises
-    ``EstimationError`` naming its first time. The path's sum screens for
-    one with no temporary; as finite entries can overflow it too, a flagged
-    path is then checked entry by entry.
+    overflow warnings are off here. The matrices are returned as they come:
+    the ``VolPath`` or ``VolMatrix`` built from them rejects a non-finite one.
     """
     times = _eval_times(times)
     n = times.size
@@ -301,11 +311,6 @@ def _on_grid(form, args, times, d: int) -> np.ndarray:
         out = np.empty((n, d, d))  # after the form's arrays, so freeing those leaves no heap top to trim
         for start in range(0, n, GRID_BLOCK):
             at(times[start:start + GRID_BLOCK], out[start:start + GRID_BLOCK])
-        screen = np.sum(out)
-    if not np.isfinite(screen):
-        finite = np.isfinite(out).all(axis=(1, 2))
-        if not finite.all():
-            raise EstimationError(f"non-finite volatility matrix at t={times[np.argmin(finite)]}")
     return out
 
 
@@ -565,22 +570,14 @@ def _vol_header(d: int) -> list[str]:
 
 
 def write_vol_csv(path: VolPath, file) -> None:
-    """Serialize a path as CSV: t plus the row-major upper triangle V_i_j.
-
-    A non-finite matrix, which ``read_vol_csv`` would reject, raises
-    ``EstimationError`` naming its time before the file is opened.
-    """
-    finite = np.isfinite(path.matrices).all(axis=(1, 2))
-    if not finite.all():
-        t = path.times[np.argmin(finite)]
-        raise EstimationError(f"non-finite volatility matrix at t={t}; nothing written to {file}")
+    """Serialize a path as CSV: t plus the row-major upper triangle V_i_j, read back bit for bit."""
     iu, ju = np.triu_indices(path.d)
     rows = np.column_stack([path.times, path.matrices[:, iu, ju]])
     write_rows(file, _vol_header(path.d), rows)
 
 
 def read_vol_csv(file) -> VolPath:
-    """Load a path written by ``write_vol_csv``, mirroring the upper triangle."""
+    """Load a path written by ``write_vol_csv``, mirroring the upper triangle; ``VolPath`` checks it."""
     with open(file, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -604,12 +601,6 @@ def read_vol_csv(file) -> VolPath:
                 vals = np.array([float(x) for x in row])
             except ValueError as exc:
                 raise EstimationError(f"{file}:{lineno}: {exc}") from exc
-            if not np.all(np.isfinite(vals)):
-                raise EstimationError(f"{file}:{lineno}: non-finite time or matrix entry")
-            if rows and not vals[0] > rows[-1][0]:
-                raise EstimationError(
-                    f"{file}:{lineno}: times must be strictly increasing, got {vals[0]} after {rows[-1][0]}"
-                )
             rows.append(vals)
     if not rows:
         raise EstimationError(f"{file}: no data rows")
@@ -617,4 +608,7 @@ def read_vol_csv(file) -> VolPath:
     iu, ju = np.triu_indices(d)
     mats = np.zeros((len(rows), d, d))
     mats[:, iu, ju] = mats[:, ju, iu] = table[:, 1:]
-    return VolPath(times=table[:, 0], matrices=mats, asset_ids=default_asset_ids(d), config=None)
+    try:
+        return VolPath(times=table[:, 0], matrices=mats, asset_ids=default_asset_ids(d), config=None)
+    except EstimationError as exc:
+        raise EstimationError(f"{file}: {exc}") from exc

@@ -64,38 +64,42 @@ def pca_ratios(path: "VolPath", top: int = 3) -> PcaPath:
     """Eigenvalues and cumulative explained-variance ratios along a matrix path.
 
     Eigenvalues in ``[-1e-10 * trace, 0)`` are clamped to zero before the
-    ratios are formed, so every ratio lies in [0, 1]. Each time is checked in
-    turn: a non-finite entry, a nonpositive trace, a subnormal max|A| (whose
-    tolerances would underflow to 0), an asymmetry above ``1e-10 * max|A|``,
-    or an eigenvalue below ``-1e-10 * trace`` (the input did not come from a
-    positive semi-definite estimator) raises ``ValueError`` naming the first
-    time that fails.
+    ratios are formed, so every ratio lies in [0, 1]. The matrices are finite
+    (``VolPath`` holds no other), and each time is checked in turn: a
+    nonpositive trace, a subnormal max|A| (whose tolerances would underflow
+    to 0), an asymmetry above ``1e-10 * max|A|``, an eigenvalue below
+    ``-1e-10 * trace`` (the input did not come from a positive semi-definite
+    estimator), or a trace or eigenvalue sum that overflows raises
+    ``ValueError`` naming the first time that fails.
     """
     if not is_positive_int(top):
         raise ValueError("top must be a positive integer")
-    times = np.asarray(path.times, dtype=float)
-    mats = np.asarray(path.matrices, dtype=float)
-    finite = np.all(np.isfinite(mats), axis=(1, 2))
-    with np.errstate(invalid="ignore"):  # inf - inf in a non-finite matrix
+    times, mats = path.times, path.matrices
+    with np.errstate(over="ignore"):  # entries near the end of the double range
         traces = np.trace(mats, axis1=1, axis2=2)
         asym = np.max(np.abs(mats - np.swapaxes(mats, 1, 2)), axis=(1, 2))
         scale = np.max(np.abs(mats), axis=(1, 2))
     tiny = np.finfo(float).tiny  # below it, the relative tolerances underflow to 0
-    bad = ~finite | ~(traces > 0.0) | (scale < tiny) | (asym > SYMMETRY_RTOL * scale)
+    bad = ~(traces > 0.0) | (scale < tiny) | (asym > SYMMETRY_RTOL * scale)
     n_ok = int(np.argmax(bad)) if bad.any() else bad.size
-    # times before the first malformed matrix may still fail the PSD floor
+    # times before the first malformed matrix may still fail the PSD floor or overflow
     eigvals = np.linalg.eigvalsh(mats[:n_ok], UPLO="U")[:, ::-1]
+    clamped = np.maximum(eigvals, 0.0)
+    with np.errstate(over="ignore"):
+        totals = np.sum(clamped, axis=1)
     below = eigvals[:, -1] < -CLAMP_RTOL * traces[:n_ok]
-    if below.any():
-        i = int(np.argmax(below))
+    overflow = ~(np.isfinite(traces[:n_ok]) & np.isfinite(totals))
+    if (below | overflow).any():
+        i = int(np.argmax(below | overflow))
+        if overflow[i]:
+            raise ValueError(f"overflowing volatility matrix at t={times[i]}: trace = {traces[i]:.3e} "
+                             f"and eigenvalue sum = {totals[i]:.3e} must both be finite")
         raise ValueError(
             f"eigenvalue {eigvals[i, -1]:.6e} below -1e-10 * trace at t={times[i]}: "
             "matrix is not positive semi-definite within tolerance"
         )
     if n_ok < bad.size:
         t = times[n_ok]
-        if not finite[n_ok]:
-            raise ValueError(f"non-finite volatility matrix at t={t}")
         if not traces[n_ok] > 0.0:
             raise ValueError(f"degenerate volatility matrix at t={t}: trace={traces[n_ok]:.3e}")
         if scale[n_ok] < tiny:
@@ -107,9 +111,8 @@ def pca_ratios(path: "VolPath", top: int = 3) -> PcaPath:
             f"at t={t}: matrix is not symmetric: max|A - A.T| = {asym[n_ok]:.3e} exceeds "
             f"{SYMMETRY_RTOL:.0e} * max|A| = {SYMMETRY_RTOL * scale[n_ok]:.3e}"
         )
-    clamped = np.maximum(eigvals, 0.0)
     count = min(top, clamped.shape[1])
-    ratios = np.cumsum(clamped[:, :count], axis=1) / np.sum(clamped, axis=1)[:, None]
+    ratios = np.cumsum(clamped[:, :count], axis=1) / totals[:, None]
     reports = tuple(
         EigenReport(t=float(t), eigenvalues=w, ratios=r) for t, w, r in zip(times, clamped, ratios)
     )

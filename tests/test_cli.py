@@ -267,13 +267,13 @@ def test_bench_prints_its_lines_in_order(capsys, grid, lines):
 
 
 def test_bench_rejects_zero_reps():
-    with pytest.raises(ValueError, match="repetitions"):
+    with pytest.raises(ValueError, match="--reps must be a positive integer"):
         run_bench(d=2, n=10, m=2, reps=0, grid=0, seed=1)
     assert main(["bench", "--d", "2", "--n", "10", "--M", "2", "--reps", "0"]) == 1
 
 
 def test_bench_rejects_a_negative_grid():
-    with pytest.raises(ValueError, match="grid must be nonnegative"):
+    with pytest.raises(ValueError, match="--grid must be a nonnegative integer"):
         run_bench(d=2, n=10, m=2, reps=1, grid=-1, seed=1)
 
 

@@ -826,18 +826,14 @@ def test_an_overflowing_path_raises_with_no_numpy_warning(rng, method):
         pointwise_estimators(kernel, m)[method](make_increments(obs), 0.5)
 
 
-def test_on_grid_names_the_first_non_finite_time_and_passes_a_finite_sum_overflow():
+def test_vol_path_names_the_first_non_finite_time_and_passes_a_finite_sum_overflow():
     # entries of 1e308 overflow the path's sum but are finite
-    def form(bad, block):
-        def at(times, out):
-            out[...] = 1e308
-            out[times == bad] = np.inf
-        return at
-
     grid = np.linspace(0.0, 1.0, GRID_BLOCK + 5)
-    assert np.all(_on_grid(form, (None,), grid, 2) == 1e308)
+    mats = np.full((grid.size, 2, 2), 1e308)
+    assert np.all(VolPath(times=grid, matrices=mats, asset_ids=("A1", "A2")).matrices == 1e308)
+    mats[GRID_BLOCK + 2:] = np.inf
     with pytest.raises(EstimationError, match=f"non-finite volatility matrix at t={grid[GRID_BLOCK + 2]}"):
-        _on_grid(form, (grid[GRID_BLOCK + 2],), grid, 2)
+        VolPath(times=grid, matrices=mats, asset_ids=("A1", "A2"))
 
 
 @pytest.mark.parametrize("method", ["psd_factorized", "psd_direct"])
@@ -1073,10 +1069,9 @@ def test_write_vol_csv_bytes_match_the_per_row_writer_and_round_trip(rng, tmp_pa
 def test_write_vol_csv_refuses_a_non_finite_matrix_before_opening_the_file(tmp_path, entry):
     mats = np.stack([np.eye(2)] * 3)
     mats[1:, 0, 1] = entry  # the first bad time is named
-    path = VolPath(times=np.array([0.25, 0.5, 0.75]), matrices=mats, asset_ids=("A", "B"))
     f = tmp_path / "vol.csv"
     with pytest.raises(EstimationError, match=r"non-finite volatility matrix at t=0\.5"):
-        write_vol_csv(path, f)
+        write_vol_csv(VolPath(times=np.array([0.25, 0.5, 0.75]), matrices=mats, asset_ids=("A", "B")), f)
     assert not f.exists()
 
 
@@ -1092,15 +1087,15 @@ def test_read_vol_csv_skips_a_blank_line_between_rows(tmp_path):
 def test_read_vol_csv_rejects_non_finite(tmp_path, row):
     f = tmp_path / "vol.csv"
     f.write_text(f"t,V_1_1,V_1_2,V_2_2\n0.25,1.0,0.0,1.0\n{row}\n")
-    with pytest.raises(EstimationError, match=r"vol\.csv:3: non-finite"):
+    with pytest.raises(EstimationError, match=r"vol\.csv: non-finite"):
         read_vol_csv(f)
 
 
 @pytest.mark.parametrize("text, match", [
     ("\nt,V_1_1\n0.5,1.0\n", r"vol\.csv: expected a header starting with 't'"),
     ("t\n0.5\n", r"vol\.csv: no matrix columns"),
-    ("t,V_1_1\n0.25,1.0\n0.25,2.0\n", r"vol\.csv:3: times must be strictly increasing, got 0\.25 after 0\.25"),
-    ("t,V_1_1\n0.5,1.0\n0.25,2.0\n", r"vol\.csv:3: times must be strictly increasing"),
+    ("t,V_1_1\n0.25,1.0\n0.25,2.0\n", r"vol\.csv: times must be strictly increasing, got 0\.25 after 0\.25"),
+    ("t,V_1_1\n0.5,1.0\n0.25,2.0\n", r"vol\.csv: times must be strictly increasing"),
     ("t,V_1_1\n0.5,1.0\n0.75,abc\n", r"vol\.csv:3: could not convert string to float: 'abc'"),
     ("t,V_1_1,V_1_3,V_2_2\n0.5,1.0,0.0,1.0\n", r"vol\.csv: unexpected header"),
     ("t,V_1_1,V_1_2\n0.5,1.0,0.0\n", r"vol\.csv: 2 matrix columns do not form an upper triangle"),
@@ -1116,7 +1111,7 @@ def test_read_vol_csv_rejects_a_bad_header_and_unordered_times(tmp_path, text, m
 
 
 @pytest.mark.parametrize("times, matrices, match", [
-    (np.array([]), np.ones((0, 1, 1)), "at least one time"),
+    (np.array([]), np.ones((0, 1, 1)), "nonempty"),
     (np.array([0.5, 0.5]), np.ones((2, 1, 1)), "strictly increasing"),
     (np.array([0.25, 0.75]), np.ones((2, 2, 2)), r"shape \(2, 2, 2\), expected \(2, 1, 1\)"),
 ], ids=["empty-grid", "repeated-time", "wrong-shape"])

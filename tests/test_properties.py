@@ -5,9 +5,13 @@ Panels hold 1 to 4 assets, each with 2 to 40 ticks that include exactly 0 and
 The PSD forms are drawn with every measure family, the continuous ones also
 periodized. Tick ingest is checked on generated tick files: ``load_csv``
 against its row parser on clean and mutated files, and the price and time
-scalings the reading must not see. Examples are derandomized, so every run
-draws the same panels.
+scalings the reading must not see. Volatility paths whose entries reach both
+ends of the double range check the vol file round trip and ``VolPath``'s
+finite-matrix rule. Examples are derandomized, so every run draws the same
+panels.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +21,9 @@ from hypothesis import strategies as st
 from spotvol import market_data
 from spotvol.estimator import (
     GRID_BLOCK,
+    EstimationError,
     EstimatorConfig,
+    VolPath,
     _direct_form,
     _factorized_form,
     _on_grid,
@@ -28,6 +34,8 @@ from spotvol.estimator import (
     estimate_psd_factorized,
     fourier_coefficients,
     generic_spec_from_psd,
+    read_vol_csv,
+    write_vol_csv,
 )
 from spotvol.kernels import (
     FAMILIES,
@@ -507,3 +515,45 @@ def test_per_real_time_output_scales_with_the_time_unit(tick_dir, rows, c, shift
                      "--per-real-time", "--out", str(vol)]) == 0
         out.append(np.loadtxt(vol, delimiter=",", skiprows=1, ndmin=2)[:, 1:])
     assert max_abs(out[1] - out[0] / c) <= 1e-10 * max_abs(out[0]) / c
+
+
+# finite entries at both ends of the double range: a signed zero, the smallest subnormal and
+# entries whose sum overflows
+ENTRIES = st.one_of(st.sampled_from([-0.0, 5e-324, 1.7e308, -1.7e308]),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def vol_paths(draw) -> VolPath:
+    """A finite symmetric path of 1 to 3 assets over 1 to 8 times of [0, 1]."""
+    times = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8, unique=True)))
+    d = draw(st.integers(1, 3))
+    iu, ju = np.triu_indices(d)
+    upper = draw(st.lists(ENTRIES, min_size=len(times) * iu.size, max_size=len(times) * iu.size))
+    mats = np.zeros((len(times), d, d))
+    mats[:, iu, ju] = mats[:, ju, iu] = np.reshape(upper, (len(times), iu.size))
+    return VolPath(times=np.array(times), matrices=mats, asset_ids=tuple(f"A{i + 1}" for i in range(d)))
+
+
+@PROPERTY
+@given(vol_paths())
+def test_vol_csv_round_trip_keeps_every_bit(tick_dir, path):
+    f = tick_dir / "vol.csv"
+    write_vol_csv(path, f)
+    back = read_vol_csv(f)
+    np.testing.assert_array_equal(back.times.view(np.int64), path.times.view(np.int64))
+    np.testing.assert_array_equal(back.matrices.view(np.int64), path.matrices.view(np.int64))
+
+
+@PROPERTY
+@given(vol_paths(), st.sampled_from([np.nan, np.inf, -np.inf]), st.booleans(), st.data())
+def test_vol_path_names_the_time_of_a_non_finite_entry(path, bad, overflow, data):
+    n, d = len(path), path.d
+    mats = path.matrices.copy()
+    if overflow:  # the finite entries alone overflow the sum that screens the path
+        mats[...] = 1.7e308
+    g, i, j = (data.draw(st.integers(0, k - 1)) for k in (n, d, d))
+    mats[g, i, j] = bad
+    want = re.escape(f"non-finite volatility matrix at t={path.times[g]}")
+    with pytest.raises(EstimationError, match=f"^{want}$"):
+        VolPath(times=path.times, matrices=mats, asset_ids=path.asset_ids)

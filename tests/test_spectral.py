@@ -75,9 +75,8 @@ def test_pca_ratios_rejects_non_finite():
     nan_offdiag = np.array([[1.0, np.nan], [np.nan, 1.0]])
     inf_diag = np.diag([np.inf, 1.0])
     for bad in (nan_offdiag, inf_diag):
-        path = _path_of([np.eye(2), bad], times=[0.25, 0.75])
         with pytest.raises(ValueError, match=r"non-finite volatility matrix at t=0\.75"):
-            pca_ratios(path)
+            pca_ratios(_path_of([np.eye(2), bad], times=[0.25, 0.75]))
 
 
 def test_pca_ratios_names_first_failing_time():
@@ -91,7 +90,7 @@ def test_pca_ratios_names_first_failing_time():
     with pytest.raises(ValueError, match=r"at t=0\.4: matrix is not symmetric"):
         pca_ratios(_path_of([good, asym, not_psd], times))
     with pytest.raises(ValueError, match=r"degenerate volatility matrix at t=0\.2"):
-        pca_ratios(_path_of([np.zeros((2, 2)), asym, np.diag([1.0, np.nan])], times))
+        pca_ratios(_path_of([np.zeros((2, 2)), asym, not_psd], times))
 
 
 def test_pca_ratios_rejects_a_subnormal_matrix_by_name(rng):
@@ -110,6 +109,16 @@ def test_pca_ratios_rejects_a_subnormal_matrix_by_name(rng):
     assert 0.0 < np.abs(path.matrices).max() < tiny
     with pytest.raises(ValueError, match=r"subnormal volatility matrix at t=0\.0066"):
         pca_ratios(path)
+
+
+def test_pca_ratios_names_an_overflowing_time_with_no_numpy_warning():
+    # the suite turns numpy's overflow warnings into errors
+    (rep,) = pca_ratios(_path_of([np.diag([1e308, 5e307])]))  # the trace is still finite
+    np.testing.assert_allclose(rep.ratios, [2 / 3, 1.0], rtol=1e-15)
+    with pytest.raises(ValueError, match=r"overflowing volatility matrix at t=0\.6: trace = inf"):
+        pca_ratios(_path_of([np.eye(2), np.diag([1e308, 1e308])], times=[0.2, 0.6]))
+    with pytest.raises(ValueError, match=r"at t=0\.6: matrix is not symmetric: max\|A - A\.T\| = inf"):
+        pca_ratios(_path_of([np.eye(2), [[1.0, 1e308], [-1e308, 1.0]]], times=[0.2, 0.6]))
 
 
 def test_pca_full_ratio_reaches_one(rng):
