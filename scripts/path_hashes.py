@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print two sha256 digests: one over the estimators' outputs, one over tick ingest.
+"""Print three sha256 digests: over the estimators' outputs, tick ingest and the simulator.
 
 A change meant to keep every output bit prints the same digests before and
 after. The first covers the classical, psd_direct and psd_factorized forms,
@@ -13,6 +13,12 @@ The second covers ``load_csv`` of each panel written by ``write_csv``: the
 ids, times, values and time span it returns, for the log-prices and for
 their exponentials read as raw prices, each from the file as written (one
 asset after another) and from a copy with the assets' rows interleaved.
+
+The third covers the simulator: for each of the three models at two seeds
+and on an odd and an even fine grid, the fine path, its oracle at a few
+times and the ticks ``sample`` takes from it under both sampling kinds;
+then ``Xoshiro256PP.normals`` at odd and even counts and ``random_loadings``
+with an odd count.
 
 A multithreaded BLAS may split a product differently with more threads, so
 the digest is pinned for one BLAS thread; OPENBLAS_NUM_THREADS defaults to 1
@@ -29,10 +35,12 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads its BLA
 import numpy as np  # noqa: E402
 
 import spotvol as sv  # noqa: E402
+from spotvol import simulation  # noqa: E402
 
 SIZES = ((40, 2000, 40, 390), (3, 23400, 75, 150), (12, 150, 15, 4), (1, 50, 3, 7),
          (100, 300, 15, 45), (2, 30, 5, 33))
 POINTS = (0.0, 0.37, 1.0)
+SIM_SEEDS = (3, 2**64 - 1)
 
 
 def kernels(m: int):
@@ -94,8 +102,33 @@ def ingested(obs: sv.ObservationSet, directory: Path):
                 yield s.values.tobytes()
 
 
+def simulated():
+    """The bytes of each model's paths and sampled ticks, then of the raw normals and loadings."""
+    for seed in SIM_SEEDS:
+        models = (
+            sv.ConstCorrModel(covariance=0.04 * simulation.equicorrelation(3, 0.3)),
+            sv.SinVolModel(base=np.array([0.3, 0.2, 0.25]), swing=np.array([0.1, 0.05, 0.0]),
+                           corr=0.2),
+            sv.FactorModel(loadings=sv.random_loadings(5, 2, seed), idio=0.1),
+        )
+        for model in models:
+            for fine_steps in (1001, 1500):
+                fine, oracle = sv.simulate(model, fine_steps, seed)
+                yield fine.times.tobytes()
+                yield fine.values.tobytes()
+                yield oracle.path(POINTS).tobytes()
+                for kind in ("sync_uniform", "poisson"):
+                    obs = sv.sample(fine, sv.SamplingScheme(kind=kind, n_target=150), seed)
+                    for s in obs.series:
+                        yield s.times.tobytes()
+                        yield s.values.tobytes()
+        for n in (1, 2, 7, 1001):
+            yield simulation.Xoshiro256PP(seed).normals(n).tobytes()
+        yield sv.random_loadings(7, 3, seed).tobytes()
+
+
 def main() -> None:
-    digest, ingest = hashlib.sha256(), hashlib.sha256()
+    digest, ingest, sim = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         for seed, (d, n, m, g) in enumerate(SIZES):
             obs = panel(d, n, seed)
@@ -104,8 +137,11 @@ def main() -> None:
                 digest.update(np.ascontiguousarray(v).tobytes())
             for chunk in ingested(obs, Path(tmp)):
                 ingest.update(chunk)
+    for chunk in simulated():
+        sim.update(chunk)
     print(digest.hexdigest())
     print(ingest.hexdigest())
+    print(sim.hexdigest())
 
 
 if __name__ == "__main__":

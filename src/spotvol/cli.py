@@ -41,15 +41,9 @@ def _kernel_params(family: str | None, fields: dict, m: int) -> kernels.KernelPa
     return kernels.KernelParams(family=family, **fields)
 
 
-def _check_count(flag: str, value: int) -> None:
-    """A count flag, such as --d, --M, --nodes or --grid, checked before anything is read or simulated."""
-    if not kernels.is_positive_int(value):
-        raise ValueError(f"{flag} must be a positive integer")
-
-
 def _build_model(args) -> simulation.SimModel:
     d = args.d
-    _check_count("--d", d)
+    kernels.require_count("--d", d)
     if args.model == "const-corr":
         cov = args.var * simulation.equicorrelation(d, args.rho)
         return simulation.ConstCorrModel(covariance=cov)
@@ -57,14 +51,14 @@ def _build_model(args) -> simulation.SimModel:
         return simulation.SinVolModel(
             base=np.full(d, args.a), swing=np.full(d, args.b), corr=args.rho
         )
-    _check_count("--r", args.r)
+    kernels.require_count("--r", args.r)
     loadings = simulation.random_loadings(d, args.r, args.seed)
     return simulation.FactorModel(loadings=loadings, idio=args.eps)
 
 
 def _cmd_simulate(args) -> int:
-    _check_count("--n", args.n)  # before it sets the fine grid's size
-    _check_count("--grid", args.grid)
+    kernels.require_count("--n", args.n)  # before it sets the fine grid's size
+    kernels.require_count("--grid", args.grid)
     model = _build_model(args)
     grid = _eval_grid(args.grid)
     fine_steps = args.fine_steps if args.fine_steps is not None else 10 * args.n
@@ -90,7 +84,7 @@ def _cmd_estimate(args) -> int:
     counts = (("--M", args.M), ("--L", args.L), ("--nodes", args.nodes), ("--grid", args.grid))
     for flag, value in counts:
         if value is not None:
-            _check_count(flag, value)
+            kernels.require_count(flag, value)
     if args.L is not None and method != "classical":
         raise ValueError("--L applies only to --method classical")
     fields = {name: getattr(args, name) for name in KERNEL_FLAGS}
@@ -170,7 +164,7 @@ def render_pca_svg(pca: spectral.PcaPath) -> str:
 
 
 def _cmd_pca(args) -> int:
-    _check_count("--top", args.top)
+    kernels.require_count("--top", args.top)
     path = est_mod.read_vol_csv(args.input)
     pca = spectral.pca_ratios(path, top=args.top)
     spectral.write_pca_csv(pca, args.out_csv)
@@ -189,7 +183,7 @@ def run_bench(d: int, n: int, m: int, reps: int, grid: int, seed: int) -> dict:
     once, all by ``timeit`` with the garbage collector on.
     """
     for flag, value in (("--d", d), ("--n", n), ("--M", m), ("--reps", reps)):
-        _check_count(flag, value)
+        kernels.require_count(flag, value)
     if grid != 0 and not kernels.is_positive_int(grid):
         raise ValueError("--grid must be a nonnegative integer")
     model = simulation.ConstCorrModel(covariance=simulation.equicorrelation(d, 0.3))

@@ -70,8 +70,8 @@ from .kernels import (
     PSDFunction,
     SpectralMeasure,
     c_from_measure,
-    is_positive_int,
     make_measure,
+    require_count,
 )
 from .market_data import IncrementTable, ObservationSet, increments, write_rows
 
@@ -155,8 +155,7 @@ def build_fiber(m: int) -> GenericSpec:
     2m + 1 - |k| and every component lies in [-m, m]. Returned without a
     weight table.
     """
-    if not is_positive_int(m):
-        raise EstimationError("cutoff must be a positive integer")
+    require_count("cutoff", m, EstimationError)
     fiber: dict[int, tuple[tuple[int, int], ...]] = {}
     for k in range(-2 * m, 2 * m + 1):
         if k >= 0:
@@ -193,8 +192,7 @@ def fourier_coefficients(inc: IncrementTable, order: int) -> np.ndarray:
     not depend on its order: the order-m slice of a larger table is the
     order-m table bit for bit.
     """
-    if not is_positive_int(order):
-        raise EstimationError("order must be a positive integer")
+    require_count("order", order, EstimationError)
     giant = -(-(order + 1) // B)  # ceil((order + 1) / B)
     a = np.empty((inc.d, 2 * order + 1), dtype=complex)
     longest = max(asset.times.size for asset in inc.assets)
@@ -278,10 +276,9 @@ class EstimatorConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise EstimationError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        if not is_positive_int(self.m):
-            raise EstimationError("cutoff must be a positive integer")
-        if self.l is not None and not is_positive_int(self.l):
-            raise EstimationError("smoothing order must be a positive integer")
+        require_count("cutoff", self.m, EstimationError)
+        if self.l is not None:
+            require_count("smoothing order", self.l, EstimationError)
         object.__setattr__(self, "eval_grid", _eval_times(self.eval_grid))
         if self.method in KERNEL_METHODS and self.kernel is None:
             raise EstimationError(f"method {self.method!r} requires kernel parameters")
@@ -413,8 +410,7 @@ def _factorized_form(inc: IncrementTable, mu: SpectralMeasure, m: int, block: in
     into the path's matrices, and its upper triangle is mirrored there in
     place, so the output is exactly symmetric whichever product numpy picks.
     """
-    if not is_positive_int(m):
-        raise EstimationError("cutoff must be a positive integer")
+    require_count("cutoff", m, EstimationError)
     stack = _stacker(inc, m, _quadrature_rows(mu, m), block)
 
     def at(times: np.ndarray, out: np.ndarray) -> None:
@@ -435,12 +431,9 @@ def _classical_form(inc: IncrementTable, m: int, l: int | None, block: int):
     table at order m + l, whose order-m slice is the order-m table bit for
     bit; the lag stack, |k| <= l, is one gather and one batched product.
     """
-    if not is_positive_int(m):
-        raise EstimationError("cutoff must be a positive integer")
-    if l is None:
-        l = m
-    elif not is_positive_int(l):
-        raise EstimationError("smoothing order must be a positive integer")
+    require_count("cutoff", m, EstimationError)
+    l = m if l is None else l
+    require_count("smoothing order", l, EstimationError)
     a = fourier_coefficients(inc, m + l)  # a[j, s + m + l] = a_j(s)
     k = np.arange(-l, l + 1)
     shifted = a.T[k[:, None] - np.arange(-m, m + 1) + m + l]  # [k, u, j] = a_j(k - u)

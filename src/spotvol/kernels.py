@@ -42,6 +42,12 @@ def is_positive_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
 
 
+def require_count(name: str, value, error: type[Exception] = ValueError) -> None:
+    """Raise ``error("<name> must be a positive integer")`` unless ``is_positive_int(value)``."""
+    if not is_positive_int(value):
+        raise error(f"{name} must be a positive integer")
+
+
 def stray_field(family: str | None, values) -> str | None:
     """The first field of ``values`` (field -> value) off its default that ``family`` lacks, else None."""
     defaults = {f.name: f.default for f in fields(KernelParams)}
@@ -63,8 +69,7 @@ def dirichlet_eval(m: int, x):
     1-periodic and even; within 1e-9 of an integer the limit 2m+1 is
     returned, where the closed form is 0/0. Accepts scalars or arrays.
     """
-    if not is_positive_int(m):
-        raise ValueError("kernel order must be a positive integer")
+    require_count("kernel order", m)
     arr = np.asarray(x, dtype=float)
     safe, near = _reduced(arr)
     out = np.where(near, float(2 * m + 1), np.sin((2 * m + 1) * np.pi * safe) / np.sin(np.pi * safe))
@@ -77,8 +82,7 @@ def fejer_eval(l: int, x):
     Equals sum_{|k| <= l-1} (1 - |k|/l) e^{2 pi i k x}; nonnegative,
     1-periodic, and equal to l at integers. Accepts scalars or arrays.
     """
-    if not is_positive_int(l):
-        raise ValueError("kernel order must be a positive integer")
+    require_count("kernel order", l)
     arr = np.asarray(x, dtype=float)
     safe, near = _reduced(arr)
     ratio = np.sin(l * np.pi * safe) / np.sin(np.pi * safe)
@@ -116,8 +120,8 @@ class KernelParams:
             raise ValueError(f"cauchy family requires a finite gamma > 0, got {self.gamma!r}")
         if self.family == "gaussian" and (self.l_gauss is None or not 0.0 < self.l_gauss < math.inf):
             raise ValueError(f"gaussian family requires a finite l_gauss > 0, got {self.l_gauss!r}")
-        if self.nodes is not None and not is_positive_int(self.nodes):
-            raise ValueError("nodes must be a positive integer")
+        if self.nodes is not None:
+            require_count("nodes", self.nodes)
 
 
 @dataclass(frozen=True)
@@ -175,8 +179,7 @@ def make_measure(params: KernelParams, m: int) -> SpectralMeasure:
               reproduces the triangular weight table with no discretization
               error.
     """
-    if not is_positive_int(m):
-        raise ValueError("cutoff must be a positive integer")
+    require_count("cutoff", m)
     if params.family == "flat":
         return SpectralMeasure(
             atoms=np.array([0.0]),
@@ -227,8 +230,7 @@ class PSDFunction:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if not is_positive_int(self.m):
-            raise ValueError("cutoff must be a positive integer")
+        require_count("cutoff", self.m)
         values = np.asarray(self.values, dtype=complex)
         object.__setattr__(self, "values", values)
         if values.ndim != 1 or values.size != 4 * self.m + 1:
@@ -263,8 +265,7 @@ def c_from_measure(mu: SpectralMeasure, m: int) -> PSDFunction:
     construction. The negative half of the table is mirrored from the
     positive half, so Hermitian symmetry is exact.
     """
-    if not is_positive_int(m):
-        raise ValueError("cutoff must be a positive integer")
+    require_count("cutoff", m)
     ks = np.arange(2 * m + 1)
     pos = np.exp(2j * np.pi * np.outer(ks, mu.atoms)) @ mu.weights
     values = np.empty(4 * m + 1, dtype=complex)

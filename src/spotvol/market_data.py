@@ -114,13 +114,20 @@ class IncrementTable:
 
 
 def increments(obs: ObservationSet) -> IncrementTable:
-    """Exact first differences of the log-prices, keyed by right endpoints."""
-    return IncrementTable(
-        assets=tuple(
-            AssetIncrements(asset_id=s.asset_id, times=s.times[1:].copy(), dx=np.diff(s.values))
-            for s in obs.series
-        )
-    )
+    """Exact first differences of the log-prices, keyed by right endpoints.
+
+    The first that overflows raises ``MarketDataError`` naming its asset, time and log-prices.
+    """
+    assets = []
+    for s in obs.series:
+        with np.errstate(over="ignore"):
+            dx = np.diff(s.values)
+        if not np.isfinite(dx).all():
+            l = int(np.argmin(np.isfinite(dx)))
+            raise MarketDataError(f"{s.asset_id}: the increment at t={s.times[l + 1]} overflows: "
+                                  f"log-price {s.values[l]} to {s.values[l + 1]}")
+        assets.append(AssetIncrements(asset_id=s.asset_id, times=s.times[1:].copy(), dx=dx))
+    return IncrementTable(assets=tuple(assets))
 
 
 def load_csv(path, price_kind: str = "log") -> ObservationSet:

@@ -29,13 +29,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
 from .market_data import ObservationSet, TickSeries
 from .estimator import VolPath, default_asset_ids
-from .kernels import is_positive_int
+from .kernels import is_positive_int, require_count
 from . import spectral
 
 _MASK64 = (1 << 64) - 1
@@ -86,7 +87,7 @@ class Xoshiro256PP:
 
     def normals(self, n: int) -> np.ndarray:
         """Standard normals via Box-Muller; pairs drawn as (u1, u2), u1 in (0, 1]."""
-        return _box_muller(_lockstep_u64([self], 2 * ((n + 1) // 2))[:, 0], n)
+        return _box_muller(_lockstep_u64([self], 2 * ((n + 1) // 2)), n)[0]
 
 
 def _lanes(words: Sequence[int]) -> int:
@@ -140,31 +141,35 @@ def _uniforms(raw: np.ndarray) -> np.ndarray:
     return (raw >> 11).astype(float) * _TWO_NEG53
 
 
-def _box_muller(raw: np.ndarray, n: int) -> np.ndarray:
-    """The first n normals of one stream's raw outputs, taken in (u1, u2) pairs.
+def _each(f, x: np.ndarray) -> np.ndarray:
+    """The ``math`` function f at every element of x, which gives the same bits on every machine.
 
-    u1 = ((x >> 11) + 1) 2^-53 lies in (0, 1]. numpy does only exact
-    conversions, single IEEE products and the correctly rounded square root;
-    the log, cos and sin are ``math``'s.
+    The elements go to f a row at a time, so only one row is ever held as Python floats.
     """
-    bits = raw >> 11
-    u1 = ((bits[0::2] + 1).astype(float) * _TWO_NEG53).tolist()
-    angle = ((2.0 * math.pi) * (bits[1::2].astype(float) * _TWO_NEG53)).tolist()
-    r = np.sqrt(-2.0 * np.fromiter(map(math.log, u1), float, len(u1)))
-    out = np.empty(2 * len(u1))
-    out[0::2] = r * np.fromiter(map(math.cos, angle), float, len(u1))
-    out[1::2] = r * np.fromiter(map(math.sin, angle), float, len(u1))
-    return out[:n]
+    rows = chain.from_iterable(row.tolist() for row in np.atleast_2d(x))
+    return np.fromiter(map(f, rows), float, x.size).reshape(x.shape)
+
+
+def _box_muller(raw: np.ndarray, n: int) -> np.ndarray:
+    """The first n normals of each stream in a (steps, streams) block of raw draws, as (streams, n).
+
+    Each stream's uniforms, in pairs (u, v) from ``_uniforms``, give the radius
+    sqrt(-2 log(u + 2^-53)), an exact sum in (0, 1], and the angle 2 pi v.
+    numpy does only exact conversions, single IEEE sums and products and the
+    correctly rounded square root; the log, cos and sin are ``math``'s.
+    """
+    r = np.sqrt(-2.0 * _each(math.log, _uniforms(raw[0::2].T) + _TWO_NEG53))
+    angle = (2.0 * math.pi) * _uniforms(raw[1::2].T)
+    out = np.empty((raw.shape[1], raw.shape[0]))
+    np.multiply(r, _each(math.cos, angle), out=out[:, 0::2])
+    np.multiply(r, _each(math.sin, angle), out=out[:, 1::2])
+    return out[:, :n]
 
 
 def _path_normals(seed: int, count: int, n: int) -> np.ndarray:
     """n normals from each of the path streams 0..count-1, as (count, n)."""
     rngs = [substream(seed, SALT_PATH, i) for i in range(count)]
-    raw = _lockstep_u64(rngs, 2 * ((n + 1) // 2))
-    z = np.empty((count, n))
-    for i in range(count):
-        z[i] = _box_muller(raw[:, i], n)
-    return z
+    return _box_muller(_lockstep_u64(rngs, 2 * ((n + 1) // 2)), n)
 
 
 def substream(seed: int, salt: int, index: int) -> Xoshiro256PP:
@@ -352,8 +357,7 @@ class SamplingScheme:
     def __post_init__(self) -> None:
         if self.kind not in ("sync_uniform", "poisson"):
             raise ValueError(f"unknown sampling kind {self.kind!r}")
-        if not is_positive_int(self.n_target):
-            raise ValueError("n_target must be a positive integer")
+        require_count("n_target", self.n_target)
 
 
 def _poisson_indices(rngs: Sequence[Xoshiro256PP], rate: int, steps: int) -> list[np.ndarray]:
@@ -369,8 +373,7 @@ def _poisson_indices(rngs: Sequence[Xoshiro256PP], rate: int, steps: int) -> lis
     for j, rng in enumerate(rngs):
         block, start, parts = raw[:, j], 0.0, []
         while True:
-            logs = map(math.log, (1.0 - _uniforms(block)).tolist())
-            gaps = -np.fromiter(logs, float, block.size) / rate
+            gaps = -_each(math.log, 1.0 - _uniforms(block)) / rate
             times = np.cumsum(np.concatenate(([start], gaps)))[1:]
             stop = int(np.searchsorted(times, 1.0, side="left"))
             parts.append(times[:stop])

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .kernels import is_positive_int
+from .kernels import require_count
 from .market_data import write_rows
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -72,8 +72,7 @@ def pca_ratios(path: "VolPath", top: int = 3) -> PcaPath:
     estimator), or a trace or eigenvalue sum that overflows raises
     ``ValueError`` naming the first time that fails.
     """
-    if not is_positive_int(top):
-        raise ValueError("top must be a positive integer")
+    require_count("top", top)
     times, mats = path.times, path.matrices
     with np.errstate(over="ignore"):  # entries near the end of the double range
         traces = np.trace(mats, axis1=1, axis2=2)

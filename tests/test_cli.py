@@ -306,6 +306,21 @@ def test_estimate_writes_nothing_when_the_path_is_not_finite(rng, tmp_path, caps
     assert not vol.exists()
 
 
+def test_an_overflowing_increment_names_its_asset_time_and_log_prices(tmp_path, capsys):
+    # the suite's filter makes a numpy overflow warning from np.diff an error
+    ticks, vol = tmp_path / "ticks.csv", tmp_path / "vol.csv"
+    ticks.write_text("asset,time,price\nA,0.0,1e308\nA,0.5,-1e308\nA,1.0,0.0\n"
+                     "B,0.0,0.0\nB,1.0,1.0\n")
+    message = "A: the increment at t=0.5 overflows: log-price 1e+308 to -1e+308"
+    with pytest.raises(market_data.MarketDataError) as caught:
+        market_data.increments(market_data.load_csv(ticks))
+    assert str(caught.value) == message
+    assert run(["estimate", "--input", ticks, "--out", vol]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"error: {message}" and "Warning" not in err
+    assert not vol.exists()
+
+
 def test_simulate_writes_nothing_when_a_flag_is_invalid(tmp_path, capsys):
     ticks, oracle = tmp_path / "ticks.csv", tmp_path / "oracle.csv"
     assert run(["simulate", "--model", "const-corr", "--d", 2, "--n", 20, "--grid", 0,

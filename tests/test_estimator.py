@@ -42,7 +42,13 @@ from spotvol.kernels import (
     fejer_eval,
     make_measure,
 )
-from spotvol.market_data import AssetIncrements, IncrementTable
+from spotvol.market_data import (
+    AssetIncrements,
+    IncrementTable,
+    MarketDataError,
+    ObservationSet,
+    TickSeries,
+)
 from spotvol.simulation import ConstCorrModel, SamplingScheme, random_loadings, simulate
 from spotvol.spectral import pca_ratios
 
@@ -824,6 +830,44 @@ def test_an_overflowing_path_raises_with_no_numpy_warning(rng, method):
         estimate_path(obs, config)
     with pytest.raises(EstimationError, match=r"non-finite volatility matrix at t=0\.5"):
         pointwise_estimators(kernel, m)[method](make_increments(obs), 0.5)
+
+
+def _overflow_walk_panel():
+    """Three assets of 40 ticks with log-prices in [-1.5, 1.5]; the third jumps by about 2.4."""
+    rng = np.random.default_rng(5)
+    series = []
+    for j in range(3):
+        times = np.concatenate([[0.0], np.sort(rng.random(38)), [1.0]])
+        values = np.cumsum(rng.standard_normal(40))
+        values /= np.max(np.abs(values))
+        if j == 2:
+            values = 0.3 * values + np.where(np.arange(40) < 20, -1.2, 1.2)
+        series.append((f"A{j + 1}", times, values))
+    return series
+
+
+@pytest.mark.parametrize("k", [0, 256, 512, 900, 1000, 1020, 1023])
+@pytest.mark.parametrize("method", ["classical", "psd_direct", "psd_factorized"])
+def test_log_prices_scaled_to_the_overflow_end_give_a_path_or_one_clear_error(k, method):
+    obs = ObservationSet(series=tuple(TickSeries(a, t, v * 2.0**k)
+                                      for a, t, v in _overflow_walk_panel()))
+    config = EstimatorConfig(method=method, eval_grid=np.linspace(0.0, 1.0, 7), m=5,
+                             kernel=None if method == "classical" else
+                             KernelParams(family="gaussian", l_gauss=11.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on the way to either outcome
+        try:
+            path = estimate_path(obs, config)
+            pca = None if method == "classical" else pca_ratios(path)
+        except ValueError as exc:  # MarketDataError and EstimationError among them
+            assert k > 0 and str(exc)
+            if k == 1023:  # the third asset's jump of about 2.4 overflows its increment
+                assert type(exc) is MarketDataError and str(exc).startswith("A3: the increment")
+            return
+    assert k < 1023 and np.all(np.isfinite(path.matrices))
+    if pca is not None:
+        ratios = np.array([rep.ratios for rep in pca])
+        assert np.all((ratios >= 0.0) & (ratios <= 1.0))
 
 
 def test_vol_path_names_the_first_non_finite_time_and_passes_a_finite_sum_overflow():

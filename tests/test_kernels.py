@@ -1,6 +1,15 @@
 import numpy as np
 import pytest
 
+from spotvol.estimator import (
+    EstimationError,
+    EstimatorConfig,
+    VolPath,
+    build_fiber,
+    estimate_classical,
+    estimate_psd_factorized,
+    fourier_coefficients,
+)
 from spotvol.kernels import (
     KernelParams,
     PSDFunction,
@@ -11,6 +20,9 @@ from spotvol.kernels import (
     make_measure,
     verify_psd_function,
 )
+from spotvol.market_data import ObservationSet, TickSeries, increments
+from spotvol.simulation import SamplingScheme
+from spotvol.spectral import pca_ratios
 
 
 def dirichlet_direct(m, x):
@@ -246,3 +258,51 @@ def test_spectral_measure_validation():
         SpectralMeasure(atoms=np.array([0.1, 0.1]), weights=np.array([1.0, 1.0]))
     with pytest.raises(ValueError, match=r"\[-1/2, 1/2\)"):
         SpectralMeasure(atoms=np.array([0.5]), weights=np.array([1.0]))
+
+
+
+def _count_sites():
+    """One ``pytest.param(error, name, call)`` for every library count argument: its error class and name."""
+    times = np.linspace(0.0, 1.0, 9)
+    obs = ObservationSet(series=(TickSeries("A1", times, np.sin(7 * times)),
+                                 TickSeries("A2", times, np.cos(5 * times))))
+    inc = increments(obs)
+    gauss = KernelParams(family="gaussian", l_gauss=7.0)
+    mu = make_measure(gauss, 3)
+    path = VolPath(times=np.array([0.5]), matrices=np.eye(2)[None], asset_ids=("A1", "A2"))
+    sites = {
+        "build_fiber": (EstimationError, "cutoff", build_fiber),
+        "fourier_coefficients": (EstimationError, "order", lambda v: fourier_coefficients(inc, v)),
+        "EstimatorConfig.m": (EstimationError, "cutoff",
+                              lambda v: EstimatorConfig(method="classical", eval_grid=[0.5], m=v)),
+        "EstimatorConfig.l": (EstimationError, "smoothing order",
+                              lambda v: EstimatorConfig(method="classical", eval_grid=[0.5], l=v)),
+        "estimate_psd_factorized": (EstimationError, "cutoff",
+                                    lambda v: estimate_psd_factorized(inc, mu, v, 0.5)),
+        "estimate_classical.m": (EstimationError, "cutoff",
+                                 lambda v: estimate_classical(inc, v, None, 0.5)),
+        "estimate_classical.l": (EstimationError, "smoothing order",
+                                 lambda v: estimate_classical(inc, 3, v, 0.5)),
+        "make_measure": (ValueError, "cutoff", lambda v: make_measure(gauss, v)),
+        "c_from_measure": (ValueError, "cutoff", lambda v: c_from_measure(mu, v)),
+        "PSDFunction": (ValueError, "cutoff",
+                        lambda v: PSDFunction(m=v, values=c_from_measure(mu, 3).values)),
+        "dirichlet_eval": (ValueError, "kernel order", lambda v: dirichlet_eval(v, 0.3)),
+        "fejer_eval": (ValueError, "kernel order", lambda v: fejer_eval(v, 0.3)),
+        "KernelParams.nodes": (ValueError, "nodes",
+                               lambda v: KernelParams(family="gaussian", l_gauss=7.0, nodes=v)),
+        "SamplingScheme.n_target": (ValueError, "n_target",
+                                    lambda v: SamplingScheme(kind="poisson", n_target=v)),
+        "pca_ratios.top": (ValueError, "top", lambda v: pca_ratios(path, top=v)),
+    }
+    return [pytest.param(*site, id=name) for name, site in sites.items()]
+
+
+@pytest.mark.parametrize("error, name, call", _count_sites())
+def test_every_count_argument_names_itself_and_takes_a_numpy_integer(error, name, call):
+    for value in (0, -1, 2.0, True, np.int64(0)):
+        with pytest.raises(ValueError) as caught:
+            call(value)
+        assert type(caught.value) is error
+        assert str(caught.value) == f"{name} must be a positive integer"
+    call(np.int64(3))
