@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print three sha256 digests: over the estimators' outputs, tick ingest and the simulator.
+"""Print four sha256 digests: over the estimators' outputs, tick ingest, the simulator and PCA.
 
 A change meant to keep every output bit prints the same digests before and
 after. The first covers the classical, psd_direct and psd_factorized forms,
@@ -20,6 +20,13 @@ times and the ticks ``sample`` takes from it under both sampling kinds;
 then ``Xoshiro256PP.normals`` at odd and even counts and ``random_loadings``
 with an odd count.
 
+The fourth covers the PCA stage: the eigenvalues and ratios ``pca_ratios``
+gives at top = 1, 3 and d + 2 on three psd_factorized paths of the README's
+factor model (d = 12, r = 3, 150 Poisson ticks, seed 7, M = 15, 150 times):
+under the gaussian measure, under the flat measure (rank one), and of its
+first asset alone (d = 1), with the ``write_pca_csv`` and ``render_pca_svg``
+bytes of each.
+
 A multithreaded BLAS may split a product differently with more threads, so
 the digest is pinned for one BLAS thread; OPENBLAS_NUM_THREADS defaults to 1
 here. Run from the repository root:  PYTHONPATH=src python3 scripts/path_hashes.py
@@ -36,6 +43,7 @@ import numpy as np  # noqa: E402
 
 import spotvol as sv  # noqa: E402
 from spotvol import simulation  # noqa: E402
+from spotvol.cli import render_pca_svg  # noqa: E402
 
 SIZES = ((40, 2000, 40, 390), (3, 23400, 75, 150), (12, 150, 15, 4), (1, 50, 3, 7),
          (100, 300, 15, 45), (2, 30, 5, 33))
@@ -127,8 +135,29 @@ def simulated():
         yield sv.random_loadings(7, 3, seed).tobytes()
 
 
+def pca_stage(directory: Path):
+    """The bytes of the PCA of three README-model paths, and of their CSV and SVG files."""
+    fine, _ = sv.simulate(sv.FactorModel(loadings=sv.random_loadings(12, 3, 7), idio=0.05), 1500, 7)
+    obs = sv.sample(fine, sv.SamplingScheme(kind="poisson", n_target=150), 7)
+    grid = np.arange(1, 151) / 150
+    gaussian = sv.KernelParams(family="gaussian", l_gauss=31.0)
+    cases = ((obs, gaussian), (obs, sv.KernelParams(family="flat")),
+             (sv.ObservationSet(series=obs.series[:1]), gaussian))
+    for panel_obs, kernel in cases:
+        config = sv.EstimatorConfig(method="psd_factorized", eval_grid=grid, m=15, kernel=kernel)
+        path = sv.estimate_path(panel_obs, config)
+        for top in (1, 3, panel_obs.d + 2):
+            pca = sv.pca_ratios(path, top=top)
+            for rep in pca:
+                yield rep.eigenvalues.tobytes()
+                yield rep.ratios.tobytes()
+            sv.write_pca_csv(pca, directory / "pca.csv")
+            yield (directory / "pca.csv").read_bytes()
+            yield render_pca_svg(pca).encode()
+
+
 def main() -> None:
-    digest, ingest, sim = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    digest, ingest, sim, pca = hashlib.sha256(), hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         for seed, (d, n, m, g) in enumerate(SIZES):
             obs = panel(d, n, seed)
@@ -137,11 +166,14 @@ def main() -> None:
                 digest.update(np.ascontiguousarray(v).tobytes())
             for chunk in ingested(obs, Path(tmp)):
                 ingest.update(chunk)
+        for chunk in pca_stage(Path(tmp)):
+            pca.update(chunk)
     for chunk in simulated():
         sim.update(chunk)
     print(digest.hexdigest())
     print(ingest.hexdigest())
     print(sim.hexdigest())
+    print(pca.hexdigest())
 
 
 if __name__ == "__main__":

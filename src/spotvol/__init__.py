@@ -48,7 +48,6 @@ from .spectral import (
     EigenReport,
     PcaPath,
     pca_ratios,
-    rank_estimate,
     write_pca_csv,
 )
 from .simulation import (

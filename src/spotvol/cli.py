@@ -144,7 +144,7 @@ def _panel_svg(lines: list[str], x0: int, y0: int, w: int, h: int, ts, rs, label
 def render_pca_svg(pca: spectral.PcaPath) -> str:
     """Self-contained SVG: one stacked panel per cumulative eigenvalue share."""
     ts = pca.times
-    n_curves = pca.reports[0].ratios.size
+    n_curves = pca.widths()[1]
     margin_left, margin_right, margin_top = 50, 20, 20
     panel_w, panel_h, panel_gap = 620, 160, 40
     width = margin_left + panel_w + margin_right

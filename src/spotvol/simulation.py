@@ -158,9 +158,16 @@ def _box_muller(raw: np.ndarray, n: int) -> np.ndarray:
     numpy does only exact conversions, single IEEE sums and products and the
     correctly rounded square root; the log, cos and sin are ``math``'s.
     """
-    r = np.sqrt(-2.0 * _each(math.log, _uniforms(raw[0::2].T) + _TWO_NEG53))
-    angle = (2.0 * math.pi) * _uniforms(raw[1::2].T)
-    out = np.empty((raw.shape[1], raw.shape[0]))
+    shape = raw.shape[::-1]
+    u, angle = _uniforms(raw[0::2].T), _uniforms(raw[1::2].T)
+    del raw  # the draws are freed once the caller holds no other reference
+    u += _TWO_NEG53
+    r = _each(math.log, u)
+    del u
+    r *= -2.0
+    np.sqrt(r, out=r)
+    angle *= 2.0 * math.pi
+    out = np.empty(shape)
     np.multiply(r, _each(math.cos, angle), out=out[:, 0::2])
     np.multiply(r, _each(math.sin, angle), out=out[:, 1::2])
     return out[:, :n]
@@ -315,6 +322,8 @@ def simulate(model: SimModel, fine_steps: int, seed: int) -> tuple[FinePath, Ora
     increments come from substream(seed, SALT_PATH, i); the factor model uses
     streams 0..r-1 for the factors and r..r+d-1 for the idiosyncratic parts.
     """
+    if not isinstance(model, SimModel):
+        raise TypeError(f"unknown model type {type(model).__name__}")
     if not (is_positive_int(fine_steps) and fine_steps >= 2):
         raise ValueError("fine_steps must be an integer of at least 2")
     d = model.d
@@ -333,13 +342,11 @@ def simulate(model: SimModel, fine_steps: int, seed: int) -> tuple[FinePath, Ora
         if isinstance(model, ConstCorrModel):
             dx = (_psd_factor(model.covariance) @ _path_normals(seed, d, fine_steps)) * sqrt_dt
             cov = model.covariance.copy()
-        elif isinstance(model, FactorModel):
+        else:
             r = model.r
             z = _path_normals(seed, r + d, fine_steps)
             dx = (model.loadings @ z[:r] + model.idio * z[r:]) * sqrt_dt
             cov = model.loadings @ model.loadings.T + model.idio**2 * np.eye(d)
-        else:
-            raise TypeError(f"unknown model type {type(model).__name__}")
 
         def vol(t: float) -> np.ndarray:
             return cov.copy()

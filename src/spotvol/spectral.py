@@ -59,18 +59,25 @@ class PcaPath:
     def times(self) -> np.ndarray:
         return np.array([r.t for r in self.reports])
 
+    def widths(self) -> tuple[int, int]:
+        """The eigenvalue and ratio counts of every report; an empty path has nothing to write."""
+        if not self.reports:
+            raise ValueError("cannot write an empty PCA path")
+        return self.reports[0].eigenvalues.size, self.reports[0].ratios.size
+
 
 def pca_ratios(path: "VolPath", top: int = 3) -> PcaPath:
     """Eigenvalues and cumulative explained-variance ratios along a matrix path.
 
     Eigenvalues in ``[-1e-10 * trace, 0)`` are clamped to zero before the
     ratios are formed, so every ratio lies in [0, 1]. The matrices are finite
-    (``VolPath`` holds no other), and each time is checked in turn: a
-    nonpositive trace, a subnormal max|A| (whose tolerances would underflow
-    to 0), an asymmetry above ``1e-10 * max|A|``, an eigenvalue below
-    ``-1e-10 * trace`` (the input did not come from a positive semi-definite
-    estimator), or a trace or eigenvalue sum that overflows raises
-    ``ValueError`` naming the first time that fails.
+    (``VolPath`` holds no other). Five rules are checked at every time, in
+    this order: a nonpositive trace, a subnormal max|A| (whose tolerances
+    would underflow to 0), an asymmetry above ``1e-10 * max|A|``, a trace or
+    eigenvalue sum that overflows, and an eigenvalue below ``-1e-10 * trace``
+    (the input did not come from a positive semi-definite estimator). The
+    first time that breaks any rule raises ``ValueError`` with the message
+    of the first rule it breaks.
     """
     require_count("top", top)
     times, mats = path.times, path.matrices
@@ -78,38 +85,33 @@ def pca_ratios(path: "VolPath", top: int = 3) -> PcaPath:
         traces = np.trace(mats, axis1=1, axis2=2)
         asym = np.max(np.abs(mats - np.swapaxes(mats, 1, 2)), axis=(1, 2))
         scale = np.max(np.abs(mats), axis=(1, 2))
-    tiny = np.finfo(float).tiny  # below it, the relative tolerances underflow to 0
-    bad = ~(traces > 0.0) | (scale < tiny) | (asym > SYMMETRY_RTOL * scale)
-    n_ok = int(np.argmax(bad)) if bad.any() else bad.size
-    # times before the first malformed matrix may still fail the PSD floor or overflow
-    eigvals = np.linalg.eigvalsh(mats[:n_ok], UPLO="U")[:, ::-1]
-    clamped = np.maximum(eigvals, 0.0)
-    with np.errstate(over="ignore"):
+        eigvals = np.linalg.eigvalsh(mats, UPLO="U")[:, ::-1]
+        clamped = np.maximum(eigvals, 0.0)
         totals = np.sum(clamped, axis=1)
-    below = eigvals[:, -1] < -CLAMP_RTOL * traces[:n_ok]
-    overflow = ~(np.isfinite(traces[:n_ok]) & np.isfinite(totals))
-    if (below | overflow).any():
-        i = int(np.argmax(below | overflow))
-        if overflow[i]:
-            raise ValueError(f"overflowing volatility matrix at t={times[i]}: trace = {traces[i]:.3e} "
-                             f"and eigenvalue sum = {totals[i]:.3e} must both be finite")
-        raise ValueError(
-            f"eigenvalue {eigvals[i, -1]:.6e} below -1e-10 * trace at t={times[i]}: "
-            "matrix is not positive semi-definite within tolerance"
+    tiny = np.finfo(float).tiny  # below it, the relative tolerances underflow to 0
+    rules = (
+        ~(traces > 0.0),
+        scale < tiny,
+        asym > SYMMETRY_RTOL * scale,
+        ~(np.isfinite(traces) & np.isfinite(totals)),
+        eigvals[:, -1] < -CLAMP_RTOL * traces,
+    )
+    broken = np.logical_or.reduce(rules)
+    if broken.any():
+        i = int(np.argmax(broken))
+        t = times[i]
+        messages = (
+            f"degenerate volatility matrix at t={t}: trace={traces[i]:.3e}",
+            f"subnormal volatility matrix at t={t}: max|A| = {scale[i]:.3e} is below the "
+            f"smallest normal double {tiny:.3e}, so no tolerance relative to it holds",
+            f"at t={t}: matrix is not symmetric: max|A - A.T| = {asym[i]:.3e} exceeds "
+            f"{SYMMETRY_RTOL:.0e} * max|A| = {SYMMETRY_RTOL * scale[i]:.3e}",
+            f"overflowing volatility matrix at t={t}: trace = {traces[i]:.3e} "
+            f"and eigenvalue sum = {totals[i]:.3e} must both be finite",
+            f"eigenvalue {eigvals[i, -1]:.6e} below -1e-10 * trace at t={t}: "
+            "matrix is not positive semi-definite within tolerance",
         )
-    if n_ok < bad.size:
-        t = times[n_ok]
-        if not traces[n_ok] > 0.0:
-            raise ValueError(f"degenerate volatility matrix at t={t}: trace={traces[n_ok]:.3e}")
-        if scale[n_ok] < tiny:
-            raise ValueError(
-                f"subnormal volatility matrix at t={t}: max|A| = {scale[n_ok]:.3e} is below the "
-                f"smallest normal double {tiny:.3e}, so no tolerance relative to it holds"
-            )
-        raise ValueError(
-            f"at t={t}: matrix is not symmetric: max|A - A.T| = {asym[n_ok]:.3e} exceeds "
-            f"{SYMMETRY_RTOL:.0e} * max|A| = {SYMMETRY_RTOL * scale[n_ok]:.3e}"
-        )
+        raise ValueError(next(msg for msg, mask in zip(messages, rules) if mask[i]))
     count = min(top, clamped.shape[1])
     ratios = np.cumsum(clamped[:, :count], axis=1) / totals[:, None]
     reports = tuple(
@@ -118,20 +120,9 @@ def pca_ratios(path: "VolPath", top: int = 3) -> PcaPath:
     return PcaPath(reports=reports)
 
 
-def rank_estimate(report: EigenReport, threshold: float) -> int:
-    """Smallest m whose top-m share of the trace reaches threshold; d when none does."""
-    if not 0.0 < threshold < 1.0:
-        raise ValueError("threshold must lie strictly between 0 and 1")
-    shares = np.cumsum(report.eigenvalues) / np.sum(report.eigenvalues)  # nondecreasing: w >= 0
-    return min(int(np.searchsorted(shares, threshold)) + 1, shares.size)
-
-
 def write_pca_csv(pca: PcaPath, path) -> None:
     """Write a PCA path as CSV: t, lambda_1..lambda_d, r1..r_k."""
-    if not pca.reports:
-        raise ValueError("cannot write an empty PCA path")
-    d = pca.reports[0].eigenvalues.size
-    k = pca.reports[0].ratios.size
+    d, k = pca.widths()
     header = ["t"] + [f"lambda_{i + 1}" for i in range(d)] + [f"r{m + 1}" for m in range(k)]
     rows = np.array([[rep.t, *rep.eigenvalues, *rep.ratios] for rep in pca.reports])
     write_rows(path, header, rows)

@@ -243,6 +243,13 @@ def test_svg_well_formed_and_self_contained(tmp_path):
     assert svg.count("<polyline") == 3
 
 
+def test_svg_of_an_empty_pca_path_raises_the_writers_error():
+    from spotvol.spectral import PcaPath
+
+    with pytest.raises(ValueError, match="cannot write an empty PCA path"):
+        render_pca_svg(PcaPath(reports=()))
+
+
 def test_bench_small_instance_agreement(capsys):
     report = run_bench(d=2, n=20, m=3, reps=1, grid=2, seed=9)
     out = capsys.readouterr().out

@@ -221,6 +221,10 @@ def test_generic_spec_validation():
         GenericSpec(frequencies=(0,), fiber={0: ((1, 2),)})
     with pytest.raises(EstimationError, match="cover"):
         GenericSpec(frequencies=(0, 1), fiber={0: ((0, 0),), 1: ((0, 1),)}, coeffs={0: 1.0})
+    with pytest.raises(EstimationError, match="frequencies must be distinct"):
+        GenericSpec(frequencies=(0, 0), fiber={0: ((0, 0),)})
+    with pytest.raises(EstimationError, match="fiber keys must match the frequency set"):
+        GenericSpec(frequencies=(0, 1), fiber={0: ((0, 0),)})
 
 
 # --------------------------------------------------------------------- generic

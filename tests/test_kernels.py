@@ -217,6 +217,13 @@ def test_psd_function_table_coverage_and_hermitian_gate():
         PSDFunction(m=2, values=np.ones(5, dtype=complex))
     with pytest.raises(ValueError, match="Hermitian"):
         PSDFunction(m=1, values=np.array([0.1, 0.2, 1.0, 0.3, 0.1], dtype=complex))
+    with pytest.raises(ValueError, match="weight table must be finite"):
+        PSDFunction(m=1, values=np.array([0.1, 0.2, np.nan, 0.2, 0.1], dtype=complex))
+    c = PSDFunction(m=1, values=np.array([0.1, 0.2, 1.0, 0.2, 0.1], dtype=complex))
+    assert c.value(-2) == 0.1 and c.value(2) == 0.1
+    for k in (-3, 3):
+        with pytest.raises(ValueError, match=rf"k={k} outside the table range \[-2, 2\]"):
+            c.value(k)
 
 
 def test_kernel_params_validation():
@@ -258,6 +265,12 @@ def test_spectral_measure_validation():
         SpectralMeasure(atoms=np.array([0.1, 0.1]), weights=np.array([1.0, 1.0]))
     with pytest.raises(ValueError, match=r"\[-1/2, 1/2\)"):
         SpectralMeasure(atoms=np.array([0.5]), weights=np.array([1.0]))
+    for atoms, weights in (([], []), ([0.0, 0.25], [1.0]), ([[0.0]], [[1.0]])):
+        with pytest.raises(ValueError, match="nonempty 1-d arrays of equal length"):
+            SpectralMeasure(atoms=np.array(atoms), weights=np.array(weights))
+    for atoms, weights in (([0.0, np.nan], [1.0, 1.0]), ([0.0, 0.25], [1.0, np.inf])):
+        with pytest.raises(ValueError, match="atoms and weights must be finite"):
+            SpectralMeasure(atoms=np.array(atoms), weights=np.array(weights))
 
 
 

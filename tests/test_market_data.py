@@ -298,6 +298,9 @@ def test_tick_series_validation():
         TickSeries("A", np.array([0.0, 1.0]), np.array([1.0, np.inf]))
     with pytest.raises(MarketDataError, match=r"\[0, 1\]"):
         TickSeries("A", np.array([0.0, 1.5]), np.array([1.0, 2.0]))
+    for times, values in (([0.0, 0.5, 1.0], [1.0, 2.0]), ([[0.0, 1.0]], [[1.0, 2.0]])):
+        with pytest.raises(MarketDataError, match="A: times and values must be 1-d of equal length"):
+            TickSeries("A", np.array(times), np.array(values))
 
 
 @pytest.mark.parametrize("times, dx, match", [
@@ -322,3 +325,6 @@ def test_observation_set_validation():
         ObservationSet(series=(s, s))
     with pytest.raises(MarketDataError, match="at least one"):
         ObservationSet(series=())
+    for span in (0.0, -1.0, np.nan):
+        with pytest.raises(MarketDataError, match="time_span must be positive"):
+            ObservationSet(series=(s,), time_span=span)

@@ -10,7 +10,6 @@ from spotvol.spectral import (
     EigenReport,
     PcaPath,
     pca_ratios,
-    rank_estimate,
     write_pca_csv,
 )
 
@@ -121,6 +120,21 @@ def test_pca_ratios_names_an_overflowing_time_with_no_numpy_warning():
         pca_ratios(_path_of([np.eye(2), [[1.0, 1e308], [-1e308, 1.0]]], times=[0.2, 0.6]))
 
 
+TINY = np.finfo(float).tiny  # the smallest normal double
+
+
+@pytest.mark.parametrize("matrix, message", [
+    ([[TINY / 4, TINY / 8], [0.0, TINY / 4]], r"subnormal volatility matrix at t=0\.6"),  # also asymmetric
+    ([[1.0, 3.0], [0.0, 1.0]], r"at t=0\.6: matrix is not symmetric"),  # its upper triangle is not PSD
+    (np.diag([1e308, -1e308, 1e308]),  # not PSD either
+     r"overflowing volatility matrix at t=0\.6: trace = 1\.000e\+308 and eigenvalue sum = inf"),
+], ids=["subnormal-before-asymmetric", "asymmetric-before-psd", "overflow-before-psd"])
+def test_pca_ratios_reports_the_first_rule_a_time_breaks(matrix, message):
+    eye = np.eye(len(matrix))
+    with pytest.raises(ValueError, match=message):
+        pca_ratios(_path_of([eye, matrix, -eye], times=[0.2, 0.6, 0.8]))
+
+
 def test_pca_full_ratio_reaches_one(rng):
     a = rand_symmetric(rng, 5)
     pca = pca_ratios(_path_of([a @ a.T + 0.1 * np.eye(5)]), top=5)
@@ -144,23 +158,6 @@ def test_clamping_moves_negligible_mass_on_psd_estimates(rng):
         assert lost <= 1e-10 * max(np.trace(v), 1e-300)
 
 
-def test_rank_estimate_cases():
-    rep = EigenReport(t=0.5, eigenvalues=np.array([4.0, 3.0, 2.0, 1.0]), ratios=np.array([0.4, 0.7, 0.9]))
-    assert rank_estimate(rep, 0.65) == 2
-    rank_one = EigenReport(t=0.5, eigenvalues=np.array([2.0, 0.0]), ratios=np.array([1.0, 1.0]))
-    assert rank_estimate(rank_one, 0.99) == 1
-    equal = EigenReport(t=0.5, eigenvalues=np.ones(4), ratios=np.array([0.25, 0.5, 0.75]))
-    assert rank_estimate(equal, 0.6) == 3
-    # nothing reaches the threshold before the last eigenvalue -> d
-    assert rank_estimate(equal, 0.9) == 4
-    # shares beyond the reported top still count
-    (beyond,) = pca_ratios(_path_of([np.diag([5.0, 2.0, 1.0, 1.0, 1.0])]), top=2)
-    assert beyond.ratios.size == 2
-    assert rank_estimate(beyond, 0.75) == 3
-    with pytest.raises(ValueError):
-        rank_estimate(rep, 1.0)
-
-
 def test_write_pca_csv_layout(tmp_path):
     path = _path_of([np.diag([4.0, 3.0, 2.0, 1.0])] * 2)
     pca = pca_ratios(path, top=3)
@@ -182,6 +179,16 @@ def test_pca_path_rejects_reports_of_another_shape(eigenvalues, ratios, shape):
     with pytest.raises(ValueError, match=f"report at t=0.75 has {shape}; the first report has 2 and 1"):
         PcaPath(reports=(first, same, other))
     assert len(PcaPath(reports=())) == 0
+
+
+def test_pca_path_rejects_unordered_times_and_an_empty_path_has_nothing_to_write(tmp_path):
+    first = EigenReport(t=0.5, eigenvalues=np.array([2.0, 1.0]), ratios=np.array([2 / 3]))
+    second = EigenReport(t=0.5, eigenvalues=np.array([3.0, 1.0]), ratios=np.array([0.75]))
+    with pytest.raises(ValueError, match="report times must be strictly increasing"):
+        PcaPath(reports=(first, second))
+    with pytest.raises(ValueError, match="cannot write an empty PCA path"):
+        write_pca_csv(PcaPath(reports=()), tmp_path / "pca.csv")
+    assert not (tmp_path / "pca.csv").exists()
 
 
 def per_row_pca_csv(pca, path):
