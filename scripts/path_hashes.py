@@ -1,9 +1,13 @@
 #!/usr/bin/env python3
-"""Print four sha256 digests: over the estimators' outputs, tick ingest, the simulator and PCA.
+"""Check five sha256 digests: of the estimators, tick ingest, the simulator, PCA and the row parser.
 
-A change meant to keep every output bit prints the same digests before and
-after. The first covers the classical, psd_direct and psd_factorized forms,
-the latter two under the gaussian, cauchy, flat and fejer measures, on six
+Each digest is printed with ``ok`` when it equals its value in ``EXPECTED``
+and ``CHANGED`` when it does not; the script exits 1 if any changed. A
+change meant to keep every output bit prints ``ok`` five times; one meant to
+move bits updates ``EXPECTED`` with them.
+
+The first covers the classical, psd_direct and psd_factorized forms, the
+latter two under the gaussian, cauchy, flat and fejer measures, on six
 seeded random panels of (d, N, M, G): d assets, N ticks per asset, cutoff M
 and a G-point grid. For each form and measure it hashes the path and the
 pointwise estimates at t = 0, 0.37 and 1. The second asset of the smallest
@@ -27,13 +31,22 @@ under the gaussian measure, under the flat measure (rank one), and of its
 first asset alone (d = 1), with the ``write_pca_csv`` and ``render_pca_svg``
 bytes of each.
 
-A multithreaded BLAS may split a product differently with more threads, so
-the digest is pinned for one BLAS thread; OPENBLAS_NUM_THREADS defaults to 1
-here. Run from the repository root:  PYTHONPATH=src python3 scripts/path_hashes.py
+The fifth covers ``market_data._load_rows``, the row parser that is
+``load_csv``'s reference and error path, on every file the second reads:
+the same ids, times, values and time span, under the file's own price kind,
+and the raw-price files also read as log-prices.
+
+Like the test pins, the expected values hold for the numpy/BLAS build they
+were recorded with (``RECORDED_WITH``): products, eigenvalues and ``np.sin``
+may round differently on another build or CPU. A multithreaded BLAS may
+split a product differently with more threads, so the digests are pinned for
+one BLAS thread; OPENBLAS_NUM_THREADS defaults to 1 here. Run from the
+repository root:  PYTHONPATH=src python3 scripts/path_hashes.py
 """
 
 import hashlib
 import os
+import sys
 import tempfile
 from pathlib import Path
 
@@ -42,13 +55,22 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads its BLA
 import numpy as np  # noqa: E402
 
 import spotvol as sv  # noqa: E402
-from spotvol import simulation  # noqa: E402
+from spotvol import market_data, simulation  # noqa: E402
 from spotvol.cli import render_pca_svg  # noqa: E402
 
 SIZES = ((40, 2000, 40, 390), (3, 23400, 75, 150), (12, 150, 15, 4), (1, 50, 3, 7),
          (100, 300, 15, 45), (2, 30, 5, 33))
 POINTS = (0.0, 0.37, 1.0)
 SIM_SEEDS = (3, 2**64 - 1)
+
+RECORDED_WITH = "numpy 2.4.6, scipy-openblas 0.3.31.188.0 (DYNAMIC_ARCH), one BLAS thread, x86_64"
+EXPECTED = {
+    "estimators": "aceda811556f519f7a505cce921e793d98ba2a5a60a53fb432f83d210c1ef4ed",
+    "ingest": "21271817f1ce0ead1cb5f0a1f3d691fc9c5a685da314d2b6c50dbe563b378795",
+    "simulator": "95398f9f7010098ae19c6762bd43012ff1aeb1fa36ab1b52f4e572ddb13ec927",
+    "pca": "d07bd2f282583420e5246c208b664aa541346ed6b2bf5216d3b0ce3d16535372",
+    "row-parser": "ba41e92901eccc8ad056d84af313de24b22700b371ee4732ae698208e7b7af4c",
+}
 
 
 def kernels(m: int):
@@ -90,8 +112,8 @@ def matrices(obs: sv.ObservationSet, m: int, grid: np.ndarray):
             yield sv.estimate_psd_factorized(inc, mu, m, t).entries
 
 
-def ingested(obs: sv.ObservationSet, directory: Path):
-    """load_csv's output for obs written as log-prices and, exponentiated, as raw prices."""
+def tick_files(obs: sv.ObservationSet, directory: Path):
+    """obs written as log-prices and, exponentiated, as raw prices: each file with its kind."""
     raw = sv.ObservationSet(tuple(sv.TickSeries(s.asset_id, s.times, np.exp(s.values))
                                   for s in obs.series))
     for kind, written in (("log", obs), ("raw", raw)):
@@ -101,13 +123,17 @@ def ingested(obs: sv.ObservationSet, directory: Path):
         mixed = directory / f"{kind}-interleaved.csv"  # row i of every asset, then row i + 1
         mixed.write_text(header + "".join(np.array(rows).reshape(obs.d, -1).T.ravel()),
                          encoding="utf-8")
-        for file in (path, mixed):
-            back = sv.load_csv(file, price_kind=kind)
-            yield repr(back.time_span).encode()
-            for s in back.series:
-                yield s.asset_id.encode()
-                yield s.times.tobytes()
-                yield s.values.tobytes()
+        yield path, kind
+        yield mixed, kind
+
+
+def observed(obs: sv.ObservationSet):
+    """The time span, then each asset's id, times and values."""
+    yield repr(obs.time_span).encode()
+    for s in obs.series:
+        yield s.asset_id.encode()
+        yield s.times.tobytes()
+        yield s.values.tobytes()
 
 
 def simulated():
@@ -156,25 +182,39 @@ def pca_stage(directory: Path):
             yield render_pca_svg(pca).encode()
 
 
-def main() -> None:
-    digest, ingest, sim, pca = hashlib.sha256(), hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+def digests() -> dict[str, str]:
+    """The five digests, keyed as in EXPECTED."""
+    hashes = {name: hashlib.sha256() for name in EXPECTED}
     with tempfile.TemporaryDirectory() as tmp:
         for seed, (d, n, m, g) in enumerate(SIZES):
             obs = panel(d, n, seed)
             grid = np.arange(1, g + 1) / g
             for v in matrices(obs, m, grid):
-                digest.update(np.ascontiguousarray(v).tobytes())
-            for chunk in ingested(obs, Path(tmp)):
-                ingest.update(chunk)
+                hashes["estimators"].update(np.ascontiguousarray(v).tobytes())
+            for file, kind in tick_files(obs, Path(tmp)):
+                for chunk in observed(sv.load_csv(file, price_kind=kind)):
+                    hashes["ingest"].update(chunk)
+                for read_as in (kind, "log") if kind == "raw" else (kind,):
+                    for chunk in observed(market_data._load_rows(file, read_as)):
+                        hashes["row-parser"].update(chunk)
         for chunk in pca_stage(Path(tmp)):
-            pca.update(chunk)
+            hashes["pca"].update(chunk)
     for chunk in simulated():
-        sim.update(chunk)
-    print(digest.hexdigest())
-    print(ingest.hexdigest())
-    print(sim.hexdigest())
-    print(pca.hexdigest())
+        hashes["simulator"].update(chunk)
+    return {name: h.hexdigest() for name, h in hashes.items()}
+
+
+def main() -> int:
+    changed = 0
+    for name, got in digests().items():
+        ok = got == EXPECTED[name]
+        changed += not ok
+        print(f"{got}  {'ok' if ok else 'CHANGED'}  {name}")
+    if changed:
+        print(f"{changed} digest(s) changed; the expected values hold for {RECORDED_WITH}, "
+              f"and this run has numpy {np.__version__}", file=sys.stderr)
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -20,8 +20,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 INTEGER_GUARD = 1e-9    # near-integer band where the sin-ratio forms take limits
-PSD_SLACK_RTOL = 1e-10  # numerical slack for the Toeplitz minimum eigenvalue
-HERMITIAN_RTOL = 1e-10
+# The package's one PSD floor and one symmetry gate; each check picks its own scale.
+PSD_FLOOR_RTOL = 1e-10  # a least eigenvalue below -PSD_FLOOR_RTOL * scale is not PSD
+SYMMETRY_RTOL = 1e-10   # an asymmetry above SYMMETRY_RTOL * scale is not symmetric
 WRAP_TERMS = 5          # periodization series truncated at |n| <= WRAP_TERMS
 
 FAMILIES = ("flat", "cauchy", "gaussian", "fejer")
@@ -242,7 +243,7 @@ class PSDFunction:
             raise ValueError("weight table must be finite")
         scale = float(np.max(np.abs(values)))
         herm = float(np.max(np.abs(values[::-1] - np.conj(values))))
-        if herm > HERMITIAN_RTOL * max(scale, 1e-300):
+        if herm > SYMMETRY_RTOL * max(scale, 1e-300):
             raise ValueError(
                 f"weight table is not Hermitian: max|c(-k) - conj(c(k))| = {herm:.3e}"
             )
@@ -291,5 +292,5 @@ def verify_psd_function(c: PSDFunction) -> PsdCheck:
     -1e-10 * c(0).
     """
     min_eig = float(np.linalg.eigvalsh(c.toeplitz())[0])
-    bound = -PSD_SLACK_RTOL * float(c.value(0).real)
+    bound = -PSD_FLOOR_RTOL * float(c.value(0).real)
     return PsdCheck(ok=min_eig >= bound, min_eigenvalue=min_eig, bound=bound)

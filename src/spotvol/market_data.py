@@ -230,9 +230,7 @@ def _load_fast(path, price_kind: str) -> ObservationSet | None:
 
 def _load_rows(path, price_kind: str) -> ObservationSet:
     """The row-by-row reader: the reference for ``load_csv`` and its error path."""
-    order: list[str] = []
-    raw_times: dict[str, list[float]] = {}
-    raw_prices: dict[str, list[float]] = {}
+    ticks: dict[str, tuple[list[float], list[float]]] = {}  # asset: (times, prices), in file order
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -253,46 +251,42 @@ def _load_rows(path, price_kind: str) -> ObservationSet:
                 raise MarketDataError(f"{path}:{lineno}: {exc}") from exc
             if not (math.isfinite(t) and math.isfinite(p)):
                 raise MarketDataError(f"{path}:{lineno}: non-finite time or price")
-            if asset not in raw_times:
-                order.append(asset)
-                raw_times[asset] = []
-                raw_prices[asset] = []
-            prev = raw_times[asset]
-            if prev:
-                if t == prev[-1]:
+            times, prices = ticks.setdefault(asset, ([], []))
+            if times:
+                if t == times[-1]:
                     raise MarketDataError(f"asset {asset!r}: duplicate timestamp {t!r}")
-                if t < prev[-1]:
+                if t < times[-1]:
                     raise MarketDataError(
                         f"asset {asset!r}: timestamps must be strictly increasing "
-                        f"(got {t!r} after {prev[-1]!r})"
+                        f"(got {t!r} after {times[-1]!r})"
                     )
-            prev.append(t)
-            raw_prices[asset].append(p)
-    if not order:
+            times.append(t)
+            prices.append(p)
+    if not ticks:
         raise MarketDataError(f"{path}: no data rows")
-    for asset in order:
-        if len(raw_times[asset]) < 2:
+    for asset, (times, prices) in ticks.items():
+        if len(times) < 2:
             raise MarketDataError(f"asset {asset!r}: at least 2 ticks are required")
         if price_kind == "raw":
-            bad = [p for p in raw_prices[asset] if p <= 0.0]
+            bad = [p for p in prices if p <= 0.0]
             if bad:
                 raise MarketDataError(f"asset {asset!r}: non-positive raw price {bad[0]!r}")
-    t_min = min(ts[0] for ts in raw_times.values())
-    t_max = max(ts[-1] for ts in raw_times.values())
+    t_min = min(times[0] for times, _ in ticks.values())
+    t_max = max(times[-1] for times, _ in ticks.values())
     span = t_max - t_min  # positive: every asset has two strictly increasing ticks
     if not span < math.inf:
         raise MarketDataError(f"{path}: time span from {t_min!r} to {t_max!r} is not finite")
     series = []
-    for asset in order:
-        times = (np.asarray(raw_times[asset]) - t_min) / span
+    for asset, (raw_times, prices) in ticks.items():
+        times = (np.asarray(raw_times) - t_min) / span
         collapsed = np.flatnonzero(np.diff(times) <= 0.0)
         if collapsed.size:
             i = int(collapsed[0])
             raise MarketDataError(
-                f"{path}: asset {asset!r}: times {raw_times[asset][i]!r} and "
-                f"{raw_times[asset][i + 1]!r} coincide once normalized to [0, 1]"
+                f"{path}: asset {asset!r}: times {raw_times[i]!r} and "
+                f"{raw_times[i + 1]!r} coincide once normalized to [0, 1]"
             )
-        values = np.asarray(raw_prices[asset])
+        values = np.asarray(prices)
         if price_kind == "raw":
             values = np.log(values)
         series.append(TickSeries(asset_id=asset, times=times, values=values))

@@ -36,7 +36,7 @@ import numpy as np
 
 from .market_data import ObservationSet, TickSeries
 from .estimator import VolPath, default_asset_ids
-from .kernels import is_positive_int, require_count
+from .kernels import PSD_FLOOR_RTOL, is_positive_int, require_count
 from . import spectral
 
 _MASK64 = (1 << 64) - 1
@@ -201,7 +201,7 @@ class ConstCorrModel:
         if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.max(np.abs(cov))))):
             raise ValueError("covariance must be symmetric")
         eigvals = np.linalg.eigvalsh(cov)
-        if eigvals[0] < -1e-10 * max(eigvals[-1], 1.0):
+        if eigvals[0] < -PSD_FLOOR_RTOL * max(eigvals[-1], 1.0):
             raise ValueError(f"covariance is not positive semi-definite (min eigenvalue {eigvals[0]:.3e})")
 
     @property

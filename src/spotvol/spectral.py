@@ -14,14 +14,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .kernels import require_count
+from .kernels import PSD_FLOOR_RTOL, SYMMETRY_RTOL, require_count
 from .market_data import write_rows
 
 if TYPE_CHECKING:  # pragma: no cover
     from .estimator import VolPath
-
-SYMMETRY_RTOL = 1e-10   # gate on max|A - A.T| relative to max|A|
-CLAMP_RTOL = 1e-10      # eigenvalues below -CLAMP_RTOL * trace are an error
 
 
 @dataclass(frozen=True)
@@ -73,15 +70,15 @@ def pca_ratios(path: "VolPath", top: int = 3) -> PcaPath:
     ratios are formed, so every ratio lies in [0, 1]. The matrices are finite
     (``VolPath`` holds no other). Five rules are checked at every time, in
     this order: a nonpositive trace, a subnormal max|A| (whose tolerances
-    would underflow to 0), an asymmetry above ``1e-10 * max|A|``, a trace or
-    eigenvalue sum that overflows, and an eigenvalue below ``-1e-10 * trace``
-    (the input did not come from a positive semi-definite estimator). The
-    first time that breaks any rule raises ``ValueError`` with the message
-    of the first rule it breaks.
+    would underflow to 0), an asymmetry above ``1e-10 * max|A|``, a trace
+    (one summing to inf - inf included) or eigenvalue sum that overflows,
+    and an eigenvalue below ``-1e-10 * trace`` (the input did not come from
+    a positive semi-definite estimator). The first time that breaks any rule
+    raises ``ValueError`` with the message of the first rule it breaks.
     """
     require_count("top", top)
     times, mats = path.times, path.matrices
-    with np.errstate(over="ignore"):  # entries near the end of the double range
+    with np.errstate(over="ignore", invalid="ignore"):  # a trace may overflow or be inf - inf
         traces = np.trace(mats, axis1=1, axis2=2)
         asym = np.max(np.abs(mats - np.swapaxes(mats, 1, 2)), axis=(1, 2))
         scale = np.max(np.abs(mats), axis=(1, 2))
@@ -90,11 +87,11 @@ def pca_ratios(path: "VolPath", top: int = 3) -> PcaPath:
         totals = np.sum(clamped, axis=1)
     tiny = np.finfo(float).tiny  # below it, the relative tolerances underflow to 0
     rules = (
-        ~(traces > 0.0),
+        traces <= 0.0,
         scale < tiny,
         asym > SYMMETRY_RTOL * scale,
         ~(np.isfinite(traces) & np.isfinite(totals)),
-        eigvals[:, -1] < -CLAMP_RTOL * traces,
+        eigvals[:, -1] < -PSD_FLOOR_RTOL * traces,
     )
     broken = np.logical_or.reduce(rules)
     if broken.any():
@@ -108,7 +105,7 @@ def pca_ratios(path: "VolPath", top: int = 3) -> PcaPath:
             f"{SYMMETRY_RTOL:.0e} * max|A| = {SYMMETRY_RTOL * scale[i]:.3e}",
             f"overflowing volatility matrix at t={t}: trace = {traces[i]:.3e} "
             f"and eigenvalue sum = {totals[i]:.3e} must both be finite",
-            f"eigenvalue {eigvals[i, -1]:.6e} below -1e-10 * trace at t={t}: "
+            f"eigenvalue {eigvals[i, -1]:.6e} below -{PSD_FLOOR_RTOL:.0e} * trace at t={t}: "
             "matrix is not positive semi-definite within tolerance",
         )
         raise ValueError(next(msg for msg, mask in zip(messages, rules) if mask[i]))

@@ -167,6 +167,22 @@ def test_load_csv_gives_one_result_for_a_path_a_str_and_a_file_descriptor(tmp_pa
     assert loaded(load_csv(fd, "raw")) == want
 
 
+
+def test_load_csv_hands_np_loadtxt_a_str_path(tmp_path, monkeypatch):
+    # np.loadtxt parses in C blocks only from a path; a handle it reads line by line
+    first_args = []
+
+    def spy(fname, *args, **kwargs):
+        first_args.append(fname)
+        return loadtxt(fname, *args, **kwargs)
+
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", spy)
+    path = _write(tmp_path, TWO_ASSETS)
+    assert loaded(load_csv(path)) == loaded(market_data._load_rows(path, "log"))
+    assert len(first_args) == 1 and type(first_args[0]) is str
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
 def test_load_csv_reads_a_pipe_by_the_row_parser(tmp_path):
     # the fast path must not read a byte of input it cannot read twice

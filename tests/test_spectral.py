@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -118,6 +119,16 @@ def test_pca_ratios_names_an_overflowing_time_with_no_numpy_warning():
         pca_ratios(_path_of([np.eye(2), np.diag([1e308, 1e308])], times=[0.2, 0.6]))
     with pytest.raises(ValueError, match=r"at t=0\.6: matrix is not symmetric: max\|A - A\.T\| = inf"):
         pca_ratios(_path_of([np.eye(2), [[1.0, 1e308], [-1e308, 1.0]]], times=[0.2, 0.6]))
+
+
+
+def test_pca_ratios_names_a_trace_of_inf_minus_inf_as_an_overflow():
+    # np.trace sums eight entries pairwise: (1e308 + 1e308) + (-1e308 - 1e308) is inf - inf
+    a = np.diag([1e308, 1e308, -1e308, -1e308, 1e308, 1e308, -1e308, -1e308])
+    message = ("overflowing volatility matrix at t=0.5: trace = nan and eigenvalue sum = inf "
+               "must both be finite")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        pca_ratios(_path_of([a], times=[0.5]))
 
 
 TINY = np.finfo(float).tiny  # the smallest normal double
