@@ -53,13 +53,14 @@ path, so the forms allocate nothing per block. The direct form keeps only S
 and h^T (S h); the factorized form keeps only Phi, b^T b and its triangle
 mirror. The second product is written straight into the path's matrices.
 S and Phi are C-contiguous, so BLAS reads them in place. A path, or a
-pointwise value, with a non-finite matrix raises ``EstimationError``.
+pointwise value, with a non-finite matrix raises ``EstimationError``, and so
+does one whose matrices underflow below the smallest normal double.
 """
 
 from __future__ import annotations
 
-import csv
 import warnings
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -73,7 +74,7 @@ from .kernels import (
     make_measure,
     require_count,
 )
-from .market_data import IncrementTable, ObservationSet, increments, write_rows
+from .market_data import IncrementTable, ObservationSet, floats, increments, read_rows, write_rows
 
 METHODS = ("generic", "classical", "psd_direct", "psd_factorized")
 KERNEL_METHODS = ("generic", "psd_direct", "psd_factorized")  # weights come from a measure
@@ -291,24 +292,57 @@ class EstimatorConfig:
 def _on_grid(form, args, times, d: int) -> np.ndarray:
     """V at each of ``times``, evaluated in blocks of ``GRID_BLOCK`` times: the one block loop.
 
-    ``form(*args, block)`` takes its estimator's inputs and does the form's
-    per-path work for blocks of up to ``block`` times: its checks, the
-    Fourier sums, its table and, for the psd forms, their work arrays. It
-    returns ``at(times, out)``, which writes V at each time of one block
-    into ``out``. The blocks are written straight into the returned array.
+    ``form(*args, block)`` takes its estimator's inputs, the increment table
+    first, and does the form's per-path work for blocks of up to ``block``
+    times: its checks, the Fourier sums, its table and, for the psd forms,
+    their work arrays. It returns ``at(times, out)``, which writes V at each
+    time of one block into ``out``. The blocks are written straight into the
+    returned array, and each is screened as it is written by its per-time
+    max and min, for ``_require_normal``.
 
     Increments near the end of the double range overflow V, so numpy's
-    overflow warnings are off here. The matrices are returned as they come:
-    the ``VolPath`` or ``VolMatrix`` built from them rejects a non-finite one.
+    overflow warnings are off here. A non-finite matrix is returned as it
+    comes: the ``VolPath`` or ``VolMatrix`` built from the matrices rejects it.
     """
     times = _eval_times(times)
     n = times.size
+    top = np.empty(n)  # max|V| per time
     with np.errstate(over="ignore", invalid="ignore"):
         at = form(*args, min(GRID_BLOCK, n))
         out = np.empty((n, d, d))  # after the form's arrays, so freeing those leaves no heap top to trim
         for start in range(0, n, GRID_BLOCK):
-            at(times[start:start + GRID_BLOCK], out[start:start + GRID_BLOCK])
+            rows = slice(start, start + GRID_BLOCK)
+            at(times[rows], out[rows])
+            np.maximum(out[rows].max(axis=(1, 2)), -out[rows].min(axis=(1, 2)), out=top[rows])
+        _require_normal(args[0], times, top)  # its comparisons may meet a nan
     return out
+
+
+def _require_normal(inc: IncrementTable, times: np.ndarray, top: np.ndarray) -> None:
+    """Raise ``EstimationError`` at the first time whose matrix underflowed; ``top`` is max|V|.
+
+    A matrix underflowed where max|V| is positive but below the smallest
+    normal double, at a time before any non-finite one (``VolPath`` names
+    that); or at the first time, when every matrix is 0 while the largest
+    |increment| is positive but its square is below the smallest normal
+    double. Exact zeros from increments whose squares are normal are kept:
+    a constant panel, a zero weight table, or a lone increment seen at a zero
+    of the Fejér kernel. The message names the asset with the largest |increment|.
+    """
+    tiny = np.finfo(float).tiny
+    i = int(np.argmax((top != 0.0) & ~((top >= tiny) & (top < np.inf))))  # subnormal or non-finite
+    if not (0.0 < top[i] < tiny or not top.any()):
+        return
+    sizes = [float(np.max(np.abs(asset.dx), initial=0.0)) for asset in inc.assets]
+    j = int(np.argmax(sizes))
+    if top.any():
+        why = f"max|V| = {top[i]:.3e} is below the smallest normal double {tiny:.3e}"
+    elif 0.0 < sizes[j] < np.sqrt(tiny):
+        why = f"every matrix is 0 and the largest |increment| squared is below {tiny:.3e}"
+    else:
+        return
+    raise EstimationError(f"volatility matrix underflows at t={times[i]}: {why}; the largest "
+                          f"|increment| is {sizes[j]:.3e}, of asset {inc.assets[j].asset_id!r}")
 
 
 def _stacker(inc: IncrementTable, m: int, table: np.ndarray, block: int):
@@ -570,10 +604,12 @@ def write_vol_csv(path: VolPath, file) -> None:
 
 
 def read_vol_csv(file) -> VolPath:
-    """Load a path written by ``write_vol_csv``, mirroring the upper triangle; ``VolPath`` checks it."""
-    with open(file, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+    """Load a path written by ``write_vol_csv``, mirroring the upper triangle; ``VolPath`` checks it.
+
+    Rows are read by ``market_data.read_rows``, under the tick reader's row rules.
+    """
+    with closing(read_rows(file, EstimationError)) as rows:
+        header = next(rows)
         if not header or header[0] != "t":
             raise EstimationError(f"{file}: expected a header starting with 't'")
         k = len(header) - 1
@@ -584,22 +620,11 @@ def read_vol_csv(file) -> VolPath:
             raise EstimationError(f"{file}: {k} matrix columns do not form an upper triangle")
         if header != _vol_header(d):
             raise EstimationError(f"{file}: unexpected header {header}")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != k + 1:
-                raise EstimationError(f"{file}:{lineno}: expected {k + 1} columns")
-            try:
-                vals = np.array([float(x) for x in row])
-            except ValueError as exc:
-                raise EstimationError(f"{file}:{lineno}: {exc}") from exc
-            rows.append(vals)
-    if not rows:
+        table = np.array([floats(file, lineno, cells, EstimationError) for lineno, cells in rows])
+    if not table.size:
         raise EstimationError(f"{file}: no data rows")
-    table = np.array(rows)
     iu, ju = np.triu_indices(d)
-    mats = np.zeros((len(rows), d, d))
+    mats = np.zeros((len(table), d, d))
     mats[:, iu, ju] = mats[:, ju, iu] = table[:, 1:]
     try:
         return VolPath(times=table[:, 0], matrices=mats, asset_ids=default_asset_ids(d), config=None)

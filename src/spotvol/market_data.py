@@ -1,4 +1,4 @@
-"""Tick observations: ingestion, validation, and the package's one CSV row writer.
+"""Tick observations: ingestion, validation, and the package's one CSV row reader and writer.
 
 Each asset carries its own strictly increasing observation times; nothing is
 aligned or interpolated. Timestamps are mapped onto [0, 1] with one global
@@ -14,6 +14,7 @@ import csv
 import io
 import math
 import os
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -231,24 +232,15 @@ def _load_fast(path, price_kind: str) -> ObservationSet | None:
 def _load_rows(path, price_kind: str) -> ObservationSet:
     """The row-by-row reader: the reference for ``load_csv`` and its error path."""
     ticks: dict[str, tuple[list[float], list[float]]] = {}  # asset: (times, prices), in file order
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+    with closing(read_rows(path, MarketDataError)) as rows:
+        header = next(rows)
         if header is None or tuple(h.strip() for h in header) != TICK_HEADER:
             raise MarketDataError(f"{path}: expected header '{','.join(TICK_HEADER)}', got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise MarketDataError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
-            asset = row[0].strip()
+        for lineno, (asset, *cells) in rows:
+            asset = asset.strip()
             if not asset:
                 raise MarketDataError(f"{path}:{lineno}: empty asset id")
-            try:
-                t = float(row[1])
-                p = float(row[2])
-            except ValueError as exc:
-                raise MarketDataError(f"{path}:{lineno}: {exc}") from exc
+            t, p = floats(path, lineno, cells, MarketDataError)
             if not (math.isfinite(t) and math.isfinite(p)):
                 raise MarketDataError(f"{path}:{lineno}: non-finite time or price")
             times, prices = ticks.setdefault(asset, ([], []))
@@ -291,6 +283,35 @@ def _load_rows(path, price_kind: str) -> ObservationSet:
             values = np.log(values)
         series.append(TickSeries(asset_id=asset, times=times, values=values))
     return ObservationSet(series=tuple(series), time_span=span)
+
+
+def read_rows(path, error):
+    """Yield a CSV file's header row (None if the file is empty), then (lineno, cells) per data row.
+
+    The one row reader of the tick and vol files. The file is opened as
+    ``write_rows`` writes it: UTF-8, ``newline=""``. A blank row, with no
+    cells or one cell of whitespace, is skipped, and a row not as wide as the
+    header raises ``error`` naming the file and line. A caller wraps it in
+    ``contextlib.closing``, so the file is closed when the caller raises.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        yield header
+        for lineno, cells in enumerate(reader, start=2):
+            if not cells or (len(cells) == 1 and not cells[0].strip()):
+                continue
+            if len(cells) != len(header):
+                raise error(f"{path}:{lineno}: expected {len(header)} columns, got {len(cells)}")
+            yield lineno, cells
+
+
+def floats(path, lineno: int, cells, error) -> list[float]:
+    """The cells of one row of ``read_rows`` as floats; a cell that is not one raises ``error``."""
+    try:
+        return [float(c) for c in cells]
+    except ValueError as exc:
+        raise error(f"{path}:{lineno}: {exc}") from exc
 
 
 def write_rows(path, header, rows) -> None:

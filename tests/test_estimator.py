@@ -30,6 +30,7 @@ from spotvol.estimator import (
     _folded_toeplitz,
     _on_grid,
     _quadrature_rows,
+    _require_normal,
     _stacker,
 )
 from spotvol.kernels import (
@@ -874,6 +875,58 @@ def test_log_prices_scaled_to_the_overflow_end_give_a_path_or_one_clear_error(k,
         assert np.all((ratios >= 0.0) & (ratios <= 1.0))
 
 
+@pytest.mark.parametrize("k", [0, 256, 500, 512, 520, 540, 600, 1074])
+@pytest.mark.parametrize("method", ["classical", "psd_direct", "psd_factorized"])
+def test_log_prices_scaled_to_the_underflow_end_give_a_path_or_the_underflow_error(k, method):
+    obs = ObservationSet(series=tuple(TickSeries(a, t, v * 2.0**-k)
+                                      for a, t, v in _overflow_walk_panel()))
+    config = EstimatorConfig(method=method, eval_grid=np.linspace(0.0, 1.0, 7), m=5,
+                             kernel=None if method == "classical" else
+                             KernelParams(family="gaussian", l_gauss=11.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on the way to either outcome
+        try:
+            path = estimate_path(obs, config)
+            pca = None if method == "classical" else pca_ratios(path)
+        except EstimationError as exc:
+            # products of about 2^-1024 are subnormal, and of 2^-1080 and below are 0
+            why = "every matrix is 0" if k >= 540 else "max|V| = "
+            assert k >= 512 and str(exc).startswith(f"volatility matrix underflows at t=0.0: {why}")
+            assert str(exc).endswith("of asset 'A3'")  # its jump is the largest increment
+            return
+    assert k <= 500 and np.abs(path.matrices).max() >= np.finfo(float).tiny
+    if pca is not None:
+        ratios = np.array([rep.ratios for rep in pca])
+        assert np.all((ratios >= 0.0) & (ratios <= 1.0))
+
+
+@pytest.mark.parametrize("method", ["classical", "psd_direct", "psd_factorized"])
+def test_a_constant_panel_still_gives_exact_zeros(method):
+    obs = ObservationSet(series=tuple(TickSeries(a, t, np.full(t.size, 1.5))
+                                      for a, t, _ in _overflow_walk_panel()))
+    config = EstimatorConfig(method=method, eval_grid=np.linspace(0.0, 1.0, 7), m=5,
+                             kernel=None if method == "classical" else
+                             KernelParams(family="gaussian", l_gauss=11.0))
+    np.testing.assert_array_equal(estimate_path(obs, config).matrices, np.zeros((7, 3, 3)))
+
+
+def test_underflow_screen_leaves_a_non_finite_time_to_vol_path_and_keeps_exact_zeros():
+    tiny, times = np.finfo(float).tiny, np.array([0.25, 0.5, 0.75])
+    inc = IncrementTable(assets=(AssetIncrements("A1", np.array([0.5, 1.0]), np.array([0.0, 1e-160])),
+                                 AssetIncrements("A2", np.array([0.5, 1.0]), np.array([-1e-170, 0.0]))))
+    _require_normal(inc, times, np.array([1.0, np.nan, tiny / 4]))  # VolPath names t=0.5
+    _require_normal(inc, times, np.array([0.0, np.inf, tiny / 4]))
+    with pytest.raises(EstimationError, match=r"underflows at t=0\.75: max\|V\| = 5\.563e-309 is "
+                                              r"below the smallest normal double 2\.225e-308; "
+                                              r"the largest \|increment\| is 1\.000e-160, of asset 'A1'$"):
+        _require_normal(inc, times, np.array([1.0, 0.0, tiny / 4]))
+    with pytest.raises(EstimationError, match=r"underflows at t=0\.25: every matrix is 0"):
+        _require_normal(inc, times, np.zeros(3))
+    # zeros from an increment whose square is normal are exact: a zero weight table, say
+    normal = IncrementTable(assets=(AssetIncrements("A1", np.array([0.5, 1.0]), np.array([0.0, 1e-150])),))
+    _require_normal(normal, times, np.zeros(3))
+
+
 def test_vol_path_names_the_first_non_finite_time_and_passes_a_finite_sum_overflow():
     # entries of 1e308 overflow the path's sum but are finite
     grid = np.linspace(0.0, 1.0, GRID_BLOCK + 5)
@@ -1129,6 +1182,16 @@ def test_read_vol_csv_skips_a_blank_line_between_rows(tmp_path):
     path = read_vol_csv(f)
     np.testing.assert_array_equal(path.times, [0.25, 0.5])
     np.testing.assert_array_equal(path.matrices, [[[1.0]], [[2.0]]])
+
+
+@pytest.mark.parametrize("blank", [" ", "\t", "  \t "])
+def test_read_vol_csv_skips_a_whitespace_only_row_as_the_tick_reader_does(tmp_path, blank):
+    with_blank, without = tmp_path / "vol.csv", tmp_path / "plain.csv"
+    with_blank.write_text(f"t,V_1_1,V_1_2,V_2_2\n0.25,1.0,0.5,2.0\n{blank}\n0.5,3.0,-0.5,4.0\n")
+    without.write_text("t,V_1_1,V_1_2,V_2_2\n0.25,1.0,0.5,2.0\n0.5,3.0,-0.5,4.0\n")
+    got, want = read_vol_csv(with_blank), read_vol_csv(without)
+    np.testing.assert_array_equal(got.times, want.times)
+    np.testing.assert_array_equal(got.matrices, want.matrices)
 
 
 @pytest.mark.parametrize("row", ["0.5,1.0,nan,1.0", "0.5,inf,0.0,1.0", "nan,1.0,0.0,1.0"])

@@ -124,7 +124,9 @@ def test_load_csv_names_the_line_of_a_non_numeric_field(tmp_path):
     ("A,0,1.0\nA,2,1.1\nB,nan,2.0\nB,1,2.1\n", r"ticks\.csv:4: non-finite"),
     ("A,0,1.0\nB,1,2.0\nA,2,1.1\nB,inf,2.1\n", r"ticks\.csv:5: non-finite"),
     ("A,0,1.0\nB,1,2.0\nA,2,1.1\n", r"'B'.*at least 2 ticks"),
-], ids=["nan first tick of the first asset", "nan first tick", "inf last tick", "one tick"])
+    ("A,0,1.0\nA,1\nA,2,1.1\n", r"ticks\.csv:3: expected 3 columns, got 2$"),
+], ids=["nan first tick of the first asset", "nan first tick", "inf last tick", "one tick",
+        "short row"])
 def test_load_csv_leaves_what_tick_series_rejects_to_the_row_parser(tmp_path, body, match):
     path = _write(tmp_path, "asset,time,price\n" + body)
     assert market_data._load_fast(path, "log") is None
