@@ -141,13 +141,13 @@ def load_csv(path, price_kind: str = "log") -> ObservationSet:
     log-transformed; with ``"log"`` the price column is taken as is.
 
     The file is parsed in one pass of numpy's C reader, which ``np.loadtxt``
-    feeds in blocks from the path; its rows are grouped by asset with one
-    stable sort of the ids, and each asset's ``TickSeries`` checks its ticks.
-    A ``path`` that is not a ``str`` or ``os.PathLike`` (an open file
-    descriptor, say), a name ending in one of ``COMPRESSED_SUFFIXES`` or
-    holding ``://``, and any file that fails a check or looks unusual, are
-    read by the row parser, which gives the same result on valid input and
-    alone raises, naming the file and line.
+    feeds in blocks from the path, and its rows are grouped by asset with one
+    stable sort of the ids. A ``path`` that is not a ``str`` or
+    ``os.PathLike`` (an open file descriptor, say), a name ending in one of
+    ``COMPRESSED_SUFFIXES`` or holding ``://``, and any file that fails a
+    check or looks unusual, are read by the row parser. Both end in one core,
+    ``_panel``, so they give one result. The row parser alone raises; each of
+    its errors names the file, and the physical line where one row is at fault.
     """
     if price_kind not in PRICE_KINDS:
         raise MarketDataError(
@@ -173,8 +173,8 @@ def _load_fast(path, price_kind: str) -> ObservationSet | None:
     warns on it. An error opening the file propagates, as it would from the
     row parser.
 
-    One stable sort of the ids groups the rows by asset; ``TickSeries`` and
-    ``ObservationSet`` alone check the ticks, and any error they raise falls back.
+    One stable sort of the ids groups the rows by asset; their views go to
+    ``_panel``, the row parser's core, and any error it raises falls back.
     """
     name = os.fspath(path) if isinstance(path, os.PathLike) else path
     if not isinstance(name, str) or name.endswith(COMPRESSED_SUFFIXES) or "://" in name:
@@ -209,28 +209,19 @@ def _load_fast(path, price_kind: str) -> ObservationSet | None:
         return None
     times, prices = rows["t"][order], rows["p"][order]
     del rows, order  # the peak is one parse, its sort order and the output
-    if price_kind == "raw" and not (prices > 0.0).all():
-        return None
-    # min and max over the assets' end ticks in the row parser's order: same zero sign
-    t_min = min(times[starts].tolist())
-    span = max(times[ends - 1].tolist()) - t_min
-    if not 0.0 < span < math.inf:
-        return None
-    # an out-of-order tick may overflow here; TickSeries rejects the result
-    with np.errstate(over="ignore", invalid="ignore"):
-        times -= t_min
-        times /= span
-    if price_kind == "raw":
-        np.log(prices, out=prices)
-    try:  # strictly increasing after the monotone map implies it before
-        series = tuple(TickSeries(n, times[a:b], prices[a:b]) for n, a, b in zip(names, starts, ends))
-        return ObservationSet(series=series, time_span=span)
+    try:
+        return _panel(path, [(n, times[a:b], prices[a:b]) for n, a, b in zip(names, starts, ends)],
+                      price_kind)
     except MarketDataError:
         return None
 
 
 def _load_rows(path, price_kind: str) -> ObservationSet:
-    """The row-by-row reader: the reference for ``load_csv`` and its error path."""
+    """The row-by-row reader: the reference for ``load_csv`` and its error path.
+
+    It checks each row, then ends in ``_panel``. Every error names the file,
+    and the physical line where one row is at fault.
+    """
     ticks: dict[str, tuple[list[float], list[float]]] = {}  # asset: (times, prices), in file order
     with closing(read_rows(path, MarketDataError)) as rows:
         header = next(rows)
@@ -244,44 +235,49 @@ def _load_rows(path, price_kind: str) -> ObservationSet:
             if not (math.isfinite(t) and math.isfinite(p)):
                 raise MarketDataError(f"{path}:{lineno}: non-finite time or price")
             times, prices = ticks.setdefault(asset, ([], []))
-            if times:
-                if t == times[-1]:
-                    raise MarketDataError(f"asset {asset!r}: duplicate timestamp {t!r}")
-                if t < times[-1]:
-                    raise MarketDataError(
-                        f"asset {asset!r}: timestamps must be strictly increasing "
-                        f"(got {t!r} after {times[-1]!r})"
-                    )
+            if times and t <= times[-1]:
+                raise MarketDataError(f"{path}:{lineno}: asset {asset!r}: " + (
+                    f"duplicate timestamp {t!r}" if t == times[-1] else
+                    f"timestamps must be strictly increasing (got {t!r} after {times[-1]!r})"))
             times.append(t)
             prices.append(p)
     if not ticks:
         raise MarketDataError(f"{path}: no data rows")
-    for asset, (times, prices) in ticks.items():
-        if len(times) < 2:
-            raise MarketDataError(f"asset {asset!r}: at least 2 ticks are required")
-        if price_kind == "raw":
-            bad = [p for p in prices if p <= 0.0]
-            if bad:
-                raise MarketDataError(f"asset {asset!r}: non-positive raw price {bad[0]!r}")
-    t_min = min(times[0] for times, _ in ticks.values())
-    t_max = max(times[-1] for times, _ in ticks.values())
-    span = t_max - t_min  # positive: every asset has two strictly increasing ticks
-    if not span < math.inf:
+    return _panel(path, [(a, np.array(t), np.array(p)) for a, (t, p) in ticks.items()], price_kind)
+
+
+def _panel(path, assets, price_kind: str) -> ObservationSet:
+    """The panel of ``(id, raw times, prices)`` per asset, in order of first appearance.
+
+    The one core of both tick readers: 2 ticks an asset, positive raw prices,
+    one global affine map onto [0, 1] and the log of raw prices, in place.
+    Each error names the file; the fast path may hand in out-of-order ticks.
+    """
+    for asset, times, prices in assets:
+        if times.size < 2:
+            raise MarketDataError(f"{path}: asset {asset!r}: at least 2 ticks are required")
+        if price_kind == "raw" and not (prices > 0.0).all():
+            bad = prices[np.argmin(prices > 0.0)].item()
+            raise MarketDataError(f"{path}: asset {asset!r}: non-positive raw price {bad!r}")
+    # Python floats over the end ticks in asset order: min and max keep the first of 0.0 and -0.0
+    t_min = min(times[0].item() for _, times, _ in assets)
+    t_max = max(times[-1].item() for _, times, _ in assets)
+    span = t_max - t_min  # positive from the row parser: each asset has 2 increasing ticks
+    if not 0.0 < span < math.inf:
         raise MarketDataError(f"{path}: time span from {t_min!r} to {t_max!r} is not finite")
     series = []
-    for asset, (raw_times, prices) in ticks.items():
-        times = (np.asarray(raw_times) - t_min) / span
-        collapsed = np.flatnonzero(np.diff(times) <= 0.0)
+    for asset, raw, prices in assets:
+        with np.errstate(over="ignore", invalid="ignore"):  # out-of-order ticks from the fast path
+            times = raw - t_min
+            times /= span
+        collapsed = np.flatnonzero(times[1:] <= times[:-1])
         if collapsed.size:
             i = int(collapsed[0])
-            raise MarketDataError(
-                f"{path}: asset {asset!r}: times {raw_times[i]!r} and "
-                f"{raw_times[i + 1]!r} coincide once normalized to [0, 1]"
-            )
-        values = np.asarray(prices)
+            raise MarketDataError(f"{path}: asset {asset!r}: times {raw[i].item()!r} and "
+                                  f"{raw[i + 1].item()!r} coincide once normalized to [0, 1]")
         if price_kind == "raw":
-            values = np.log(values)
-        series.append(TickSeries(asset_id=asset, times=times, values=values))
+            np.log(prices, out=prices)
+        series.append(TickSeries(asset_id=asset, times=times, values=prices))
     return ObservationSet(series=tuple(series), time_span=span)
 
 
@@ -289,21 +285,23 @@ def read_rows(path, error):
     """Yield a CSV file's header row (None if the file is empty), then (lineno, cells) per data row.
 
     The one row reader of the tick and vol files. The file is opened as
-    ``write_rows`` writes it: UTF-8, ``newline=""``. A blank row, with no
-    cells or one cell of whitespace, is skipped, and a row not as wide as the
-    header raises ``error`` naming the file and line. A caller wraps it in
+    ``write_rows`` writes it: UTF-8, ``newline=""``. ``lineno`` is the
+    physical line a row ends on. A blank row, with no cells or one cell of
+    whitespace, is skipped, and a row not as wide as the header raises
+    ``error`` naming the file and line. A caller wraps it in
     ``contextlib.closing``, so the file is closed when the caller raises.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         yield header
-        for lineno, cells in enumerate(reader, start=2):
+        for cells in reader:
             if not cells or (len(cells) == 1 and not cells[0].strip()):
                 continue
             if len(cells) != len(header):
-                raise error(f"{path}:{lineno}: expected {len(header)} columns, got {len(cells)}")
-            yield lineno, cells
+                raise error(f"{path}:{reader.line_num}: "
+                            f"expected {len(header)} columns, got {len(cells)}")
+            yield reader.line_num, cells
 
 
 def floats(path, lineno: int, cells, error) -> list[float]:

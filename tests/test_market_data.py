@@ -119,6 +119,31 @@ def test_load_csv_names_the_line_of_a_non_numeric_field(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("last, match", [
+    ("A,abc,1", r"could not convert string to float: 'abc'"),
+    ("A,1", r"expected 3 columns, got 2"),
+], ids=["bad float", "short row"])
+def test_load_csv_numbers_rows_by_physical_line(tmp_path, last, match):
+    # each quoted "d\ne" id spans two lines, so the last row is on line 6, not record 4
+    path = _write(tmp_path, f'asset,time,price\n"d\ne",0,1\n"d\ne",1,2\n{last}\n', name="q.csv")
+    with pytest.raises(MarketDataError, match=rf"q\.csv:6: {match}$"):
+        load_csv(path)
+
+
+@pytest.mark.parametrize("body, price_kind, match", [
+    ("A,5,1.0\nA,5,1.1\nA,7,1.2\n", "log", r"ticks\.csv:3: asset 'A': duplicate timestamp 5\.0$"),
+    ("A,5,1.0\nA,7,1.1\nA,6,1.2\n", "log",
+     r"ticks\.csv:4: asset 'A': timestamps must be strictly increasing \(got 6\.0 after 7\.0\)$"),
+    ("A,1,1.0\nA,2,1.1\nB,1.5,2.0\n", "log", r"ticks\.csv: asset 'B': at least 2 ticks are required$"),
+    ("A,1,1.0\nA,2,-0.5\n", "raw", r"ticks\.csv: asset 'A': non-positive raw price -0\.5$"),
+], ids=["duplicate time", "time out of order", "one tick", "non-positive raw price"])
+def test_load_csv_errors_name_the_file(tmp_path, body, price_kind, match):
+    path = _write(tmp_path, "asset,time,price\n" + body)
+    with pytest.raises(MarketDataError, match=match) as info:
+        load_csv(path, price_kind)
+    assert str(info.value).startswith(f"{path}:")
+
+
 @pytest.mark.parametrize("body, match", [
     ("A,nan,1.0\nA,1,1.1\nB,0,2.0\nB,2,2.1\n", r"ticks\.csv:2: non-finite"),
     ("A,0,1.0\nA,2,1.1\nB,nan,2.0\nB,1,2.1\n", r"ticks\.csv:4: non-finite"),
