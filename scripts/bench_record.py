@@ -1,25 +1,24 @@
 #!/usr/bin/env python3
 """Write one BENCH_<workload>.json per benchmark workload at the repository root.
 
-For each workload named (all of BENCHMARK.json's by default) it runs the
-benchmark as it stands,
+For every workload of BENCHMARK.json it runs the benchmark as it stands,
 
     python3 perfbench/run.py --workload W --seed 1 --seconds 25 --trace 1
 
 and records what that run measured: the per-layer metrics of its last
 line of output, the end-to-end metrics of the summary in
-``.perfbench_out/W-seed1-trace1/result.json``, and the numpy version,
-``nproc`` and BLAS thread count the run reports. The git revision is taken
-here, with whether tracked files other than the BENCH files differ from it,
-since perfbench reports ``unknown`` outside a git work tree. A workload
-whose run fails writes no file, and the script exits 1. Run from the
-repository root:
+``.perfbench_out/W-seed1-trace1/result.json``, the command as it ran, and
+the numpy version, ``nproc`` and BLAS thread count the run reports. The git
+revision is taken here, with whether tracked files other than the BENCH
+files differ from it, since perfbench reports ``unknown`` outside a git
+work tree. A workload whose run fails writes no file, and the script
+exits 1. Run from the repository root:
 
-    python3 scripts/bench_record.py                  # every workload
-    python3 scripts/bench_record.py day-estimate     # one
+    python3 scripts/bench_record.py
 """
 
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -38,7 +37,7 @@ def git(*args: str) -> str | None:
 
 def record(workload: str, revision: dict) -> bool:
     """Run perfbench on one workload and write its BENCH file; False if the run failed."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+    cmd = ["python3", "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
            "--seconds", str(SECONDS), "--trace", "1"]
     run = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
     if run.returncode != 0:
@@ -51,7 +50,7 @@ def record(workload: str, revision: dict) -> bool:
     meta = result["meta"]
     bench = {
         "workload": workload,
-        "command": " ".join(["python3", *cmd[1:]]),
+        "command": shlex.join(cmd),
         **revision,
         "correct": last["correct"],
         "end_to_end": result["summary"],
@@ -71,21 +70,14 @@ def record(workload: str, revision: dict) -> bool:
     return True
 
 
-def main(argv: list[str]) -> int:
+def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    known = [w["name"] for w in spec["workloads"]]
-    workloads = argv or known
-    unknown = sorted(set(workloads) - set(known))
-    if unknown:
-        print(f"unknown workload(s): {', '.join(unknown)}; known: {', '.join(known)}",
-              file=sys.stderr)
-        return 2
     changed = git("status", "--porcelain", "--untracked-files=no", "--", ".", ":!BENCH_*.json")
     revision = {"git": git("rev-parse", "HEAD") or "unknown",
                 "git_dirty": None if changed is None else bool(changed)}
-    ok = [record(w, revision) for w in workloads]
+    ok = [record(w["name"], revision) for w in spec["workloads"]]
     return 0 if all(ok) else 1
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

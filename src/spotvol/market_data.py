@@ -250,7 +250,8 @@ def _panel(path, assets, price_kind: str) -> ObservationSet:
     """The panel of ``(id, raw times, prices)`` per asset, in order of first appearance.
 
     The one core of both tick readers: 2 ticks an asset, positive raw prices,
-    one global affine map onto [0, 1] and the log of raw prices, in place.
+    one global affine map onto [0, 1] into new arrays (raw times stay for the
+    messages) and the log of raw prices in place.
     Each error names the file; the fast path may hand in out-of-order ticks.
     """
     for asset, times, prices in assets:
