@@ -23,12 +23,12 @@ SEEDS = tuple(range(1, 21))
 def run_one(seed: int) -> float:
     cov = np.array([[1.0, 0.5], [0.5, 1.0]])
     fine, oracle = sv.simulate(sv.ConstCorrModel(covariance=cov), 1500, seed)
-    obs = sv.sample(fine, sv.SamplingScheme(kind="sync_uniform", n_target=150), seed)
+    obs = sv.sample(fine, sv.SamplingScheme(kind="sync", n_target=150), seed)
     config = sv.EstimatorConfig(
         method="generic",
         eval_grid=np.arange(1, 151) / 150,
         m=15,
-        kernel=sv.KernelParams(family="gaussian", l_gauss=31.0),
+        kernel=sv.KernelParams(family="gaussian"),
     )
     path = sv.estimate_path(obs, config)
     return sv.score(path, oracle, burn=0.1).mean_rel_frobenius

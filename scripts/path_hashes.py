@@ -61,6 +61,8 @@ from spotvol.cli import render_pca_svg  # noqa: E402
 SIZES = ((40, 2000, 40, 390), (3, 23400, 75, 150), (12, 150, 15, 4), (1, 50, 3, 7),
          (100, 300, 15, 45), (2, 30, 5, 33))
 POINTS = (0.0, 0.37, 1.0)
+# The four measure families, each at the defaults make_measure resolves from M.
+KERNELS = tuple(sv.KernelParams(family=f) for f in ("gaussian", "cauchy", "flat", "fejer"))
 SIM_SEEDS = (3, 2**64 - 1)
 
 RECORDED_WITH = "numpy 2.4.6, scipy-openblas 0.3.31.188.0 (DYNAMIC_ARCH), one BLAS thread, x86_64"
@@ -71,14 +73,6 @@ EXPECTED = {
     "pca": "d07bd2f282583420e5246c208b664aa541346ed6b2bf5216d3b0ce3d16535372",
     "row-parser": "ba41e92901eccc8ad056d84af313de24b22700b371ee4732ae698208e7b7af4c",
 }
-
-
-def kernels(m: int):
-    """The four measure families, gaussian and cauchy at the command line's defaults for M = m."""
-    yield sv.KernelParams(family="gaussian", l_gauss=float(2 * m + 1))
-    yield sv.KernelParams(family="cauchy", gamma=(2 * m + 1) ** -0.5)
-    yield sv.KernelParams(family="flat")
-    yield sv.KernelParams(family="fejer")
 
 
 def panel(d: int, n: int, seed: int) -> sv.ObservationSet:
@@ -101,7 +95,7 @@ def matrices(obs: sv.ObservationSet, m: int, grid: np.ndarray):
     yield sv.estimate_path(obs, config).matrices
     for t in POINTS:
         yield sv.estimate_classical(inc, m, None, t).entries
-    for kernel in kernels(m):
+    for kernel in KERNELS:
         mu = sv.make_measure(kernel, m)
         c = sv.c_from_measure(mu, m)
         for method in ("psd_direct", "psd_factorized"):
@@ -151,7 +145,7 @@ def simulated():
                 yield fine.times.tobytes()
                 yield fine.values.tobytes()
                 yield oracle.path(POINTS).tobytes()
-                for kind in ("sync_uniform", "poisson"):
+                for kind in simulation.SAMPLING_KINDS:
                     obs = sv.sample(fine, sv.SamplingScheme(kind=kind, n_target=150), seed)
                     for s in obs.series:
                         yield s.times.tobytes()
@@ -166,7 +160,7 @@ def pca_stage(directory: Path):
     fine, _ = sv.simulate(sv.FactorModel(loadings=sv.random_loadings(12, 3, 7), idio=0.05), 1500, 7)
     obs = sv.sample(fine, sv.SamplingScheme(kind="poisson", n_target=150), 7)
     grid = np.arange(1, 151) / 150
-    gaussian = sv.KernelParams(family="gaussian", l_gauss=31.0)
+    gaussian = sv.KernelParams(family="gaussian")
     cases = ((obs, gaussian), (obs, sv.KernelParams(family="flat")),
              (sv.ObservationSet(series=obs.series[:1]), gaussian))
     for panel_obs, kernel in cases:

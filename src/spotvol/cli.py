@@ -23,21 +23,14 @@ def _eval_grid(points: int) -> np.ndarray:
     return np.arange(1, points + 1) / points
 
 
-KERNEL_FLAGS = {"gamma": "--gamma", "l_gauss": "--l-gauss", "nodes": "--nodes", "wrap": "--wrap"}
-
-
-def _kernel_params(family: str | None, fields: dict, m: int) -> kernels.KernelParams:
+def _kernel_params(family: str | None, fields: dict) -> kernels.KernelParams:
     family = family if family is not None else "gaussian"
     stray = kernels.stray_field(family, fields)
     if stray is not None:
         families = kernels.FIELD_FAMILIES[stray]
         plural = "s" if len(families) > 1 else ""
-        raise ValueError(
-            f"{KERNEL_FLAGS[stray]} applies only to the {' and '.join(families)} kernel{plural}")
-    if family == "cauchy" and fields["gamma"] is None:
-        fields = {**fields, "gamma": (2 * m + 1) ** -0.5}
-    if family == "gaussian" and fields["l_gauss"] is None:
-        fields = {**fields, "l_gauss": float(2 * m + 1)}
+        flag = "--" + stray.replace("_", "-")
+        raise ValueError(f"{flag} applies only to the {' and '.join(families)} kernel{plural}")
     return kernels.KernelParams(family=family, **fields)
 
 
@@ -65,12 +58,10 @@ def _cmd_simulate(args) -> int:
     if fine_steps < 10 * args.n:
         raise ValueError(f"--fine-steps must be at least 10 * n = {10 * args.n}")
     fine, oracle = simulation.simulate(model, fine_steps, args.seed)
-    kind = "sync_uniform" if args.sampling == "sync" else "poisson"
-    obs = simulation.sample(fine, simulation.SamplingScheme(kind=kind, n_target=args.n), args.seed)
+    scheme = simulation.SamplingScheme(kind=args.sampling, n_target=args.n)
+    obs = simulation.sample(fine, scheme, args.seed)
     market_data.write_csv(obs, args.out_ticks)
-    oracle_path = est_mod.VolPath(
-        times=grid, matrices=oracle.path(grid), asset_ids=obs.asset_ids, config=None
-    )
+    oracle_path = est_mod.VolPath(times=grid, matrices=oracle.path(grid), asset_ids=obs.asset_ids)
     est_mod.write_vol_csv(oracle_path, args.out_oracle)
     counts = ", ".join(f"{s.asset_id}:{s.times.size}" for s in obs.series)
     print(f"simulated {obs.d} assets (model={args.model}, seed={args.seed})")
@@ -87,10 +78,10 @@ def _cmd_estimate(args) -> int:
             kernels.require_count(flag, value)
     if args.L is not None and method != "classical":
         raise ValueError("--L applies only to --method classical")
-    fields = {name: getattr(args, name) for name in KERNEL_FLAGS}
+    fields = {name: getattr(args, name) for name in kernels.FIELD_FAMILIES}
     kernel = None
     if method in est_mod.KERNEL_METHODS:
-        kernel = _kernel_params(args.kernel, fields, args.M)
+        kernel = _kernel_params(args.kernel, fields)
     elif args.kernel is not None or kernels.stray_field(None, fields) is not None:
         raise ValueError("kernel flags apply only to the psd-* and generic methods")
     config = est_mod.EstimatorConfig(
@@ -190,7 +181,7 @@ def run_bench(d: int, n: int, m: int, reps: int, grid: int, seed: int) -> dict:
     fine, _ = simulation.simulate(model, 10 * n, seed)
     obs = simulation.sample(fine, simulation.SamplingScheme(kind="poisson", n_target=n), seed)
     inc = market_data.increments(obs)
-    kernel = kernels.KernelParams(family="gaussian", l_gauss=float(2 * m + 1))
+    kernel = kernels.KernelParams(family="gaussian")
     mu = kernels.make_measure(kernel, m)
     spec = est_mod.generic_spec_from_psd(kernels.c_from_measure(mu, m))
     t_probe = 0.5
@@ -257,7 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--r", type=int, default=3, help="factor count for the factor model")
     p_sim.add_argument("--eps", type=float, default=0.05, help="factor model idiosyncratic level")
     p_sim.add_argument("--n", type=int, default=150, help="target ticks per asset")
-    p_sim.add_argument("--sampling", choices=("sync", "poisson"), default="sync")
+    p_sim.add_argument("--sampling", choices=simulation.SAMPLING_KINDS, default="sync")
     p_sim.add_argument("--fine-steps", type=int, default=None, help="fine grid steps (default 10*n)")
     p_sim.add_argument("--grid", type=int, default=150, help="oracle evaluation points")
     p_sim.add_argument("--seed", type=int, default=0)

@@ -235,7 +235,6 @@ class VolPath:
     times: np.ndarray
     matrices: np.ndarray  # (n, d, d)
     asset_ids: tuple[str, ...]
-    config: "EstimatorConfig | None" = None
 
     def __post_init__(self) -> None:
         times = _eval_times(self.times)
@@ -289,7 +288,7 @@ class EstimatorConfig:
             raise EstimationError(f"method {self.method!r} takes no smoothing order l")
 
 
-def _on_grid(form, args, times, d: int) -> np.ndarray:
+def _on_grid(form, args, times) -> np.ndarray:
     """V at each of ``times``, evaluated in blocks of ``GRID_BLOCK`` times: the one block loop.
 
     ``form(*args, block)`` takes its estimator's inputs, the increment table
@@ -304,17 +303,18 @@ def _on_grid(form, args, times, d: int) -> np.ndarray:
     overflow warnings are off here. A non-finite matrix is returned as it
     comes: the ``VolPath`` or ``VolMatrix`` built from the matrices rejects it.
     """
-    times = _eval_times(times)
+    times, inc = _eval_times(times), args[0]
     n = times.size
     top = np.empty(n)  # max|V| per time
     with np.errstate(over="ignore", invalid="ignore"):
         at = form(*args, min(GRID_BLOCK, n))
-        out = np.empty((n, d, d))  # after the form's arrays, so freeing those leaves no heap top to trim
+        # after the form's arrays, so freeing those leaves no heap top to trim
+        out = np.empty((n, inc.d, inc.d))
         for start in range(0, n, GRID_BLOCK):
             rows = slice(start, start + GRID_BLOCK)
             at(times[rows], out[rows])
             np.maximum(out[rows].max(axis=(1, 2)), -out[rows].min(axis=(1, 2)), out=top[rows])
-        _require_normal(args[0], times, top)  # its comparisons may meet a nan
+        _require_normal(inc, times, top)  # its comparisons may meet a nan
     return out
 
 
@@ -535,7 +535,7 @@ def estimate_generic(inc: IncrementTable, spec: GenericSpec, t: float) -> VolMat
     Intended for tests and small inputs; the real part is returned and a
     warning is emitted when the imaginary residue is large.
     """
-    return VolMatrix(t=float(t), entries=_on_grid(_generic_form, (inc, spec), [t], inc.d)[0])
+    return VolMatrix(t=float(t), entries=_on_grid(_generic_form, (inc, spec), [t])[0])
 
 
 def estimate_classical(inc: IncrementTable, m: int, l: int | None, t: float) -> VolMatrix:
@@ -544,12 +544,12 @@ def estimate_classical(inc: IncrementTable, m: int, l: int | None, t: float) -> 
     ``l`` defaults to ``m``. The output is not symmetric in general: the
     time-smoothing kernel attaches to the row asset's ticks only.
     """
-    return VolMatrix(t=float(t), entries=_on_grid(_classical_form, (inc, m, l), [t], inc.d)[0])
+    return VolMatrix(t=float(t), entries=_on_grid(_classical_form, (inc, m, l), [t])[0])
 
 
 def estimate_psd_direct(inc: IncrementTable, c: PSDFunction, t: float) -> VolMatrix:
     """PSD estimator from a Hermitian weight table (double frequency sum)."""
-    return VolMatrix(t=float(t), entries=_on_grid(_direct_form, (inc, c), [t], inc.d)[0])
+    return VolMatrix(t=float(t), entries=_on_grid(_direct_form, (inc, c), [t])[0])
 
 
 def estimate_psd_factorized(inc: IncrementTable, mu: SpectralMeasure, m: int, t: float) -> VolMatrix:
@@ -558,7 +558,7 @@ def estimate_psd_factorized(inc: IncrementTable, mu: SpectralMeasure, m: int, t:
     Rank of the output is at most min(d, number of atoms); the matrix is
     exactly symmetric and positive semi-definite up to rounding.
     """
-    return VolMatrix(t=float(t), entries=_on_grid(_factorized_form, (inc, mu, m), [t], inc.d)[0])
+    return VolMatrix(t=float(t), entries=_on_grid(_factorized_form, (inc, mu, m), [t])[0])
 
 
 def estimate_path(obs: ObservationSet, config: EstimatorConfig) -> VolPath:
@@ -583,8 +583,8 @@ def estimate_path(obs: ObservationSet, config: EstimatorConfig) -> VolPath:
         form, args = _direct_form, (inc, c_from_measure(mu, m))
     else:
         form, args = _factorized_form, (inc, mu, m)
-    matrices = _on_grid(form, args, grid, inc.d)
-    return VolPath(times=grid.copy(), matrices=matrices, asset_ids=obs.asset_ids, config=config)
+    matrices = _on_grid(form, args, grid)
+    return VolPath(times=grid.copy(), matrices=matrices, asset_ids=obs.asset_ids)
 
 
 def default_asset_ids(d: int) -> tuple[str, ...]:
@@ -627,6 +627,6 @@ def read_vol_csv(file) -> VolPath:
     mats = np.zeros((len(table), d, d))
     mats[:, iu, ju] = mats[:, ju, iu] = table[:, 1:]
     try:
-        return VolPath(times=table[:, 0], matrices=mats, asset_ids=default_asset_ids(d), config=None)
+        return VolPath(times=table[:, 0], matrices=mats, asset_ids=default_asset_ids(d))
     except EstimationError as exc:
         raise EstimationError(f"{file}: {exc}") from exc

@@ -95,11 +95,11 @@ def fejer_eval(l: int, x):
 class KernelParams:
     """Family and shape parameters for the smoothing measure.
 
-    gamma is the Cauchy scale, l_gauss the Gaussian rate, nodes the
-    quadrature node count for the continuous families (default 2M+1 at
-    measure-construction time). With wrap=True the continuous densities are
-    replaced by their 1-periodized version (series truncated at |n| <= 5)
-    before discretization.
+    gamma is the Cauchy scale, l_gauss the Gaussian rate and nodes the
+    quadrature node count of the continuous families; each left at None is
+    resolved from the cutoff by ``make_measure``. With wrap=True the
+    continuous densities are replaced by their 1-periodized version (series
+    truncated at |n| <= 5) before discretization.
     """
 
     family: str
@@ -117,9 +117,9 @@ class KernelParams:
             group = (f"the {families[0]} family" if len(families) == 1
                      else f"the continuous families ({', '.join(families)})")
             raise ValueError(f"{stray} applies only to {group}, not {self.family!r}")
-        if self.family == "cauchy" and (self.gamma is None or not 0.0 < self.gamma < math.inf):
+        if self.gamma is not None and not 0.0 < self.gamma < math.inf:
             raise ValueError(f"cauchy family requires a finite gamma > 0, got {self.gamma!r}")
-        if self.family == "gaussian" and (self.l_gauss is None or not 0.0 < self.l_gauss < math.inf):
+        if self.l_gauss is not None and not 0.0 < self.l_gauss < math.inf:
             raise ValueError(f"gaussian family requires a finite l_gauss > 0, got {self.l_gauss!r}")
         if self.nodes is not None:
             require_count("nodes", self.nodes)
@@ -179,6 +179,10 @@ def make_measure(params: KernelParams, m: int) -> SpectralMeasure:
               4m+1 equispaced nodes integrate exactly, so the transform
               reproduces the triangular weight table with no discretization
               error.
+
+    The continuous families' fields left at None take the reference
+    protocol's values here: Q = 2m+1 nodes, gamma = (2m+1)^-1/2 and
+    L = 2m+1.
     """
     require_count("cutoff", m)
     if params.family == "flat":
@@ -197,14 +201,14 @@ def make_measure(params: KernelParams, m: int) -> SpectralMeasure:
     nodes = params.nodes if params.nodes is not None else 2 * m + 1
     grid = _quadrature_grid(nodes)
     if params.family == "cauchy":
-        gamma = float(params.gamma)
+        gamma = float(params.gamma if params.gamma is not None else (2 * m + 1) ** -0.5)
 
         def density(y):
             return gamma / (np.pi * (y * y + gamma * gamma))
 
         provenance = f"cauchy(gamma={gamma!r})"
     else:
-        rate = float(params.l_gauss)
+        rate = float(params.l_gauss if params.l_gauss is not None else 2 * m + 1)
 
         def density(y):
             return math.sqrt(rate / (2.0 * np.pi)) * np.exp(-rate * y * y)

@@ -47,6 +47,8 @@ SALT_PATH = 1      # Brownian increments driving the fine path
 SALT_SAMPLING = 2  # Poisson arrival times
 SALT_MODEL = 3     # model setup draws (factor loadings)
 
+SAMPLING_KINDS = ("sync", "poisson")  # a shared uniform grid, or per-asset Poisson arrivals
+
 _TWO_NEG53 = 2.0 ** -53
 
 
@@ -362,7 +364,7 @@ class SamplingScheme:
     n_target: int
 
     def __post_init__(self) -> None:
-        if self.kind not in ("sync_uniform", "poisson"):
+        if self.kind not in SAMPLING_KINDS:
             raise ValueError(f"unknown sampling kind {self.kind!r}")
         require_count("n_target", self.n_target)
 
@@ -395,7 +397,7 @@ def _poisson_indices(rngs: Sequence[Xoshiro256PP], rate: int, steps: int) -> lis
 def sample(fine: FinePath, scheme: SamplingScheme, seed: int) -> ObservationSet:
     """Sample the fine path onto tick grids; arrivals snap to the fine grid.
 
-    sync_uniform puts every asset on l / n_target for l = 0..n_target, and
+    sync puts every asset on l / n_target for l = 0..n_target, and
     poisson draws per-asset exponential gaps with rate n_target (endpoints
     forced, duplicates removed after snapping); asset j draws once from
     substream j * 101. The endpoints give every asset at least 2 ticks once
@@ -403,7 +405,7 @@ def sample(fine: FinePath, scheme: SamplingScheme, seed: int) -> ObservationSet:
     """
     steps = fine.times.size - 1
     d = fine.values.shape[0]
-    if scheme.kind == "sync_uniform":
+    if scheme.kind == "sync":
         n = scheme.n_target
         if n > steps:
             raise ValueError(f"n_target={n} exceeds the fine resolution of {steps} steps")

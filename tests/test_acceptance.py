@@ -216,7 +216,7 @@ def test_ac07_oracle_accuracy_gate():
     errors = []
     for seed in range(1, 21):
         fine, oracle = sv.simulate(sv.ConstCorrModel(covariance=cov), 1500, seed)
-        obs = sv.sample(fine, sv.SamplingScheme(kind="sync_uniform", n_target=150), seed)
+        obs = sv.sample(fine, sv.SamplingScheme(kind="sync", n_target=150), seed)
         config = sv.EstimatorConfig(
             method="psd_factorized", eval_grid=np.arange(1, 151) / 150, m=15, kernel=kernel
         )

@@ -1,3 +1,5 @@
+import dataclasses
+import timeit
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from spotvol import estimator, market_data, simulation
 from spotvol.cli import main, render_pca_svg, run_bench
 from spotvol.estimator import read_vol_csv
+from spotvol.kernels import KernelParams
 from spotvol.spectral import pca_ratios
 
 
@@ -122,6 +125,19 @@ def test_estimate_default_flags_and_determinism(small_ticks, tmp_path):
     assert header == ["t", "V_1_1", "V_1_2", "V_2_2"]
     assert rows.shape == (150, 4)
     np.testing.assert_allclose(rows[:, 0], np.arange(1, 151) / 150)
+
+
+@pytest.mark.parametrize("kernel", [None, "cauchy"])
+def test_estimate_writes_the_library_default_measure(small_ticks, tmp_path, kernel):
+    # the command line's measure is KernelParams(family=f), resolved by make_measure
+    out, want = tmp_path / "cli.csv", tmp_path / "library.csv"
+    flags = [] if kernel is None else ["--kernel", kernel]
+    assert run(["estimate", "--input", small_ticks, *flags, "--out", out]) == 0
+    config = estimator.EstimatorConfig(method="psd_factorized", eval_grid=np.arange(1, 151) / 150,
+                                       m=15, kernel=KernelParams(family=kernel or "gaussian"))
+    obs = market_data.load_csv(small_ticks)
+    estimator.write_vol_csv(estimator.estimate_path(obs, config), want)
+    assert out.read_bytes() == want.read_bytes()
 
 
 def test_estimate_warns_when_cutoff_exceeds_ticks(tmp_path, capsys):
@@ -282,6 +298,26 @@ def test_bench_rejects_zero_reps():
 def test_bench_rejects_a_negative_grid():
     with pytest.raises(ValueError, match="--grid must be a nonnegative integer"):
         run_bench(d=2, n=10, m=2, reps=1, grid=-1, seed=1)
+
+
+def test_bench_raises_before_timing_when_the_forms_disagree(capsys, monkeypatch):
+    exact, timed = estimator.estimate_psd_factorized, []
+
+    def perturbed(*args):
+        vol = exact(*args)
+        return dataclasses.replace(vol, entries=vol.entries * (1.0 + 1e-6))
+
+    def timer(*args, **kwargs):
+        timed.append(args)
+        return [0.0]
+
+    monkeypatch.setattr(estimator, "estimate_psd_factorized", perturbed)
+    monkeypatch.setattr(timeit, "repeat", timer)
+    monkeypatch.setattr(timeit, "timeit", timer)
+    with pytest.raises(RuntimeError, match="estimators disagree: relative difference"):
+        run_bench(d=2, n=20, m=3, reps=1, grid=2, seed=9)
+    assert timed == []
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_error_paths(tmp_path, capsys):

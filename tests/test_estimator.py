@@ -675,7 +675,7 @@ def test_factorized_mirror_symmetrizes_a_plain_product(rng, monkeypatch):
     if np.array_equal(plain, np.swapaxes(plain, 1, 2)):
         pytest.skip("a plain b^T b is bitwise symmetric with this BLAS")
     monkeypatch.setattr(estimator, "np", _CopiedTranspose())
-    v = _on_grid(_factorized_form, (inc, mu, m), times, inc.d)
+    v = _on_grid(_factorized_form, (inc, mu, m), times)
     np.testing.assert_array_equal(np.triu(v), np.triu(plain))  # the plain product was used
     np.testing.assert_array_equal(v, np.swapaxes(v, 1, 2))
 
@@ -1089,7 +1089,7 @@ _COUNT_PATH = VolPath(times=np.array([0.5]), matrices=np.eye(2)[None], asset_ids
 
 COUNT_ENTRY_POINTS = {
     "pca_ratios-top": (lambda k: pca_ratios(_COUNT_PATH, top=k), "top"),
-    "SamplingScheme-n_target": (lambda k: SamplingScheme(kind="sync_uniform", n_target=k), "n_target"),
+    "SamplingScheme-n_target": (lambda k: SamplingScheme(kind="sync", n_target=k), "n_target"),
     "simulate-fine_steps": (lambda k: simulate(ConstCorrModel(covariance=np.eye(2)), k, 0), "fine_steps"),
     "random_loadings-d": (lambda k: random_loadings(k, 2, 0), "d and r"),
     "random_loadings-r": (lambda k: random_loadings(3, k, 0), "d and r"),

@@ -228,11 +228,15 @@ def test_psd_function_table_coverage_and_hermitian_gate():
 
 def test_kernel_params_validation():
     with pytest.raises(ValueError, match="gamma"):
-        KernelParams(family="cauchy")
-    with pytest.raises(ValueError, match="gamma"):
         KernelParams(family="gaussian", gamma=0.1, l_gauss=1.0)
-    with pytest.raises(ValueError, match="l_gauss"):
-        KernelParams(family="gaussian")
+    for m in (1, 15, 75):  # a scale left at None is the reference protocol's, resolved from m
+        for family, given in (("cauchy", {"gamma": (2 * m + 1) ** -0.5}),
+                              ("gaussian", {"l_gauss": float(2 * m + 1)})):
+            default = make_measure(KernelParams(family=family), m)
+            explicit = make_measure(KernelParams(family=family, **given), m)
+            assert default.atoms.tobytes() == explicit.atoms.tobytes()
+            assert default.weights.tobytes() == explicit.weights.tobytes()
+            assert default.provenance == explicit.provenance
     with pytest.raises(ValueError, match="finite gamma"):
         KernelParams(family="cauchy", gamma=np.inf)
     with pytest.raises(ValueError, match="finite l_gauss"):

@@ -317,7 +317,7 @@ def test_psd_direct_matches_the_complex_form(obs, kernel, m, times):
     times = np.array(sorted(times))
     want = direct_complex_form(coeffs, c, times)
     scale = max(max_abs(want), max_abs(direct_complex_form(coeffs, c, np.linspace(0.0, 1.0, 9))))
-    assert max_abs(_on_grid(_direct_form, (inc, c), times, inc.d) - want) <= 1e-13 * scale
+    assert max_abs(_on_grid(_direct_form, (inc, c), times) - want) <= 1e-13 * scale
 
 
 @PROPERTY
@@ -330,7 +330,7 @@ def test_psd_factorized_matches_the_smooth_sum_form(obs, kernel, m, times):
     times = np.array(sorted(times))
     want = factorized_smooth_form(coeffs, mu, times)
     scale = max(max_abs(want), max_abs(factorized_smooth_form(coeffs, mu, np.linspace(0.0, 1.0, 9))))
-    assert max_abs(_on_grid(_factorized_form, (inc, mu, m), times, inc.d) - want) <= 1e-13 * scale
+    assert max_abs(_on_grid(_factorized_form, (inc, mu, m), times) - want) <= 1e-13 * scale
 
 
 # ----------------------------------------------------------------- tick ingest

@@ -186,14 +186,14 @@ def test_oracle_paths_are_psd():
 def test_sample_sync_uniform_grid():
     model = ConstCorrModel(covariance=np.eye(1))
     fine, _ = simulate(model, 40, 0)
-    obs = sample(fine, SamplingScheme(kind="sync_uniform", n_target=4), 0)
+    obs = sample(fine, SamplingScheme(kind="sync", n_target=4), 0)
     np.testing.assert_allclose(obs.series[0].times, [0.0, 0.25, 0.5, 0.75, 1.0])
 
 
 def test_sample_sync_rejects_too_many_ticks():
     fine, _ = simulate(ConstCorrModel(covariance=np.eye(1)), 10, 0)
     with pytest.raises(ValueError, match="fine resolution"):
-        sample(fine, SamplingScheme(kind="sync_uniform", n_target=20), 0)
+        sample(fine, SamplingScheme(kind="sync", n_target=20), 0)
 
 
 def test_sample_poisson_counts_and_asynchrony():
@@ -262,7 +262,7 @@ def test_constant_vol_estimates_nearly_constant():
     # three interior evaluation times on constant-covariance data give similar matrices
     model = ConstCorrModel(covariance=np.array([[1.0, 0.5], [0.5, 1.0]]))
     fine, oracle = simulate(model, 10_000, 8)
-    obs = sample(fine, SamplingScheme(kind="sync_uniform", n_target=1000), 8)
+    obs = sample(fine, SamplingScheme(kind="sync", n_target=1000), 8)
     config = EstimatorConfig(
         method="psd_factorized",
         eval_grid=np.array([0.25, 0.5, 0.75]),
