@@ -19,6 +19,16 @@ import numpy as np
 from . import estimator as est_mod
 from . import kernels, market_data, simulation, spectral
 
+MODEL_FLAGS = {  # simulate's model flags: (type, default, help, the models the flag applies to)
+    "rho": (float, 0.5, "pairwise correlation", ("const-corr", "sin-vol")),
+    "var": (float, 1.0, "const-corr diagonal variance", ("const-corr",)),
+    "a": (float, 1.0, "sin-vol volatility base level", ("sin-vol",)),
+    "b": (float, 0.5, "sin-vol volatility swing", ("sin-vol",)),
+    "r": (int, 3, "factor count for the factor model", ("factor",)),
+    "eps": (float, 0.05, "factor model idiosyncratic level", ("factor",)),
+}
+
+
 def _eval_grid(points: int) -> np.ndarray:
     return np.arange(1, points + 1) / points
 
@@ -37,6 +47,9 @@ def _kernel_params(family: str | None, fields: dict) -> kernels.KernelParams:
 def _build_model(args) -> simulation.SimModel:
     d = args.d
     kernels.require_count("--d", d)
+    for name, (_, default, _, models) in MODEL_FLAGS.items():
+        if getattr(args, name) != default and args.model not in models:
+            raise ValueError(f"--{name} applies only to --model {' and '.join(models)}")
     if args.model == "const-corr":
         cov = args.var * simulation.equicorrelation(d, args.rho)
         return simulation.ConstCorrModel(covariance=cov)
@@ -135,7 +148,7 @@ def _panel_svg(lines: list[str], x0: int, y0: int, w: int, h: int, ts, rs, label
 def render_pca_svg(pca: spectral.PcaPath) -> str:
     """Self-contained SVG: one stacked panel per cumulative eigenvalue share."""
     ts = pca.times
-    n_curves = pca.widths()[1]
+    n_curves = pca.reports[0].ratios.size
     margin_left, margin_right, margin_top = 50, 20, 20
     panel_w, panel_h, panel_gap = 620, 160, 40
     width = margin_left + panel_w + margin_right
@@ -241,12 +254,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="generate synthetic ticks with a known oracle")
     p_sim.add_argument("--model", choices=("const-corr", "sin-vol", "factor"), required=True)
     p_sim.add_argument("--d", type=int, default=2, help="number of assets")
-    p_sim.add_argument("--rho", type=float, default=0.5, help="pairwise correlation")
-    p_sim.add_argument("--var", type=float, default=1.0, help="const-corr diagonal variance")
-    p_sim.add_argument("--a", type=float, default=1.0, help="sin-vol volatility base level")
-    p_sim.add_argument("--b", type=float, default=0.5, help="sin-vol volatility swing")
-    p_sim.add_argument("--r", type=int, default=3, help="factor count for the factor model")
-    p_sim.add_argument("--eps", type=float, default=0.05, help="factor model idiosyncratic level")
+    for name, (kind, default, text, _) in MODEL_FLAGS.items():
+        p_sim.add_argument(f"--{name}", type=kind, default=default, help=text)
     p_sim.add_argument("--n", type=int, default=150, help="target ticks per asset")
     p_sim.add_argument("--sampling", choices=simulation.SAMPLING_KINDS, default="sync")
     p_sim.add_argument("--fine-steps", type=int, default=None, help="fine grid steps (default 10*n)")

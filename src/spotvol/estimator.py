@@ -54,7 +54,9 @@ and h^T (S h); the factorized form keeps only Phi, b^T b and its triangle
 mirror. The second product is written straight into the path's matrices.
 S and Phi are C-contiguous, so BLAS reads them in place. A path, or a
 pointwise value, with a non-finite matrix raises ``EstimationError``, and so
-does one whose matrices underflow below the smallest normal double.
+does one whose matrices underflow below the smallest normal double. Every
+time axis here, a grid, a path's times or one time, follows
+``market_data.require_times`` and breaks it with an ``EstimationError``.
 """
 
 from __future__ import annotations
@@ -74,7 +76,8 @@ from .kernels import (
     make_measure,
     require_count,
 )
-from .market_data import IncrementTable, ObservationSet, floats, increments, read_rows, write_rows
+from .market_data import (IncrementTable, ObservationSet, floats, increments, read_rows,
+                          require_times, write_rows)
 
 METHODS = ("generic", "classical", "psd_direct", "psd_factorized")
 KERNEL_METHODS = ("generic", "psd_direct", "psd_factorized")  # weights come from a measure
@@ -88,23 +91,6 @@ CHUNK = 4096  # ticks per chunk in fourier_coefficients
 
 class EstimationError(ValueError):
     """Raised when an estimator is configured or applied inconsistently."""
-
-
-def _eval_times(times) -> np.ndarray:
-    """Evaluation times as a float array: nonempty, 1-d, in [0, 1], strictly increasing."""
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0:
-        raise EstimationError("times must be a nonempty 1-d array")
-    outside = ~((times >= 0.0) & (times <= 1.0))
-    if np.any(outside):
-        bad = float(times[outside][0])
-        kind = "out-of-range" if np.isfinite(bad) else "non-finite"
-        raise EstimationError(f"{kind} time {bad!r}: times must be finite and lie in [0, 1]")
-    step = np.diff(times) <= 0.0
-    if np.any(step):
-        i = int(np.argmax(step))
-        raise EstimationError(f"times must be strictly increasing, got {times[i + 1]} after {times[i]}")
-    return times
 
 
 def _require_finite(times, matrices: np.ndarray) -> None:
@@ -230,14 +216,14 @@ class VolMatrix:
 
 @dataclass(frozen=True)
 class VolPath:
-    """Estimated finite matrices over evaluation times that ``_eval_times`` accepts."""
+    """Estimated finite matrices over times that ``require_times`` accepts."""
 
     times: np.ndarray
     matrices: np.ndarray  # (n, d, d)
     asset_ids: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        times = _eval_times(self.times)
+        times = require_times(self.times, EstimationError)
         matrices = np.asarray(self.matrices, dtype=float)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "matrices", matrices)
@@ -279,7 +265,7 @@ class EstimatorConfig:
         require_count("cutoff", self.m, EstimationError)
         if self.l is not None:
             require_count("smoothing order", self.l, EstimationError)
-        object.__setattr__(self, "eval_grid", _eval_times(self.eval_grid))
+        object.__setattr__(self, "eval_grid", require_times(self.eval_grid, EstimationError))
         if self.method in KERNEL_METHODS and self.kernel is None:
             raise EstimationError(f"method {self.method!r} requires kernel parameters")
         if self.method not in KERNEL_METHODS and self.kernel is not None:
@@ -303,7 +289,7 @@ def _on_grid(form, args, times) -> np.ndarray:
     overflow warnings are off here. A non-finite matrix is returned as it
     comes: the ``VolPath`` or ``VolMatrix`` built from the matrices rejects it.
     """
-    times, inc = _eval_times(times), args[0]
+    times, inc = require_times(times, EstimationError), args[0]
     n = times.size
     top = np.empty(n)  # max|V| per time
     with np.errstate(over="ignore", invalid="ignore"):

@@ -28,9 +28,30 @@ class MarketDataError(ValueError):
     """Raised when tick input fails validation."""
 
 
+def require_times(times, error, prefix: str = "") -> np.ndarray:
+    """``times`` as a float array, if nonempty, 1-d, in [0, 1] and strictly increasing.
+
+    The one time-axis rule: of tick series, grids, vol and PCA paths. A breach
+    raises ``error``, its message led by ``prefix`` and naming the first bad time.
+    """
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size == 0:
+        raise error(f"{prefix}times must be a nonempty 1-d array")
+    steps = np.diff(times)
+    if times[0] >= 0.0 and times[-1] <= 1.0 and (steps > 0.0).all():
+        return times  # increasing from and to a time in [0, 1], so all of them lie in it
+    outside = ~((times >= 0.0) & (times <= 1.0))
+    if outside.any():
+        bad = float(times[outside][0])
+        kind = "out-of-range" if np.isfinite(bad) else "non-finite"
+        raise error(f"{prefix}{kind} time {bad!r}: times must be finite and lie in [0, 1]")
+    i = int(np.argmax(steps <= 0.0))
+    raise error(f"{prefix}times must be strictly increasing, got {times[i + 1]} after {times[i]}")
+
+
 @dataclass(frozen=True)
 class TickSeries:
-    """One asset's observation times in [0, 1] and log-price values."""
+    """One asset's 2 or more ticks: times that ``require_times`` accepts, finite log-prices."""
 
     asset_id: str
     times: np.ndarray
@@ -43,14 +64,11 @@ class TickSeries:
         object.__setattr__(self, "values", values)
         if times.ndim != 1 or values.ndim != 1 or times.size != values.size:
             raise MarketDataError(f"{self.asset_id}: times and values must be 1-d of equal length")
+        require_times(times, MarketDataError, f"{self.asset_id}: ")
         if times.size < 2:
             raise MarketDataError(f"{self.asset_id}: at least 2 ticks are required")
-        if not np.all(np.isfinite(times)) or not np.all(np.isfinite(values)):
-            raise MarketDataError(f"{self.asset_id}: times and values must be finite")
-        if np.any(np.diff(times) <= 0.0):
-            raise MarketDataError(f"{self.asset_id}: times must be strictly increasing")
-        if times[0] < 0.0 or times[-1] > 1.0:
-            raise MarketDataError(f"{self.asset_id}: times must lie in [0, 1]")
+        if not np.isfinite(values).all():
+            raise MarketDataError(f"{self.asset_id}: values must be finite")
 
 
 @dataclass(frozen=True)

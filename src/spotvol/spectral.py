@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .kernels import PSD_FLOOR_RTOL, SYMMETRY_RTOL, require_count
-from .market_data import write_rows
+from .market_data import require_times, write_rows
 
 if TYPE_CHECKING:  # pragma: no cover
     from .estimator import VolPath
@@ -32,14 +32,12 @@ class EigenReport:
 
 @dataclass(frozen=True)
 class PcaPath:
-    """Sequence of eigen reports over a strictly increasing time grid, all of one shape."""
+    """Eigen reports, all of the first one's shape, over times that ``require_times`` accepts."""
 
     reports: tuple[EigenReport, ...]
 
     def __post_init__(self) -> None:
-        times = [r.t for r in self.reports]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("report times must be strictly increasing")
+        require_times([r.t for r in self.reports], ValueError, "report ")
         shapes = [(r.eigenvalues.size, r.ratios.size) for r in self.reports]
         for rep, (e, k) in zip(self.reports, shapes):
             if (e, k) != shapes[0]:
@@ -55,12 +53,6 @@ class PcaPath:
     @property
     def times(self) -> np.ndarray:
         return np.array([r.t for r in self.reports])
-
-    def widths(self) -> tuple[int, int]:
-        """The eigenvalue and ratio counts of every report; an empty path has nothing to write."""
-        if not self.reports:
-            raise ValueError("cannot write an empty PCA path")
-        return self.reports[0].eigenvalues.size, self.reports[0].ratios.size
 
 
 def pca_ratios(path: "VolPath", top: int = 3) -> PcaPath:
@@ -119,7 +111,7 @@ def pca_ratios(path: "VolPath", top: int = 3) -> PcaPath:
 
 def write_pca_csv(pca: PcaPath, path) -> None:
     """Write a PCA path as CSV: t, lambda_1..lambda_d, r1..r_k."""
-    d, k = pca.widths()
+    d, k = pca.reports[0].eigenvalues.size, pca.reports[0].ratios.size
     header = ["t"] + [f"lambda_{i + 1}" for i in range(d)] + [f"r{m + 1}" for m in range(k)]
     rows = np.array([[rep.t, *rep.eigenvalues, *rep.ratios] for rep in pca.reports])
     write_rows(path, header, rows)

@@ -259,11 +259,15 @@ def test_svg_well_formed_and_self_contained(tmp_path):
     assert svg.count("<polyline") == 3
 
 
-def test_svg_of_an_empty_pca_path_raises_the_writers_error():
+def test_svg_of_a_one_time_pca_path_and_no_empty_path_to_render():
+    from spotvol.estimator import VolPath
     from spotvol.spectral import PcaPath
 
-    with pytest.raises(ValueError, match="cannot write an empty PCA path"):
-        render_pca_svg(PcaPath(reports=()))
+    with pytest.raises(ValueError, match="report times must be a nonempty 1-d array"):
+        PcaPath(reports=())
+    path = VolPath(times=[0.5], matrices=np.diag([2.0, 1.0])[None], asset_ids=("A1", "A2"))
+    svg = render_pca_svg(pca_ratios(path, top=2))
+    assert svg.count("<polyline") == 2 and 'points="360.00,' in svg
 
 
 def test_bench_small_instance_agreement(capsys):
@@ -383,6 +387,28 @@ def test_simulate_names_n_when_it_is_below_one(tmp_path, capsys, n, extra):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("model, flag, value, models", [
+    ("factor", "--rho", 0.2, "const-corr and sin-vol"),
+    ("sin-vol", "--var", 2.0, "const-corr"),
+    ("const-corr", "--a", 7.0, "sin-vol"),
+    ("factor", "--b", 0.3, "sin-vol"),
+    ("const-corr", "--r", 9, "factor"),
+    ("sin-vol", "--eps", 3.0, "factor"),
+])
+def test_simulate_rejects_a_model_flag_its_model_does_not_read(tmp_path, capsys, monkeypatch,
+                                                               model, flag, value, models):
+    monkeypatch.chdir(tmp_path)
+    assert run(["simulate", "--model", model, flag, value]) == 1
+    assert f"error: {flag} applies only to --model {models}\n" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_simulate_accepts_a_model_flag_left_at_its_default(tmp_path):
+    outs = ["--out-ticks", tmp_path / "ticks.csv", "--out-oracle", tmp_path / "oracle.csv"]
+    assert run(["simulate", "--model", "factor", "--rho", 0.5, "--var", 1.0, "--n", 10,
+                "--grid", 2, *outs]) == 0
+
+
 def test_simulate_rejects_fine_steps_below_ten_per_tick(tmp_path, capsys):
     assert run(["simulate", "--model", "const-corr", "--n", 20, "--fine-steps", 199,
                 "--out-ticks", tmp_path / "ticks.csv", "--out-oracle", tmp_path / "oracle.csv"]) == 1
@@ -482,6 +508,18 @@ def test_python_dash_m_entry():
     )
     assert proc.returncode == 0
     assert "simulate" in proc.stdout and "bench" in proc.stdout
+
+
+def test_python_dash_m_entry_in_process(monkeypatch, capsys):
+    # the line tracer of scripts/untested_lines.py sees this run, not the subprocess above
+    import runpy
+    import sys
+
+    monkeypatch.setattr(sys, "argv", ["spotvol", "--help"])
+    with pytest.raises(SystemExit) as caught:
+        runpy.run_module("spotvol", run_name="__main__")
+    assert caught.value.code == 0
+    assert "simulate" in capsys.readouterr().out
 
 
 def run_piped(args, data: bytes):

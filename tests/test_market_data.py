@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from spotvol import market_data
+from spotvol.estimator import EstimationError, EstimatorConfig, VolPath
+from spotvol.kernels import KernelParams
 from spotvol.market_data import (
     AssetIncrements,
     MarketDataError,
@@ -16,6 +18,7 @@ from spotvol.market_data import (
     load_csv,
     write_csv,
 )
+from spotvol.spectral import EigenReport, PcaPath
 
 
 def _write(tmp_path, text, name="ticks.csv"):
@@ -344,6 +347,32 @@ def test_tick_series_validation():
     for times, values in (([0.0, 0.5, 1.0], [1.0, 2.0]), ([[0.0, 1.0]], [[1.0, 2.0]])):
         with pytest.raises(MarketDataError, match="A: times and values must be 1-d of equal length"):
             TickSeries("A", np.array(times), np.array(values))
+
+
+# each time axis of the package: how to build it on given times, its error class and its prefix
+TIME_AXES = {
+    "tick-series": (lambda t: TickSeries("A", t, np.zeros(t.size)), MarketDataError, "A: "),
+    "estimator-config": (lambda t: EstimatorConfig("psd_factorized", t, kernel=KernelParams("gaussian")),
+                         EstimationError, ""),
+    "vol-path": (lambda t: VolPath(t, np.ones((t.size, 1, 1)), ("A",)), EstimationError, ""),
+    "pca-path": (lambda t: PcaPath(tuple(EigenReport(x, np.ones(1), np.ones(1)) for x in t)),
+                 ValueError, "report "),
+}
+
+
+@pytest.mark.parametrize("times, message", [
+    ([], "times must be a nonempty 1-d array"),
+    ([np.nan, 0.5], "non-finite time nan: times must be finite and lie in [0, 1]"),
+    ([0.2, 1.5], "out-of-range time 1.5: times must be finite and lie in [0, 1]"),
+    ([0.5, 0.5], "times must be strictly increasing, got 0.5 after 0.5"),
+], ids=["empty", "nan", "out-of-range", "repeated"])
+@pytest.mark.parametrize("axis", TIME_AXES)
+def test_every_time_axis_follows_the_one_rule_with_its_own_error(axis, times, message):
+    build, error, prefix = TIME_AXES[axis]
+    with pytest.raises(error) as caught:
+        build(np.array(times, dtype=float))
+    assert type(caught.value) is error
+    assert str(caught.value) == prefix + message
 
 
 @pytest.mark.parametrize("times, dx, match", [

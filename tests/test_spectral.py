@@ -188,17 +188,15 @@ def test_pca_path_rejects_reports_of_another_shape(eigenvalues, ratios, shape):
     other = EigenReport(t=0.75, eigenvalues=np.array(eigenvalues), ratios=np.array(ratios))
     with pytest.raises(ValueError, match=f"report at t=0.75 has {shape}; the first report has 2 and 1"):
         PcaPath(reports=(first, same, other))
-    assert len(PcaPath(reports=())) == 0
 
 
-def test_pca_path_rejects_unordered_times_and_an_empty_path_has_nothing_to_write(tmp_path):
+def test_pca_path_rejects_unordered_times_and_an_empty_path():
     first = EigenReport(t=0.5, eigenvalues=np.array([2.0, 1.0]), ratios=np.array([2 / 3]))
     second = EigenReport(t=0.5, eigenvalues=np.array([3.0, 1.0]), ratios=np.array([0.75]))
     with pytest.raises(ValueError, match="report times must be strictly increasing"):
         PcaPath(reports=(first, second))
-    with pytest.raises(ValueError, match="cannot write an empty PCA path"):
-        write_pca_csv(PcaPath(reports=()), tmp_path / "pca.csv")
-    assert not (tmp_path / "pca.csv").exists()
+    with pytest.raises(ValueError, match="report times must be a nonempty 1-d array"):
+        PcaPath(reports=())
 
 
 def per_row_pca_csv(pca, path):
