@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Check five sha256 digests: of the estimators, tick ingest, the simulator, PCA and the row parser.
+"""Check six sha256 digests: of the estimators, tick ingest, the simulator, PCA, the row parser
+and the generic reference.
 
 Each digest is printed with ``ok`` when it equals its value in ``EXPECTED``
 and ``CHANGED`` when it does not; the script exits 1 if any changed. A
-change meant to keep every output bit prints ``ok`` five times; one meant to
+change meant to keep every output bit prints ``ok`` six times; one meant to
 move bits updates ``EXPECTED`` with them.
 
 The first covers the classical, psd_direct and psd_factorized forms, the
@@ -35,6 +36,12 @@ The fifth covers ``market_data._load_rows``, the row parser that is
 ``load_csv``'s reference and error path, on every file the second reads:
 the same ids, times, values and time span, under the file's own price kind,
 and the raw-price files also read as log-prices.
+
+The sixth covers the generic reference, ``estimate_path(method="generic")``
+and ``estimate_generic`` at POINTS, under the four measures, on the two
+panels with d <= 2: (1, 50, 3, 7) and (2, 30, 5, 33). Its sums are
+quadratic in the tick counts, so the larger panels would take seconds per
+time.
 
 Like the test pins, the expected values hold for the numpy/BLAS build they
 were recorded with (``RECORDED_WITH``): products, eigenvalues and ``np.sin``
@@ -72,6 +79,7 @@ EXPECTED = {
     "simulator": "95398f9f7010098ae19c6762bd43012ff1aeb1fa36ab1b52f4e572ddb13ec927",
     "pca": "d07bd2f282583420e5246c208b664aa541346ed6b2bf5216d3b0ce3d16535372",
     "row-parser": "ba41e92901eccc8ad056d84af313de24b22700b371ee4732ae698208e7b7af4c",
+    "generic": "2076d3bd1e5ee3eb8944759ea6b471fa5b94784a48b9e3fa7921e14fa6aa5c80",
 }
 
 
@@ -104,6 +112,17 @@ def matrices(obs: sv.ObservationSet, m: int, grid: np.ndarray):
         for t in POINTS:
             yield sv.estimate_psd_direct(inc, c, t).entries
             yield sv.estimate_psd_factorized(inc, mu, m, t).entries
+
+
+def generic(obs: sv.ObservationSet, m: int, grid: np.ndarray):
+    """The generic reference's path on the grid under each measure, then its estimates at POINTS."""
+    inc = sv.increments(obs)
+    for kernel in KERNELS:
+        config = sv.EstimatorConfig(method="generic", eval_grid=grid, m=m, kernel=kernel)
+        yield sv.estimate_path(obs, config).matrices
+        spec = sv.generic_spec_from_psd(sv.c_from_measure(sv.make_measure(kernel, m), m))
+        for t in POINTS:
+            yield sv.estimate_generic(inc, spec, t).entries
 
 
 def tick_files(obs: sv.ObservationSet, directory: Path):
@@ -177,7 +196,7 @@ def pca_stage(directory: Path):
 
 
 def digests() -> dict[str, str]:
-    """The five digests, keyed as in EXPECTED."""
+    """The six digests, keyed as in EXPECTED."""
     hashes = {name: hashlib.sha256() for name in EXPECTED}
     with tempfile.TemporaryDirectory() as tmp:
         for seed, (d, n, m, g) in enumerate(SIZES):
@@ -185,6 +204,9 @@ def digests() -> dict[str, str]:
             grid = np.arange(1, g + 1) / g
             for v in matrices(obs, m, grid):
                 hashes["estimators"].update(np.ascontiguousarray(v).tobytes())
+            if d <= 2:
+                for v in generic(obs, m, grid):
+                    hashes["generic"].update(np.ascontiguousarray(v).tobytes())
             for file, kind in tick_files(obs, Path(tmp)):
                 for chunk in observed(sv.load_csv(file, price_kind=kind)):
                     hashes["ingest"].update(chunk)

@@ -3,9 +3,10 @@
 Four estimators of the instantaneous covariance matrix V(t) from per-asset
 increment series, all built from windowed Fourier sums of the increments:
 
-* ``estimate_generic``      reference form: an explicit sum over a frequency
-  set, a fiber of frequency pairs, and a weight table. Quadratic in the tick
-  counts; kept for tests and benchmarks.
+* ``estimate_generic``      reference form: an explicit sum over a mirrored
+  fiber of frequency pairs with a Hermitian weight table, both checked once
+  by ``GenericSpec``, so the sum is real. Quadratic in the tick counts; kept
+  for tests and benchmarks.
 * ``estimate_classical``    kernel-product form
   (1/(2M+1)) sum_{l,l'} K_{L+1}(t - t^j_l) D_M(t^j_l - t^{j'}_{l'}) dX dX',
   evaluated as the Fejér sum Re sum_{|k|<=L} e^{2 pi i k t} w_k R(k) of the
@@ -61,7 +62,6 @@ time axis here, a grid, a path's times or one time, follows
 
 from __future__ import annotations
 
-import warnings
 from contextlib import closing
 from dataclasses import dataclass
 from typing import Mapping
@@ -75,14 +75,13 @@ from .kernels import (
     c_from_measure,
     make_measure,
     require_count,
+    require_hermitian,
 )
 from .market_data import (IncrementTable, ObservationSet, floats, increments, read_rows,
                           require_times, write_rows)
 
 METHODS = ("generic", "classical", "psd_direct", "psd_factorized")
 KERNEL_METHODS = ("generic", "psd_direct", "psd_factorized")  # weights come from a measure
-
-IMAG_RESIDUE_RTOL = 1e-9
 
 GRID_BLOCK = 32  # evaluation times per block in estimate_path
 B = 8  # baby steps z^0..z^{B-1} per tick in fourier_coefficients
@@ -105,33 +104,40 @@ def _require_finite(times, matrices: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class GenericSpec:
-    """Frequency set, fiber of frequency pairs, and weight table.
+    """Fiber of frequency pairs and weight table, checked once so the generic estimator is real.
 
     ``fiber[k]`` holds the pairs (s, s') with s + s' = k summed at frequency
-    k; ``coeffs`` maps each frequency to its complex weight. Built without
-    weights by ``build_fiber`` and completed via ``with_coeffs``.
+    k, and ``fiber[-k]`` their negations; its keys are the ``frequencies``.
+    ``coeffs`` maps each frequency to its complex weight, Hermitian by
+    ``require_hermitian``. Built without weights by ``build_fiber`` and
+    completed via ``with_coeffs``.
     """
 
-    frequencies: tuple[int, ...]
     fiber: Mapping[int, tuple[tuple[int, int], ...]]
     coeffs: Mapping[int, complex] | None = None
 
     def __post_init__(self) -> None:
-        freq = tuple(self.frequencies)
-        object.__setattr__(self, "frequencies", freq)
-        if len(set(freq)) != len(freq):
-            raise EstimationError("frequencies must be distinct")
-        if set(self.fiber) != set(freq):
-            raise EstimationError("fiber keys must match the frequency set")
         for k, pairs in self.fiber.items():
             for s, sp in pairs:
                 if s + sp != k:
                     raise EstimationError(f"fiber pair ({s}, {sp}) does not sum to {k}")
-        if self.coeffs is not None and not set(freq) <= set(self.coeffs):
+        if self.coeffs is not None and not set(self.fiber) <= set(self.coeffs):
             raise EstimationError("weight table must cover every frequency")
+        for k, pairs in self.fiber.items():
+            mirror = sorted((-s, -sp) for s, sp in pairs)
+            if -k not in self.fiber or sorted(self.fiber[-k]) != mirror:
+                raise EstimationError(f"fiber is not mirrored: fiber[{-k}] must hold the "
+                                      f"negated pairs of fiber[{k}]")
+        if self.coeffs is not None:
+            require_hermitian([self.coeffs[k] for k in self.fiber],
+                              [self.coeffs[-k] for k in self.fiber], EstimationError)
+
+    @property
+    def frequencies(self) -> tuple[int, ...]:
+        return tuple(self.fiber)
 
     def with_coeffs(self, coeffs: Mapping[int, complex]) -> "GenericSpec":
-        return GenericSpec(frequencies=self.frequencies, fiber=self.fiber, coeffs=dict(coeffs))
+        return GenericSpec(fiber=self.fiber, coeffs=dict(coeffs))
 
 
 def build_fiber(m: int) -> GenericSpec:
@@ -150,7 +156,7 @@ def build_fiber(m: int) -> GenericSpec:
         else:
             pairs = tuple((m + k - v, -m + v) for v in range(2 * m + k + 1))
         fiber[k] = pairs
-    return GenericSpec(frequencies=tuple(range(-2 * m, 2 * m + 1)), fiber=fiber)
+    return GenericSpec(fiber=fiber)
 
 
 def generic_spec_from_psd(c: PSDFunction) -> GenericSpec:
@@ -205,12 +211,13 @@ def fourier_coefficients(inc: IncrementTable, order: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class VolMatrix:
-    """Estimated spot volatility matrix at one time; a non-finite entry raises ``EstimationError``."""
+    """Estimated finite matrix at one time that ``require_times`` accepts."""
 
     t: float
     entries: np.ndarray  # (d, d)
 
     def __post_init__(self) -> None:
+        require_times([self.t], EstimationError)
         _require_finite([self.t], self.entries[None])
 
 
@@ -483,7 +490,6 @@ def _generic_form(inc: IncrementTable, spec: GenericSpec, block: int):
 
     def at(times: np.ndarray, out: np.ndarray) -> None:
         raw = np.zeros((times.size, d, d), dtype=complex)
-        size = np.zeros((d, d))  # sum_k |c_k| |fiber sum|, the scale of the imaginary residue
         for j in range(d):
             tj, dxj = assets[j].times, assets[j].dx
             for jp in range(d):
@@ -498,17 +504,6 @@ def _generic_form(inc: IncrementTable, spec: GenericSpec, block: int):
                         right = np.exp(-2j * np.pi * sp * tp) @ dxp
                         inner += left * right
                     raw[:, j, jp] += ck * inner * np.exp(2j * np.pi * k * times)
-                    size[j, jp] += abs(ck) * abs(inner)
-        over = np.abs(raw.imag) > IMAG_RESIDUE_RTOL * size
-        if np.any(over):
-            g, j, jp = np.argwhere(over)[0]
-            warnings.warn(
-                f"imaginary residue {abs(raw.imag[g, j, jp]):.3e} at t={float(times[g])!r} exceeds "
-                f"{IMAG_RESIDUE_RTOL:.0e} of the entry scale {size[j, jp]:.3e}; the weight table "
-                f"is likely not Hermitian",
-                RuntimeWarning,
-                stacklevel=4,
-            )
         out[...] = raw.real
 
     return at
@@ -518,8 +513,9 @@ def estimate_generic(inc: IncrementTable, spec: GenericSpec, t: float) -> VolMat
     """Reference evaluation of the generic estimator at one time.
 
     Every fiber pair recomputes its exp sums over the ticks (no table reuse).
-    Intended for tests and small inputs; the real part is returned and a
-    warning is emitted when the imaginary residue is large.
+    Intended for tests and small inputs. ``spec`` holds a mirrored fiber and
+    a Hermitian weight table, so the sum is real up to rounding; its real
+    part is returned.
     """
     return VolMatrix(t=float(t), entries=_on_grid(_generic_form, (inc, spec), [t])[0])
 

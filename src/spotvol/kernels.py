@@ -49,6 +49,18 @@ def require_count(name: str, value, error: type[Exception] = ValueError) -> None
         raise error(f"{name} must be a positive integer")
 
 
+def require_hermitian(values, mirrored, error: type[Exception] = ValueError) -> None:
+    """The Hermitian rule: raise ``error`` unless ``mirrored`` = c(-k) is conj(``values`` = c(k)).
+
+    The gate is ``SYMMETRY_RTOL * max|c|``.
+    """
+    values = np.asarray(values, dtype=complex)
+    scale = float(np.max(np.abs(values)))
+    herm = float(np.max(np.abs(np.asarray(mirrored) - np.conj(values))))
+    if herm > SYMMETRY_RTOL * max(scale, 1e-300):
+        raise error(f"weight table is not Hermitian: max|c(-k) - conj(c(k))| = {herm:.3e}")
+
+
 def stray_field(family: str | None, values) -> str | None:
     """The first field of ``values`` (field -> value) off its default that ``family`` lacks, else None."""
     defaults = {f.name: f.default for f in fields(KernelParams)}
@@ -225,7 +237,7 @@ def make_measure(params: KernelParams, m: int) -> SpectralMeasure:
 class PSDFunction:
     """Weight table c(k) on k in {-2m, ..., 2m}, stored as values[k + 2m].
 
-    The table must be Hermitian (c(-k) = conj(c(k))); positive
+    The table must be Hermitian (``require_hermitian``); positive
     semi-definiteness is a property of the table checked separately by
     verify_psd_function, so tables that fail it can still be constructed
     and inspected.
@@ -245,12 +257,7 @@ class PSDFunction:
             )
         if not np.all(np.isfinite(values)):
             raise ValueError("weight table must be finite")
-        scale = float(np.max(np.abs(values)))
-        herm = float(np.max(np.abs(values[::-1] - np.conj(values))))
-        if herm > SYMMETRY_RTOL * max(scale, 1e-300):
-            raise ValueError(
-                f"weight table is not Hermitian: max|c(-k) - conj(c(k))| = {herm:.3e}"
-            )
+        require_hermitian(values, values[::-1])
 
     def value(self, k: int) -> complex:
         if abs(k) > 2 * self.m:

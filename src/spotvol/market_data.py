@@ -31,7 +31,7 @@ class MarketDataError(ValueError):
 def require_times(times, error, prefix: str = "") -> np.ndarray:
     """``times`` as a float array, if nonempty, 1-d, in [0, 1] and strictly increasing.
 
-    The one time-axis rule: of tick series, grids, vol and PCA paths. A breach
+    The one time-axis rule: of tick series, grids, vol matrices, vol and PCA paths. A breach
     raises ``error``, its message led by ``prefix`` and naming the first bad time.
     """
     times = np.asarray(times, dtype=float)
@@ -123,9 +123,13 @@ class AssetIncrements:
 
 @dataclass(frozen=True)
 class IncrementTable:
-    """Increment series for every asset of an observation set."""
+    """Increment series for every asset of an observation set: at least one asset."""
 
     assets: tuple[AssetIncrements, ...]
+
+    def __post_init__(self) -> None:
+        if not self.assets:
+            raise MarketDataError("increment table must contain at least one asset")
 
     @property
     def d(self) -> int:

@@ -32,7 +32,7 @@ class EigenReport:
 
 @dataclass(frozen=True)
 class PcaPath:
-    """Eigen reports, all of the first one's shape, over times that ``require_times`` accepts."""
+    """Finite eigen reports, all of the first one's shape, over times ``require_times`` accepts."""
 
     reports: tuple[EigenReport, ...]
 
@@ -43,6 +43,12 @@ class PcaPath:
             if (e, k) != shapes[0]:
                 raise ValueError(f"report at t={rep.t} has {e} eigenvalues and {k} ratios; "
                                  f"the first report has {shapes[0][0]} and {shapes[0][1]}")
+        # one check over every report: a check per report costs ~10x as much
+        values = np.concatenate([x for r in self.reports for x in (r.eigenvalues, r.ratios)])
+        finite = np.isfinite(values).reshape(len(self.reports), -1).all(axis=1)
+        if not finite.all():
+            t = self.reports[np.argmin(finite)].t
+            raise ValueError(f"report at t={t} has non-finite eigenvalues or ratios")
 
     def __len__(self) -> int:
         return len(self.reports)

@@ -25,6 +25,7 @@ from spotvol.estimator import (
     generic_spec_from_psd,
     read_vol_csv,
     write_vol_csv,
+    VolMatrix,
     VolPath,
     _factorized_form,
     _folded_toeplitz,
@@ -219,13 +220,14 @@ def test_fiber_sum_identity(rng):
 
 def test_generic_spec_validation():
     with pytest.raises(EstimationError, match="sum to"):
-        GenericSpec(frequencies=(0,), fiber={0: ((1, 2),)})
+        GenericSpec(fiber={0: ((1, 2),)})
     with pytest.raises(EstimationError, match="cover"):
-        GenericSpec(frequencies=(0, 1), fiber={0: ((0, 0),), 1: ((0, 1),)}, coeffs={0: 1.0})
-    with pytest.raises(EstimationError, match="frequencies must be distinct"):
-        GenericSpec(frequencies=(0, 0), fiber={0: ((0, 0),)})
-    with pytest.raises(EstimationError, match="fiber keys must match the frequency set"):
-        GenericSpec(frequencies=(0, 1), fiber={0: ((0, 0),)})
+        GenericSpec(fiber={0: ((0, 0),), 1: ((0, 1),)}, coeffs={0: 1.0})
+    with pytest.raises(EstimationError, match=r"not mirrored: fiber\[-1\] must hold the negated "
+                                              r"pairs of fiber\[1\]"):
+        GenericSpec(fiber={0: ((0, 0),), 1: ((0, 1),)})
+    with pytest.raises(EstimationError, match=r"not mirrored: fiber\[-1\]"):
+        GenericSpec(fiber={0: ((0, 0),), 1: ()}, coeffs={0: 1.0, 1: 0.0})
 
 
 # --------------------------------------------------------------------- generic
@@ -240,7 +242,7 @@ def test_generic_zero_coeffs_gives_zero(rng):
 def test_generic_single_increment_trivial_fiber():
     # K = {0}, S(0) = {(0, 0)}, c(0) = 1: all exponentials cancel
     inc = one_asset([0.37], [1.0])
-    spec = GenericSpec(frequencies=(0,), fiber={0: ((0, 0),)}, coeffs={0: 1.0})
+    spec = GenericSpec(fiber={0: ((0, 0),)}, coeffs={0: 1.0})
     for t in (0.0, 0.25, 1.0):
         assert abs(estimate_generic(inc, spec, t).entries[0, 0] - 1.0) < 1e-14
 
@@ -251,31 +253,11 @@ def test_generic_requires_coeffs(rng):
         estimate_generic(inc, build_fiber(1), 0.5)
 
 
-def test_generic_warns_on_non_hermitian_coeffs(rng):
-    inc = random_increments(rng, 1, 6)
+def test_generic_rejects_non_hermitian_coeffs():
     coeffs = {k: 1.0 for k in range(-2, 3)}
     coeffs[1] = 1.0 + 0.9j  # breaks c(-k) = conj(c(k))
-    spec = build_fiber(1).with_coeffs(coeffs)
-    with pytest.warns(RuntimeWarning, match="imaginary residue"):
-        estimate_generic(inc, spec, 0.4)
-
-
-def test_generic_residue_warning_names_the_time(rng):
-    inc = random_increments(rng, 1, 6)
-    coeffs = {k: 1.0 for k in range(-2, 3)}
-    coeffs[1] = 1.0 + 0.9j
-    with pytest.warns(RuntimeWarning, match=r"at t=0\.4 "):
-        estimate_generic(inc, build_fiber(1).with_coeffs(coeffs), 0.4)
-
-
-def test_generic_residue_warning_points_at_the_caller(rng):
-    # the warning's stack level counts the frames between the caller and the form
-    inc = random_increments(rng, 1, 6)
-    coeffs = {k: 1.0 for k in range(-2, 3)}
-    coeffs[1] = 1.0 + 0.9j
-    with pytest.warns(RuntimeWarning, match="imaginary residue") as record:
-        estimate_generic(inc, build_fiber(1).with_coeffs(coeffs), 0.4)
-    assert [w.filename for w in record] == [__file__]
+    with pytest.raises(EstimationError, match="not Hermitian"):
+        build_fiber(1).with_coeffs(coeffs)
 
 
 def test_generic_no_residue_warning_where_the_matrix_vanishes():
@@ -1110,6 +1092,21 @@ def test_vol_path_rejects_non_finite_times():
         VolPath(times=np.array([np.nan]), matrices=np.ones((1, 1, 1)), asset_ids=("A1",))
     with pytest.raises(EstimationError, match="finite"):
         VolPath(times=np.array([0.2, np.inf]), matrices=np.ones((2, 1, 1)), asset_ids=("A1",))
+
+
+@pytest.mark.parametrize("t, message", [
+    (float("nan"), "non-finite time nan: times must be finite and lie in [0, 1]"),
+    (7.0, "out-of-range time 7.0: times must be finite and lie in [0, 1]"),
+])
+def test_vol_matrix_follows_the_time_rule(t, message):
+    with pytest.raises(EstimationError) as caught:
+        VolMatrix(t=t, entries=np.eye(2))
+    assert str(caught.value) == message
+
+
+def test_an_empty_increment_table_is_rejected_at_construction():
+    with pytest.raises(MarketDataError, match="^increment table must contain at least one asset$"):
+        IncrementTable(assets=())
 
 
 def test_vol_csv_roundtrip(rng):

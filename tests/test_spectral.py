@@ -190,6 +190,20 @@ def test_pca_path_rejects_reports_of_another_shape(eigenvalues, ratios, shape):
         PcaPath(reports=(first, same, other))
 
 
+@pytest.mark.parametrize("eigenvalues, ratios", [
+    ([np.nan, -1.0], [np.inf]),
+    ([2.0, -np.inf], [0.5]),
+    ([2.0, 1.0], [np.nan]),
+])
+@pytest.mark.parametrize("before", [0, 1])
+def test_pca_path_rejects_a_non_finite_report_by_its_time(eigenvalues, ratios, before):
+    first = EigenReport(t=0.25, eigenvalues=np.array([2.0, 1.0]), ratios=np.array([2 / 3]))
+    bad = EigenReport(t=0.5, eigenvalues=np.array(eigenvalues), ratios=np.array(ratios))
+    last = EigenReport(t=0.75, eigenvalues=np.array([np.inf, 1.0]), ratios=np.array([0.5]))
+    with pytest.raises(ValueError, match=r"^report at t=0\.5 has non-finite eigenvalues or ratios$"):
+        PcaPath(reports=(first,) * before + (bad, last))
+
+
 def test_pca_path_rejects_unordered_times_and_an_empty_path():
     first = EigenReport(t=0.5, eigenvalues=np.array([2.0, 1.0]), ratios=np.array([2 / 3]))
     second = EigenReport(t=0.5, eigenvalues=np.array([3.0, 1.0]), ratios=np.array([0.75]))
