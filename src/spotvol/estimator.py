@@ -108,9 +108,9 @@ class GenericSpec:
 
     ``fiber[k]`` holds the pairs (s, s') with s + s' = k summed at frequency
     k, and ``fiber[-k]`` their negations; its keys are the ``frequencies``.
-    ``coeffs`` maps each frequency to its complex weight, Hermitian by
-    ``require_hermitian``. Built without weights by ``build_fiber`` and
-    completed via ``with_coeffs``.
+    ``coeffs`` maps each frequency to its complex weight, finite and
+    Hermitian by ``require_hermitian``. Built without weights by
+    ``build_fiber`` and completed via ``with_coeffs``.
     """
 
     fiber: Mapping[int, tuple[tuple[int, int], ...]]
@@ -211,14 +211,18 @@ def fourier_coefficients(inc: IncrementTable, order: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class VolMatrix:
-    """Estimated finite matrix at one time that ``require_times`` accepts."""
+    """Estimated finite square matrix at one time that ``require_times`` accepts."""
 
     t: float
     entries: np.ndarray  # (d, d)
 
     def __post_init__(self) -> None:
         require_times([self.t], EstimationError)
-        _require_finite([self.t], self.entries[None])
+        entries = np.asarray(self.entries, dtype=float)
+        object.__setattr__(self, "entries", entries)
+        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+            raise EstimationError(f"matrix has shape {entries.shape}, expected a square 2-d array")
+        _require_finite([self.t], entries[None])
 
 
 @dataclass(frozen=True)

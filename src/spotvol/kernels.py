@@ -49,12 +49,18 @@ def require_count(name: str, value, error: type[Exception] = ValueError) -> None
         raise error(f"{name} must be a positive integer")
 
 
-def require_hermitian(values, mirrored, error: type[Exception] = ValueError) -> None:
-    """The Hermitian rule: raise ``error`` unless ``mirrored`` = c(-k) is conj(``values`` = c(k)).
+def require_finite(name: str, *arrays, error: type[Exception] = ValueError) -> None:
+    """Raise ``error("<name> must be finite")`` at the first of ``arrays`` with a non-finite entry."""
+    if not all(np.isfinite(array).all() for array in arrays):
+        raise error(f"{name} must be finite")
 
-    The gate is ``SYMMETRY_RTOL * max|c|``.
+
+def require_hermitian(values, mirrored, error: type[Exception] = ValueError) -> None:
+    """The weight-table rule: finite (``require_finite``), then Hermitian, else raise ``error``.
+
+    Hermitian: ``mirrored`` = c(-k) is conj(``values`` = c(k)) within ``SYMMETRY_RTOL * max|c|``.
     """
-    values = np.asarray(values, dtype=complex)
+    require_finite("weight table", values, mirrored, error=error)
     scale = float(np.max(np.abs(values)))
     herm = float(np.max(np.abs(np.asarray(mirrored) - np.conj(values))))
     if herm > SYMMETRY_RTOL * max(scale, 1e-300):
@@ -152,8 +158,7 @@ class SpectralMeasure:
         object.__setattr__(self, "weights", weights)
         if atoms.ndim != 1 or weights.ndim != 1 or atoms.size != weights.size or atoms.size == 0:
             raise ValueError("atoms and weights must be nonempty 1-d arrays of equal length")
-        if not np.all(np.isfinite(atoms)) or not np.all(np.isfinite(weights)):
-            raise ValueError("atoms and weights must be finite")
+        require_finite("atoms and weights", atoms, weights)
         if np.any(weights < 0.0):
             raise ValueError("weights must be nonnegative")
         mass = float(np.sum(weights))
@@ -237,9 +242,9 @@ def make_measure(params: KernelParams, m: int) -> SpectralMeasure:
 class PSDFunction:
     """Weight table c(k) on k in {-2m, ..., 2m}, stored as values[k + 2m].
 
-    The table must be Hermitian (``require_hermitian``); positive
-    semi-definiteness is a property of the table checked separately by
-    verify_psd_function, so tables that fail it can still be constructed
+    The table must be finite and Hermitian (``require_hermitian``);
+    positive semi-definiteness is a property of the table checked separately
+    by verify_psd_function, so tables that fail it can still be constructed
     and inspected.
     """
 
@@ -255,8 +260,6 @@ class PSDFunction:
                 f"weight table must cover k in [-{2 * self.m}, {2 * self.m}]: "
                 f"expected length {4 * self.m + 1}, got {values.size}"
             )
-        if not np.all(np.isfinite(values)):
-            raise ValueError("weight table must be finite")
         require_hermitian(values, values[::-1])
 
     def value(self, k: int) -> complex:

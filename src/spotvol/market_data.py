@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import require_finite
+
 PRICE_KINDS = ("log", "raw")
 TICK_HEADER = ("asset", "time", "price")  # columns of the long tick format
 COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")  # np.loadtxt opens these decompressing
@@ -67,8 +69,7 @@ class TickSeries:
         require_times(times, MarketDataError, f"{self.asset_id}: ")
         if times.size < 2:
             raise MarketDataError(f"{self.asset_id}: at least 2 ticks are required")
-        if not np.isfinite(values).all():
-            raise MarketDataError(f"{self.asset_id}: values must be finite")
+        require_finite(f"{self.asset_id}: values", values, error=MarketDataError)
 
 
 @dataclass(frozen=True)
@@ -92,6 +93,7 @@ class ObservationSet:
             raise MarketDataError("asset ids must be unique")
         if not self.time_span > 0.0:
             raise MarketDataError("time_span must be positive")
+        require_finite("time_span", self.time_span, error=MarketDataError)
 
     @property
     def d(self) -> int:
@@ -117,8 +119,7 @@ class AssetIncrements:
         object.__setattr__(self, "dx", dx)
         if times.ndim != 1 or dx.ndim != 1 or times.size != dx.size:
             raise MarketDataError(f"{self.asset_id}: times and dx must be 1-d of equal length")
-        if not np.all(np.isfinite(times)) or not np.all(np.isfinite(dx)):
-            raise MarketDataError(f"{self.asset_id}: times and dx must be finite")
+        require_finite(f"{self.asset_id}: times and dx", times, dx, error=MarketDataError)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ import numpy as np
 
 from .market_data import ObservationSet, TickSeries
 from .estimator import VolPath, default_asset_ids
-from .kernels import PSD_FLOOR_RTOL, is_positive_int, require_count
+from .kernels import PSD_FLOOR_RTOL, is_positive_int, require_count, require_finite
 from . import spectral
 
 _MASK64 = (1 << 64) - 1
@@ -198,8 +198,7 @@ class ConstCorrModel:
         object.__setattr__(self, "covariance", cov)
         if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.size == 0:
             raise ValueError("covariance must be a nonempty square matrix")
-        if not np.all(np.isfinite(cov)):
-            raise ValueError("covariance must be finite")
+        require_finite("covariance", cov)
         if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.max(np.abs(cov))))):
             raise ValueError("covariance must be symmetric")
         eigvals = np.linalg.eigvalsh(cov)
@@ -227,8 +226,7 @@ class SinVolModel:
         if base.shape != swing.shape or base.ndim != 1 or base.size == 0:
             raise ValueError("base and swing must be nonempty 1-d arrays of equal length")
         for name, value in (("base", base), ("swing", swing), ("corr", self.corr)):
-            if not np.all(np.isfinite(value)):
-                raise ValueError(f"{name} must be finite")
+            require_finite(name, value)
         if np.any(swing < 0.0) or np.any(base - swing <= 0.0):
             raise ValueError("need a_i > b_i >= 0 so volatility stays positive")
         d = base.size
@@ -255,8 +253,7 @@ class FactorModel:
         object.__setattr__(self, "loadings", loadings)
         if loadings.ndim != 2 or loadings.shape[0] < 1 or loadings.shape[1] < 1:
             raise ValueError("loadings must be a (d, r) matrix")
-        if not np.all(np.isfinite(loadings)):
-            raise ValueError("loadings must be finite")
+        require_finite("loadings", loadings)
         if not (math.isfinite(self.idio) and self.idio >= 0.0):
             raise ValueError(f"idio must be finite and nonnegative, got {self.idio!r}")
 

@@ -32,7 +32,7 @@ class EigenReport:
 
 @dataclass(frozen=True)
 class PcaPath:
-    """Finite eigen reports, all of the first one's shape, over times ``require_times`` accepts."""
+    """Finite 1-d eigen reports, all of the first one's shape, over times ``require_times`` accepts."""
 
     reports: tuple[EigenReport, ...]
 
@@ -40,6 +40,8 @@ class PcaPath:
         require_times([r.t for r in self.reports], ValueError, "report ")
         shapes = [(r.eigenvalues.size, r.ratios.size) for r in self.reports]
         for rep, (e, k) in zip(self.reports, shapes):
+            if rep.eigenvalues.ndim != 1 or rep.ratios.ndim != 1:
+                raise ValueError(f"report at t={rep.t} has eigenvalues or ratios that are not 1-d")
             if (e, k) != shapes[0]:
                 raise ValueError(f"report at t={rep.t} has {e} eigenvalues and {k} ratios; "
                                  f"the first report has {shapes[0][0]} and {shapes[0][1]}")

@@ -260,6 +260,16 @@ def test_generic_rejects_non_hermitian_coeffs():
         build_fiber(1).with_coeffs(coeffs)
 
 
+@pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("k", [0, 1])
+def test_generic_spec_rejects_a_non_finite_weight_when_built(weight, k):
+    # NaN passes the Hermitian gate and inf - inf warns, so the finite rule comes first
+    coeffs = {j: 0.25 for j in range(-2, 3)}
+    coeffs[k] = coeffs[-k] = weight
+    with pytest.raises(EstimationError, match="^weight table must be finite$"):
+        build_fiber(1).with_coeffs(coeffs)
+
+
 def test_generic_no_residue_warning_where_the_matrix_vanishes():
     # V(t) vanishes at zeros of the flat measure's kernel while its terms do not
     inc = one_asset([1.0], [0.375])
@@ -1102,6 +1112,19 @@ def test_vol_matrix_follows_the_time_rule(t, message):
     with pytest.raises(EstimationError) as caught:
         VolMatrix(t=t, entries=np.eye(2))
     assert str(caught.value) == message
+
+
+def test_vol_matrix_holds_a_float_array():
+    v = VolMatrix(t=0.5, entries=[[1.0, 0.0], [0.0, 1]])
+    assert isinstance(v.entries, np.ndarray) and v.entries.dtype == float
+    np.testing.assert_array_equal(v.entries, np.eye(2))
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3,), (1, 2, 2), ()])
+def test_vol_matrix_requires_a_square_matrix(shape):
+    with pytest.raises(EstimationError) as caught:
+        VolMatrix(t=0.5, entries=np.ones(shape))
+    assert str(caught.value) == f"matrix has shape {shape}, expected a square 2-d array"
 
 
 def test_an_empty_increment_table_is_rejected_at_construction():

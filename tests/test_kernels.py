@@ -18,6 +18,7 @@ from spotvol.kernels import (
     dirichlet_eval,
     fejer_eval,
     make_measure,
+    require_finite,
     verify_psd_function,
 )
 from spotvol.market_data import ObservationSet, TickSeries, increments
@@ -210,6 +211,16 @@ def test_verify_psd_violation_detected():
     assert want_min < 0
     assert abs(check.min_eigenvalue - want_min) < 1e-10
     assert check.min_eigenvalue < check.bound
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)])
+def test_require_finite_raises_the_given_error_at_any_non_finite_entry(bad):
+    require_finite("x", np.ones(3), 2.0, [[1.0, -0.5j]])  # arrays, scalars and lists
+    with pytest.raises(ValueError, match="^x must be finite$") as caught:
+        require_finite("x", np.ones(3), np.array([1.0, bad]))
+    assert caught.type is ValueError
+    with pytest.raises(EstimationError, match="^y must be finite$"):
+        require_finite("y", bad, error=EstimationError)
 
 
 def test_psd_function_table_coverage_and_hermitian_gate():

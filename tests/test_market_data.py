@@ -400,3 +400,11 @@ def test_observation_set_validation():
     for span in (0.0, -1.0, np.nan):
         with pytest.raises(MarketDataError, match="time_span must be positive"):
             ObservationSet(series=(s,), time_span=span)
+
+
+def test_observation_set_rejects_an_infinite_time_span():
+    s = TickSeries("A", np.array([0.0, 1.0]), np.array([1.0, 2.0]))
+    with pytest.raises(MarketDataError, match="^time_span must be finite$"):
+        ObservationSet(series=(s,), time_span=np.inf)
+    with pytest.raises(MarketDataError, match="^time_span must be positive$"):
+        ObservationSet(series=(s,), time_span=-np.inf)

@@ -213,6 +213,20 @@ def test_pca_path_rejects_unordered_times_and_an_empty_path():
         PcaPath(reports=())
 
 
+@pytest.mark.parametrize("eigenvalues, ratios", [
+    ([[2.0, 1.0]], [2 / 3]),
+    ([2.0, 1.0], 2 / 3),
+    (2.0, [1.0]),
+])
+@pytest.mark.parametrize("before", [0, 1])
+def test_pca_path_names_a_report_that_is_not_1d(eigenvalues, ratios, before):
+    first = EigenReport(t=0.25, eigenvalues=np.array([2.0, 1.0]), ratios=np.array([2 / 3]))
+    bad = EigenReport(t=0.5, eigenvalues=np.array(eigenvalues), ratios=np.array(ratios))
+    last = EigenReport(t=0.75, eigenvalues=np.array([3.0, 1.0]), ratios=np.array([0.75]))
+    with pytest.raises(ValueError, match=r"^report at t=0\.5 has eigenvalues or ratios that are not 1-d$"):
+        PcaPath(reports=(first,) * before + (bad, last))
+
+
 def per_row_pca_csv(pca, path):
     """The PCA file written one ``writerow`` call per report."""
     d = pca.reports[0].eigenvalues.size
