@@ -36,10 +36,13 @@ complex (d, 2M+1) array a, laid out as a[j, s + M] = a_j(s). They are
 built by baby-step/giant-step products (Paterson &
 Stockmeyer 1973): with z = e^{-2 pi i t^j_l} and s = kB + r, a_j(s) is
 entry r of Z P[k], the baby steps Z[r] = z^r times the giant step
-P[k] = dX z^{kB}, over chunks of ticks. The pass is O(M N_j) multiply-adds,
-mostly inside matrix-vector products, in O(N_j) memory per asset. The error
-at order s is O(s eps sum_l |dX^j_l|), the same order as an exact exp, whose
-phase 2 pi s t already carries O(s eps) rounding.
+P[k] = dX z^{kB}, over chunks of at most ``CHUNK`` ticks. Short assets share
+a chunk, so the exp, the baby steps and each giant step are one call per
+chunk, not per asset; the matrix-vector products stay one per asset and
+giant step. The pass is O(M sum_j N_j) multiply-adds, mostly inside those
+products, in O(B CHUNK) memory. The error at order s is
+O(s eps sum_l |dX^j_l|), the same order as an exact exp, whose phase
+2 pi s t already carries O(s eps) rounding.
 
 Every estimator takes one route, ``_on_grid``: each form takes its
 estimator's public inputs, does its per-path work once (its checks, the
@@ -178,35 +181,67 @@ def fourier_coefficients(inc: IncrementTable, order: int) -> np.ndarray:
     of the matrix-vector product Z P[k], one product per giant step. Both are
     power recurrences, so the error at order s is O(s eps sum_l |dX^j_l|),
     the order of an exact exp, whose phase 2 pi s t carries O(s eps)
-    rounding. Ticks go in chunks of ``CHUNK``, whose baby steps all fill one
-    array of B min(CHUNK, max_j N_j) entries made once per call, so memory is
-    O(B CHUNK); no (order+1) x N_j exp table is built. Each giant step is its own
-    product, never one gemm over all of them, so a table's first entries do
-    not depend on its order: the order-m slice of a larger table is the
-    order-m table bit for bit.
+    rounding. Ticks go in chunks of at most ``CHUNK`` (``_chunks``): whole
+    assets of 2 to ``CHUNK`` ticks share a chunk, and a longer asset is split
+    every ``CHUNK`` ticks into chunks of its own. A chunk takes one exp, one
+    baby-step fill and one z^B, and each giant step one scaling of its P;
+    each asset of the chunk then takes its own product Z P[k] on its columns,
+    which gives the bits of its own single-asset table. Every chunk's baby
+    steps fill one array made once per call, so memory is O(B CHUNK); no
+    (order+1) x N_j exp table is built. Each giant step is its own product,
+    never one gemm over all of them, so a table's first entries do not
+    depend on its order: the order-m slice of a larger table is the order-m
+    table bit for bit.
     """
     require_count("order", order, EstimationError)
     giant = -(-(order + 1) // B)  # ceil((order + 1) / B)
     a = np.empty((inc.d, 2 * order + 1), dtype=complex)
-    longest = max(asset.times.size for asset in inc.assets)
-    work = np.empty(B * min(CHUNK, longest), dtype=complex)  # every chunk's baby steps
-    for j, asset in enumerate(inc.assets):
-        acc = np.zeros((giant, B), dtype=complex)  # acc[k, r] = a_j(kB + r)
-        for start in range(0, asset.times.size, CHUNK):
-            z = np.exp(-2j * np.pi * asset.times[start:start + CHUNK])
-            baby = work[:B * z.size].reshape(B, z.size)
-            baby[0] = 1.0
-            for r in range(1, B):
-                np.multiply(baby[r - 1], z, out=baby[r])
-            step = baby[B - 1] * z  # z^B
-            p = asset.dx[start:start + CHUNK].astype(complex)
-            for k in range(giant):
-                acc[k] += baby @ p
-                p *= step
-        pos = a[j, order:]
-        pos[:] = acc.ravel()[:order + 1]
-        a[j, :order] = np.conj(pos[1:])[::-1]
+    acc = np.zeros((inc.d, giant, B), dtype=complex)  # acc[j, k, r] = a_j(kB + r)
+    chunks = _chunks([asset.times.size for asset in inc.assets])
+    work = np.empty(B * max(chunk[-1][2].stop for chunk in chunks), dtype=complex)  # baby steps
+    for chunk in chunks:
+        parts = [(inc.assets[j], ticks) for j, ticks, _ in chunk]
+        z = np.exp(-2j * np.pi * np.concatenate([asset.times[ticks] for asset, ticks in parts]))
+        p = np.concatenate([asset.dx[ticks] for asset, ticks in parts], dtype=complex)
+        baby = work[:B * z.size].reshape(B, z.size)
+        baby[0] = 1.0
+        for r in range(1, B):
+            np.multiply(baby[r - 1], z, out=baby[r])
+        step = baby[B - 1] * z  # z^B
+        views = [(acc[j], baby[:, cols], p[cols]) for j, _, cols in chunk]  # p is scaled in place
+        for k in range(giant):
+            for acc_j, baby_j, p_j in views:
+                acc_j[k] += baby_j @ p_j
+            p *= step
+    pos = a[:, order:]
+    pos[:] = acc.reshape(inc.d, -1)[:, :order + 1]
+    a[:, :order] = np.conj(pos[:, :0:-1])
     return a
+
+
+def _chunks(sizes: list[int]) -> list[list[tuple[int, slice, slice]]]:
+    """The chunks of ``fourier_coefficients``, each a list of pieces (j, ticks, cols).
+
+    A piece puts the ticks ``ticks`` of asset j in the columns ``cols`` of its
+    chunk. Whole assets of 2 to ``CHUNK`` ticks share a chunk, in their listed
+    order, while their ticks fit in ``CHUNK``. A longer asset takes chunks of
+    its own, split every ``CHUNK`` ticks. So does an asset of one tick: its
+    (B, 1) product on a column of a shared chunk takes another BLAS route
+    than on its own array, and gives other bits.
+    """
+    chunks, shared, fill = [], [], 0
+    for j, n in enumerate(sizes):
+        alone = n == 1 or n > CHUNK
+        if shared and (alone or fill + n > CHUNK):
+            chunks.append(shared)
+            shared, fill = [], 0
+        if alone:
+            chunks += [[(j, slice(lo, lo + CHUNK), slice(0, min(CHUNK, n - lo)))]
+                       for lo in range(0, n, CHUNK)]
+        else:
+            shared.append((j, slice(0, n), slice(fill, fill + n)))
+            fill += n
+    return chunks + [shared] if shared else chunks
 
 
 @dataclass(frozen=True)

@@ -200,6 +200,17 @@ def make_measure(params: KernelParams, m: int) -> SpectralMeasure:
     The continuous families' fields left at None take the reference
     protocol's values here: Q = 2m+1 nodes, gamma = (2m+1)^-1/2 and
     L = 2m+1.
+
+    Each family's mass (2m+1) sum_q w_q = (2m+1) c(0) scales every estimate
+    it gives against a unit-mass measure; over a path the time mean of V is
+    c(0) Re sum_{|u|<=m} a_j(u) conj a_j'(u). Under the defaults at m = 15:
+    flat 1 and fejer 1, exactly; gaussian 0.707, since its density has the
+    constant sqrt(L/(2 pi)) with the exponent -L y^2, which integrates to
+    1/sqrt(2) (a normal density with that exponent has sqrt(L/pi)); cauchy
+    0.780, since its tails beyond +-1/2 fall off the grid, a mass of about
+    (2/pi) arctan(1/(2 gamma)). ``wrap=True`` folds the cauchy's tails back
+    (0.979 at m = 15, from 2 WRAP_TERMS + 1 images) and leaves the
+    gaussian's 1/sqrt(2).
     """
     require_count("cutoff", m)
     if params.family == "flat":

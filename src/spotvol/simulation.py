@@ -20,13 +20,17 @@ generators is one Python int with a 64-bit lane per generator, so one
 xor, shift or masked rotate steps every stream at once, and the ++ output
 function runs afterwards in numpy uint64. The draws equal those of
 ``Xoshiro256PP.next_u64``, the scalar reference, bit for bit. Normals and
-Poisson gaps take their logarithms and sines from ``math``, not numpy,
-whose vectorized transcendentals may differ between machines; the paths
-then also pass through a BLAS product (and ``np.sin`` for SinVolModel).
+Poisson gaps take their logarithms from ``math`` and Box-Muller's cosines
+and sines from ``cmath.rect``, which calls libm's cos and sin as
+``math.cos`` and ``math.sin`` do, not from numpy, whose vectorized
+transcendentals may differ between machines. One map of each takes every
+stream's draws at once. The paths then also pass through a BLAS product
+(and ``np.sin`` for SinVolModel).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -143,13 +147,16 @@ def _uniforms(raw: np.ndarray) -> np.ndarray:
     return (raw >> 11).astype(float) * _TWO_NEG53
 
 
-def _each(f, x: np.ndarray) -> np.ndarray:
-    """The ``math`` function f at every element of x, which gives the same bits on every machine.
+def _each(f, *xs: np.ndarray, dtype=float) -> np.ndarray:
+    """f at every element of xs, all of one shape, which gives the same bits on every machine.
 
-    The elements go to f a row at a time, so only one row is ever held as Python floats.
+    f is a ``math`` or ``cmath`` function of as many floats as there are
+    arrays. The elements go to f a row at a time, so only one row of each
+    array is ever held as Python floats.
     """
-    rows = chain.from_iterable(row.tolist() for row in np.atleast_2d(x))
-    return np.fromiter(map(f, rows), float, x.size).reshape(x.shape)
+    rows = zip(*(np.atleast_2d(x) for x in xs))
+    values = chain.from_iterable(map(f, *(row.tolist() for row in group)) for group in rows)
+    return np.fromiter(values, dtype, xs[0].size).reshape(xs[0].shape)
 
 
 def _box_muller(raw: np.ndarray, n: int) -> np.ndarray:
@@ -158,9 +165,11 @@ def _box_muller(raw: np.ndarray, n: int) -> np.ndarray:
     Each stream's uniforms, in pairs (u, v) from ``_uniforms``, give the radius
     sqrt(-2 log(u + 2^-53)), an exact sum in (0, 1], and the angle 2 pi v.
     numpy does only exact conversions, single IEEE sums and products and the
-    correctly rounded square root; the log, cos and sin are ``math``'s.
+    correctly rounded square root; the log is ``math``'s. ``cmath.rect``
+    gives the pair (r cos(2 pi v), r sin(2 pi v)) as one complex, with libm's
+    cos and sin and one product each, so viewed as floats the complex array
+    already holds each stream's normals in draw order.
     """
-    shape = raw.shape[::-1]
     u, angle = _uniforms(raw[0::2].T), _uniforms(raw[1::2].T)
     del raw  # the draws are freed once the caller holds no other reference
     u += _TWO_NEG53
@@ -169,10 +178,7 @@ def _box_muller(raw: np.ndarray, n: int) -> np.ndarray:
     r *= -2.0
     np.sqrt(r, out=r)
     angle *= 2.0 * math.pi
-    out = np.empty(shape)
-    np.multiply(r, _each(math.cos, angle), out=out[:, 0::2])
-    np.multiply(r, _each(math.sin, angle), out=out[:, 1::2])
-    return out[:, :n]
+    return _each(cmath.rect, r, angle, dtype=complex).view(float)[:, :n]
 
 
 def _path_normals(seed: int, count: int, n: int) -> np.ndarray:
@@ -225,6 +231,8 @@ class SinVolModel:
         object.__setattr__(self, "swing", swing)
         if base.shape != swing.shape or base.ndim != 1 or base.size == 0:
             raise ValueError("base and swing must be nonempty 1-d arrays of equal length")
+        if np.ndim(self.corr) != 0:
+            raise ValueError(f"corr must be a scalar, got an array of shape {np.shape(self.corr)}")
         for name, value in (("base", base), ("swing", swing), ("corr", self.corr)):
             require_finite(name, value)
         if np.any(swing < 0.0) or np.any(base - swing <= 0.0):
@@ -371,21 +379,23 @@ def _poisson_indices(rngs: Sequence[Xoshiro256PP], rate: int, steps: int) -> lis
 
     Arrival times are the running sums of gaps -log(1 - u) / rate, added in
     draw order and stopped at the first sum >= 1. The streams draw ahead
-    together; a stream whose sums stay below 1 draws another block alone.
+    together, and one log map and one running sum take every stream's block;
+    a stream whose sums stay below 1 draws another block alone.
     """
     ahead = rate + 8 * math.isqrt(rate) + 16
-    raw = _lockstep_u64(rngs, ahead)
+
+    def gaps(raw: np.ndarray) -> np.ndarray:
+        return -_each(math.log, 1.0 - _uniforms(raw)) / rate
+
     out = []
-    for j, rng in enumerate(rngs):
-        block, start, parts = raw[:, j], 0.0, []
+    for rng, times in zip(rngs, np.cumsum(gaps(_lockstep_u64(rngs, ahead).T), axis=1)):
+        parts = []
         while True:
-            gaps = -_each(math.log, 1.0 - _uniforms(block)) / rate
-            times = np.cumsum(np.concatenate(([start], gaps)))[1:]
             stop = int(np.searchsorted(times, 1.0, side="left"))
             parts.append(times[:stop])
             if stop < times.size:
                 break
-            block, start = _lockstep_u64([rng], ahead)[:, 0], float(times[-1])
+            times = np.cumsum(np.concatenate((times[-1:], gaps(_lockstep_u64([rng], ahead)[:, 0]))))[1:]
         ticks = np.rint(np.concatenate(parts) * steps).astype(np.int64)  # half to even, as round
         out.append(np.unique(np.concatenate(([0], ticks, [steps]))))
     return out

@@ -23,11 +23,15 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass(frozen=True)
 class EigenReport:
-    """Eigenvalues and cumulative explained-variance ratios at one time."""
+    """Eigenvalues and cumulative explained-variance ratios at one time, as float arrays."""
 
     t: float
     eigenvalues: np.ndarray  # descending, clamped to be >= 0
     ratios: np.ndarray       # cumulative shares, length min(top, d)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "eigenvalues", np.asarray(self.eigenvalues, dtype=float))
+        object.__setattr__(self, "ratios", np.asarray(self.ratios, dtype=float))
 
 
 @dataclass(frozen=True)

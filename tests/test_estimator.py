@@ -131,16 +131,20 @@ def test_fourier_coefficients_match_the_power_recurrence(rng, n, order):
 @pytest.mark.parametrize("order", [5, 40])
 @pytest.mark.parametrize("reverse", [False, True], ids=["listed order", "reversed"])
 def test_fourier_coefficients_rows_equal_their_single_asset_tables(rng, order, reverse):
-    # every chunk of every asset views one baby-step array sized by the longest asset
-    counts = [1, B - 1, CHUNK + 1, 2 * CHUNK, 3, 50]
-    assets = tuple(
-        AssetIncrements(asset_id=f"A{j + 1}", times=np.sort(rng.random(n)), dx=rng.standard_normal(n))
-        for j, n in enumerate(counts[::-1] if reverse else counts)
-    )
-    tables = fourier_coefficients(IncrementTable(assets=assets), order)
-    for row, asset in zip(tables, assets):
-        own = fourier_coefficients(IncrementTable(assets=(asset,)), order)[0]
-        assert row.tobytes() == own.tobytes()
+    # every chunk views one baby-step array sized by the largest chunk; the second panel
+    # packs short assets: two that sum to CHUNK, two that overflow a chunk by one tick,
+    # a 1-tick and a 2-tick asset between short ones, and short ones after a 1-tick tail
+    for counts in ([1, B - 1, CHUNK + 1, 2 * CHUNK, 3, 50],
+                   [CHUNK - 50, 50, 2000, CHUNK - 1999, 3, 1, 2, 5, CHUNK + 1, 4, 7]):
+        assets = tuple(
+            AssetIncrements(asset_id=f"A{j + 1}", times=np.sort(rng.random(n)),
+                            dx=rng.standard_normal(n))
+            for j, n in enumerate(counts[::-1] if reverse else counts)
+        )
+        tables = fourier_coefficients(IncrementTable(assets=assets), order)
+        for row, asset in zip(tables, assets):
+            own = fourier_coefficients(IncrementTable(assets=(asset,)), order)[0]
+            assert row.tobytes() == own.tobytes()
 
 
 def test_fourier_coefficients_are_exact_to_rounding_at_high_order():

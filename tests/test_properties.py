@@ -24,6 +24,7 @@ from spotvol.estimator import (
     EstimationError,
     EstimatorConfig,
     VolPath,
+    _classical_form,
     _direct_form,
     _factorized_form,
     _on_grid,
@@ -331,6 +332,32 @@ def test_psd_factorized_matches_the_smooth_sum_form(obs, kernel, m, times):
     want = factorized_smooth_form(coeffs, mu, times)
     scale = max(max_abs(want), max_abs(factorized_smooth_form(coeffs, mu, np.linspace(0.0, 1.0, 9))))
     assert max_abs(_on_grid(_factorized_form, (inc, mu, m), times) - want) <= 1e-13 * scale
+
+
+# (2M+1) c(0) at M = 15 under each family's defaults; measured 1, 1 - 1e-15, 0.70704, 0.78033
+MASSES = {"flat": 1.0, "fejer": 1.0, "gaussian": 0.707, "cauchy": 0.780}
+
+
+@PROPERTY
+@pytest.mark.parametrize("family", FAMILIES)
+@given(obs=panels())
+def test_time_mean_of_a_path_is_its_lag_zero_term(family, obs):
+    # over G > 2M equispaced times only lag 0 survives the mean: c(0) Re sum_{|u|<=M}
+    # a_j(u) conj a_j'(u), the integrated estimator. Scaling the weights scales both
+    # sides, so the mass is pinned too; the classical form's is 1 (c(0) = 1/(2M+1)).
+    m = 15
+    inc = increments(obs)
+    mu = make_measure(KernelParams(family=family), m)
+    c = c_from_measure(mu, m)
+    c0 = c.value(0).real
+    assert (2 * m + 1) * c0 == pytest.approx(MASSES[family], abs=5e-4)
+    a = fourier_coefficients(inc, m)
+    lag0 = (a @ a.conj().T).real
+    times = np.arange(2 * m + 1) / (2 * m + 1)
+    for form, args, weight in ((_direct_form, (inc, c), c0), (_factorized_form, (inc, mu, m), c0),
+                               (_classical_form, (inc, m, None), 1.0 / (2 * m + 1))):
+        v = _on_grid(form, args, times)
+        assert max_abs(v.mean(axis=0) - weight * lag0) <= 1e-13 * max_abs(v)
 
 
 # ----------------------------------------------------------------- tick ingest

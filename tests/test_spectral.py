@@ -227,6 +227,17 @@ def test_pca_path_names_a_report_that_is_not_1d(eigenvalues, ratios, before):
         PcaPath(reports=(first,) * before + (bad, last))
 
 
+def test_eigen_report_holds_float_arrays_so_a_list_built_path_is_checked():
+    # a report built from lists once made PcaPath raise a bare AttributeError
+    rep = EigenReport(t=0.5, eigenvalues=[2, 1], ratios=[2 / 3])
+    assert rep.eigenvalues.dtype == rep.ratios.dtype == np.float64
+    np.testing.assert_array_equal(rep.eigenvalues, [2.0, 1.0])
+    assert len(PcaPath(reports=(rep,))) == 1
+    bad = EigenReport(t=0.75, eigenvalues=[np.nan, 1.0], ratios=[1.0])
+    with pytest.raises(ValueError, match=r"^report at t=0\.75 has non-finite eigenvalues or ratios$"):
+        PcaPath(reports=(rep, bad))
+
+
 def per_row_pca_csv(pca, path):
     """The PCA file written one ``writerow`` call per report."""
     d = pca.reports[0].eigenvalues.size
