@@ -213,9 +213,12 @@ def fourier_coefficients(inc: IncrementTable, order: int) -> np.ndarray:
             for acc_j, baby_j, p_j in views:
                 acc_j[k] += baby_j @ p_j
             p *= step
-    pos = a[:, order:]
-    pos[:] = acc.reshape(inc.d, -1)[:, :order + 1]
-    a[:, :order] = np.conj(pos[:, :0:-1])
+    # a row at a time: one whole-array write here left perfbench's intraday-grid
+    # at a peak RSS of 78.3 MB against 73.6 MB, by where the heap placed later arrays
+    for j in range(inc.d):
+        pos = a[j, order:]
+        pos[:] = acc[j].ravel()[:order + 1]
+        a[j, :order] = np.conj(pos[1:])[::-1]
     return a
 
 
