@@ -122,14 +122,11 @@ def test_sin_vol_validation():
         SinVolModel(base=np.array([1.0]), swing=np.array([1.0]), corr=0.0)
     with pytest.raises(ValueError, match="correlation"):
         SinVolModel(base=np.array([1.0, 1.0, 1.0]), swing=np.array([0.1, 0.1, 0.1]), corr=-0.9)
-
-
-@pytest.mark.parametrize("d, corr", [(1, [0.1, 0.2]), (2, [0.1]), (3, np.full((3, 3), 0.2))])
-def test_sin_vol_rejects_a_non_scalar_corr(d, corr):
-    # a list once built at d = 1 and failed at d > 1 with a bare TypeError from the range check
-    msg = f"corr must be a scalar, got an array of shape {np.shape(corr)}"
-    with pytest.raises(ValueError, match=re.escape(msg)):
-        SinVolModel(base=[1.0] * d, swing=[0.5] * d, corr=corr)
+    # a list corr once built at d = 1 and raised a bare TypeError at d > 1
+    for d, corr in [(1, [0.1, 0.2]), (2, [0.1]), (3, np.full((3, 3), 0.2))]:
+        msg = f"corr must be a scalar, got an array of shape {np.shape(corr)}"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            SinVolModel(base=[1.0] * d, swing=[0.5] * d, corr=corr)
 
 
 @pytest.mark.parametrize(
