@@ -4,9 +4,9 @@ Four estimators of the instantaneous covariance matrix V(t) from per-asset
 increment series, all built from windowed Fourier sums of the increments:
 
 * ``estimate_generic``      reference form: an explicit sum over a mirrored
-  fiber of frequency pairs with a Hermitian weight table, both checked once
-  by ``GenericSpec``, so the sum is real. Quadratic in the tick counts; kept
-  for tests and benchmarks.
+  fiber of frequency pairs, checked once by ``GenericSpec``, weighted by a
+  ``PSDFunction``, Hermitian by construction, so the sum is real. Quadratic
+  in the tick counts; kept for tests and benchmarks.
 * ``estimate_classical``    kernel-product form
   (1/(2M+1)) sum_{l,l'} K_{L+1}(t - t^j_l) D_M(t^j_l - t^{j'}_{l'}) dX dX',
   evaluated as the Fejér sum Re sum_{|k|<=L} e^{2 pi i k t} w_k R(k) of the
@@ -78,7 +78,6 @@ from .kernels import (
     c_from_measure,
     make_measure,
     require_count,
-    require_hermitian,
 )
 from .market_data import (IncrementTable, ObservationSet, floats, increments, read_rows,
                           require_times, write_rows)
@@ -110,46 +109,34 @@ class GenericSpec:
     """Fiber of frequency pairs and weight table, checked once so the generic estimator is real.
 
     ``fiber[k]`` holds the pairs (s, s') with s + s' = k summed at frequency
-    k, and ``fiber[-k]`` their negations; its keys are the ``frequencies``.
-    ``coeffs`` maps each frequency to its complex weight, finite and
-    Hermitian by ``require_hermitian``. Built without weights by
-    ``build_fiber`` and completed via ``with_coeffs``.
+    k, and ``fiber[-k]`` their negations. ``table`` gives each frequency its
+    weight c(k); as a ``PSDFunction`` it is finite and Hermitian, and it
+    covers every key of the fiber.
     """
 
     fiber: Mapping[int, tuple[tuple[int, int], ...]]
-    coeffs: Mapping[int, complex] | None = None
+    table: PSDFunction
 
     def __post_init__(self) -> None:
         for k, pairs in self.fiber.items():
             for s, sp in pairs:
                 if s + sp != k:
                     raise EstimationError(f"fiber pair ({s}, {sp}) does not sum to {k}")
-        if self.coeffs is not None and not set(self.fiber) <= set(self.coeffs):
-            raise EstimationError("weight table must cover every frequency")
-        for k, pairs in self.fiber.items():
+            if abs(k) > 2 * self.table.m:
+                raise EstimationError(f"weight table must cover every frequency: k={k} lies "
+                                      f"outside [-{2 * self.table.m}, {2 * self.table.m}]")
             mirror = sorted((-s, -sp) for s, sp in pairs)
             if -k not in self.fiber or sorted(self.fiber[-k]) != mirror:
                 raise EstimationError(f"fiber is not mirrored: fiber[{-k}] must hold the "
                                       f"negated pairs of fiber[{k}]")
-        if self.coeffs is not None:
-            require_hermitian([self.coeffs[k] for k in self.fiber],
-                              [self.coeffs[-k] for k in self.fiber], EstimationError)
-
-    @property
-    def frequencies(self) -> tuple[int, ...]:
-        return tuple(self.fiber)
-
-    def with_coeffs(self, coeffs: Mapping[int, complex]) -> "GenericSpec":
-        return GenericSpec(fiber=self.fiber, coeffs=dict(coeffs))
 
 
-def build_fiber(m: int) -> GenericSpec:
+def build_fiber(m: int) -> dict[int, tuple[tuple[int, int], ...]]:
     """Fiber over {-2m, ..., 2m} whose estimator is positive semi-definite.
 
     For k >= 0 the pairs are (-m + k + v, m - v) for v = 0..2m-k, and for
     k < 0 they are (m + k - v, -m + v) for v = 0..2m+k, so |fiber[k]| is
-    2m + 1 - |k| and every component lies in [-m, m]. Returned without a
-    weight table.
+    2m + 1 - |k| and every component lies in [-m, m].
     """
     require_count("cutoff", m, EstimationError)
     fiber: dict[int, tuple[tuple[int, int], ...]] = {}
@@ -159,12 +146,12 @@ def build_fiber(m: int) -> GenericSpec:
         else:
             pairs = tuple((m + k - v, -m + v) for v in range(2 * m + k + 1))
         fiber[k] = pairs
-    return GenericSpec(fiber=fiber)
+    return fiber
 
 
 def generic_spec_from_psd(c: PSDFunction) -> GenericSpec:
     """The PSD fiber at the table's cutoff, weighted by the table itself."""
-    return build_fiber(c.m).with_coeffs({k: c.value(k) for k in range(-2 * c.m, 2 * c.m + 1)})
+    return GenericSpec(build_fiber(c.m), c)
 
 
 def fourier_coefficients(inc: IncrementTable, order: int) -> np.ndarray:
@@ -525,8 +512,6 @@ def _generic_form(inc: IncrementTable, spec: GenericSpec, block: int):
     do not depend on t, are built once per block. Phases are accumulated over
     k elementwise, so a time sums alike in a block of any size.
     """
-    if spec.coeffs is None:
-        raise EstimationError("generic spec carries no weight table; call with_coeffs first")
     assets = inc.assets
     d = len(assets)
 
@@ -536,12 +521,12 @@ def _generic_form(inc: IncrementTable, spec: GenericSpec, block: int):
             tj, dxj = assets[j].times, assets[j].dx
             for jp in range(d):
                 tp, dxp = assets[jp].times, assets[jp].dx
-                for k in spec.frequencies:
-                    ck = complex(spec.coeffs[k])
+                for k, pairs in spec.fiber.items():
+                    ck = spec.table.value(k)
                     if ck == 0.0:
                         continue
                     inner = 0.0 + 0.0j
-                    for s, sp in spec.fiber[k]:
+                    for s, sp in pairs:
                         left = np.exp(-2j * np.pi * s * tj) @ dxj
                         right = np.exp(-2j * np.pi * sp * tp) @ dxp
                         inner += left * right

@@ -23,7 +23,7 @@ INTEGER_GUARD = 1e-9    # near-integer band where the sin-ratio forms take limit
 # The package's one PSD floor and one symmetry gate; each check picks its own scale.
 PSD_FLOOR_RTOL = 1e-10  # a least eigenvalue below -PSD_FLOOR_RTOL * scale is not PSD
 SYMMETRY_RTOL = 1e-10   # an asymmetry above SYMMETRY_RTOL * scale is not symmetric
-WRAP_TERMS = 5          # periodization series truncated at |n| <= WRAP_TERMS
+WRAP_TERMS = 5          # the wrapped gaussian's series, truncated at |n| <= WRAP_TERMS
 
 FAMILIES = ("flat", "cauchy", "gaussian", "fejer")
 QUADRATURE_FAMILIES = ("cauchy", "gaussian")  # the continuous families, discretized on nodes
@@ -116,8 +116,9 @@ class KernelParams:
     gamma is the Cauchy scale, l_gauss the Gaussian rate and nodes the
     quadrature node count of the continuous families; each left at None is
     resolved from the cutoff by ``make_measure``. With wrap=True the
-    continuous densities are replaced by their 1-periodized version (series
-    truncated at |n| <= 5) before discretization.
+    continuous densities are replaced by their 1-periodized version before
+    discretization: the cauchy's in closed form, the gaussian's as a series
+    truncated at |n| <= WRAP_TERMS.
     """
 
     family: str
@@ -177,13 +178,6 @@ def _quadrature_grid(nodes: int) -> np.ndarray:
     return -0.5 + np.arange(nodes) / nodes
 
 
-def _periodized(density, grid: np.ndarray) -> np.ndarray:
-    total = np.zeros_like(grid)
-    for n in range(-WRAP_TERMS, WRAP_TERMS + 1):
-        total += density(grid + n)
-    return total
-
-
 def make_measure(params: KernelParams, m: int) -> SpectralMeasure:
     """Quadrature-ready measure for the requested family at cutoff m.
 
@@ -208,9 +202,10 @@ def make_measure(params: KernelParams, m: int) -> SpectralMeasure:
     constant sqrt(L/(2 pi)) with the exponent -L y^2, which integrates to
     1/sqrt(2) (a normal density with that exponent has sqrt(L/pi)); cauchy
     0.780, since its tails beyond +-1/2 fall off the grid, a mass of about
-    (2/pi) arctan(1/(2 gamma)). ``wrap=True`` folds the cauchy's tails back
-    (0.979 at m = 15, from 2 WRAP_TERMS + 1 images) and leaves the
-    gaussian's 1/sqrt(2).
+    (2/pi) arctan(1/(2 gamma)). ``wrap=True`` folds every image of the
+    cauchy's tails back, in the closed form of the Poisson kernel with
+    transform e^{-2 pi gamma |k|} (mass 1 - 1.3e-15 at m = 15), and leaves
+    the gaussian's 1/sqrt(2).
     """
     require_count("cutoff", m)
     if params.family == "flat":
@@ -234,6 +229,11 @@ def make_measure(params: KernelParams, m: int) -> SpectralMeasure:
         def density(y):
             return gamma / (np.pi * (y * y + gamma * gamma))
 
+        def wrapped(y):  # the sum over n of density(y + n); cosh(2 pi gamma) would overflow
+            e = math.exp(-2.0 * math.pi * gamma)
+            return -math.expm1(-4.0 * math.pi * gamma) / (
+                math.expm1(-2.0 * math.pi * gamma) ** 2 + 4.0 * e * np.sin(np.pi * y) ** 2)
+
         provenance = f"cauchy(gamma={gamma!r})"
     else:
         rate = float(params.l_gauss if params.l_gauss is not None else 2 * m + 1)
@@ -241,9 +241,11 @@ def make_measure(params: KernelParams, m: int) -> SpectralMeasure:
         def density(y):
             return math.sqrt(rate / (2.0 * np.pi)) * np.exp(-rate * y * y)
 
+        def wrapped(y):
+            return sum(density(y + n) for n in range(-WRAP_TERMS, WRAP_TERMS + 1))
+
         provenance = f"gaussian(l={rate!r})"
-    dens = _periodized(density, grid) if params.wrap else density(grid)
-    weights = dens / ((2 * m + 1) * nodes)
+    weights = (wrapped if params.wrap else density)(grid) / ((2 * m + 1) * nodes)
     if params.wrap:
         provenance += "+wrap"
     return SpectralMeasure(atoms=grid, weights=weights, provenance=provenance)

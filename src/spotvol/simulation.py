@@ -284,8 +284,8 @@ def equicorrelation(d: int, rho: float) -> np.ndarray:
 
 def random_loadings(d: int, r: int, seed: int) -> np.ndarray:
     """Deterministic (d, r) loadings: standard normals scaled by 1/sqrt(r)."""
-    if not (is_positive_int(d) and is_positive_int(r)):
-        raise ValueError("d and r must be positive integers")
+    require_count("d", d)
+    require_count("r", r)
     rng = substream(seed, SALT_MODEL, 0)
     return rng.normals(d * r).reshape(d, r) / math.sqrt(r)
 

@@ -71,14 +71,14 @@ def test_ac01_fiber_sum_identity():
     worst = 0.0
     for trial in range(100):
         m = int(rng.integers(1, 6))
-        spec = build_fiber(m)
+        fiber = build_fiber(m)
         a1 = rng.standard_normal(4 * m + 1) + 1j * rng.standard_normal(4 * m + 1)
         a2 = rng.standard_normal(2 * m + 1) + 1j * rng.standard_normal(2 * m + 1)
         a3 = rng.standard_normal(2 * m + 1) + 1j * rng.standard_normal(2 * m + 1)
         lhs = sum(
             a1[k + 2 * m] * a2[s + m] * a3[sp + m]
-            for k in spec.frequencies
-            for s, sp in spec.fiber[k]
+            for k, pairs in fiber.items()
+            for s, sp in pairs
         )
         rhs = sum(
             a1[u + up + 2 * m] * a2[up + m] * a3[u + m]

@@ -424,19 +424,6 @@ def test_bench_names_n_when_it_is_below_one(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("flag, value", [("--d", 0), ("--d", -2), ("--M", 0), ("--M", -1)])
-def test_bench_names_d_and_m_before_simulating(tmp_path, capsys, monkeypatch, flag, value):
-    def no_simulation(*args, **kwargs):
-        raise AssertionError("simulated before the flags were checked")
-
-    monkeypatch.setattr(simulation, "simulate", no_simulation)
-    monkeypatch.chdir(tmp_path)
-    assert main(["bench", "--d", "2", "--n", "10", "--M", "2", flag, str(value)]) == 1
-    err = capsys.readouterr().err
-    assert f"{flag} must be a positive integer" in err
-    assert list(tmp_path.iterdir()) == []
-
-
 @pytest.mark.parametrize("argv, message", [
     (["estimate", "--input", "ticks.csv", "--M", "0"], "--M must be a positive integer"),
     (["estimate", "--input", "ticks.csv", "--M", "-1"], "--M must be a positive integer"),
@@ -450,8 +437,13 @@ def test_bench_names_d_and_m_before_simulating(tmp_path, capsys, monkeypatch, fl
     (["bench", "--d", "2", "--n", "10", "--M", "2", "--reps", "0"], "--reps must be a positive integer"),
     (["bench", "--d", "2", "--n", "10", "--M", "2", "--grid", "-1"],
      "--grid must be a nonnegative integer"),
+    (["bench", "--d", "0", "--n", "10", "--M", "2"], "--d must be a positive integer"),
+    (["bench", "--d", "-2", "--n", "10", "--M", "2"], "--d must be a positive integer"),
+    (["bench", "--d", "2", "--n", "10", "--M", "0"], "--M must be a positive integer"),
+    (["bench", "--d", "2", "--n", "10", "--M", "-1"], "--M must be a positive integer"),
 ], ids=["estimate-M-0", "estimate-M--1", "estimate-L-0", "simulate-r-0", "pca-top-0",
-        "estimate-nodes-0", "estimate-grid-0", "simulate-grid-0", "bench-reps-0", "bench-grid--1"])
+        "estimate-nodes-0", "estimate-grid-0", "simulate-grid-0", "bench-reps-0", "bench-grid--1",
+        "bench-d-0", "bench-d--2", "bench-M-0", "bench-M--1"])
 def test_counts_are_named_before_anything_is_read_or_simulated(tmp_path, capsys, monkeypatch,
                                                                argv, message):
     def not_yet(*args, **kwargs):

@@ -22,7 +22,7 @@ from spotvol.kernels import (
     verify_psd_function,
 )
 from spotvol.market_data import ObservationSet, TickSeries, increments
-from spotvol.simulation import SamplingScheme
+from spotvol.simulation import SamplingScheme, random_loadings
 from spotvol.spectral import pca_ratios
 
 
@@ -48,30 +48,11 @@ def test_fejer_closed_form_values():
     assert abs(fejer_eval(5, 0.23) - fejer_direct(5, 0.23)) < 1e-12
 
 
-@pytest.mark.parametrize("order", range(1, 9))
-def test_kernels_match_direct_sums_on_grid(order):
-    xs = np.arange(-2.0, 2.0 + 1e-12, 1e-3)
-    d_closed = dirichlet_eval(order, xs)
-    f_closed = fejer_eval(order, xs)
-    d_direct = np.array([dirichlet_direct(order, x) for x in xs])
-    f_direct = np.array([fejer_direct(order, x) for x in xs])
-    assert np.max(np.abs(d_closed - d_direct)) < 1e-11
-    assert np.max(np.abs(f_closed - f_direct)) < 1e-11
-    assert np.all(f_closed >= 0.0)
-
-
 def test_kernels_periodic(rng):
     xs = rng.random(200) * 2.0 - 1.0
     for order in (1, 3, 8):
         assert np.max(np.abs(dirichlet_eval(order, xs + 1.0) - dirichlet_eval(order, xs))) < 1e-12 * (2 * order + 1)
         assert np.max(np.abs(fejer_eval(order, xs + 1.0) - fejer_eval(order, xs))) < 1e-12 * order
-
-
-def test_kernel_order_validation():
-    with pytest.raises(ValueError):
-        dirichlet_eval(0, 0.3)
-    with pytest.raises(ValueError):
-        fejer_eval(0, 0.3)
 
 
 def test_near_integer_guard_band():
@@ -100,14 +81,6 @@ def test_fejer_measure_exact_triangle_m1():
     for k, want in expected.items():
         assert abs(c.value(k) - want) < 1e-14
         assert abs(c.value(-k) - want) < 1e-14
-
-
-@pytest.mark.parametrize("m", range(1, 9))
-def test_fejer_measure_exact_quadrature(m):
-    c = c_from_measure(make_measure(KernelParams(family="fejer"), m), m)
-    for k in range(-2 * m, 2 * m + 1):
-        want = (1.0 - abs(k) / (2 * m + 1)) / (2 * m + 1)
-        assert abs(c.value(k) - want) < 1e-12
 
 
 def test_cauchy_measure_truncated_mass():
@@ -162,6 +135,22 @@ def test_gaussian_wrapped_matches_analytic_transform():
     for k in range(-2 * m, 2 * m + 1):
         want = np.exp(-np.pi**2 * k**2 / rate) / np.sqrt(2.0) / (2 * m + 1)
         assert abs(c.value(k) - want) < 1e-14
+
+
+def test_cauchy_wrapped_matches_analytic_transform():
+    # wrapped over every image, the Cauchy density is the Poisson kernel, of unit mass and
+    # transform e^{-2 pi gamma |k|}; its closed form stays finite however large gamma is
+    m, gamma = 15, 0.18
+    c = c_from_measure(
+        make_measure(KernelParams(family="cauchy", gamma=gamma, nodes=4001, wrap=True), m), m
+    )
+    for k in range(-2 * m, 2 * m + 1):
+        want = np.exp(-2 * np.pi * gamma * abs(k)) / (2 * m + 1)
+        assert abs(c.value(k) - want) < 1e-14
+    for gamma in (1e3, 1e300):
+        mu = make_measure(KernelParams(family="cauchy", gamma=gamma, wrap=True), m)
+        assert np.all(np.isfinite(mu.weights))
+        assert abs((2 * m + 1) * mu.weights.sum() - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -228,8 +217,12 @@ def test_psd_function_table_coverage_and_hermitian_gate():
         PSDFunction(m=2, values=np.ones(5, dtype=complex))
     with pytest.raises(ValueError, match="Hermitian"):
         PSDFunction(m=1, values=np.array([0.1, 0.2, 1.0, 0.3, 0.1], dtype=complex))
-    with pytest.raises(ValueError, match="weight table must be finite"):
-        PSDFunction(m=1, values=np.array([0.1, 0.2, np.nan, 0.2, 0.1], dtype=complex))
+    for bad in (np.nan, np.inf, -np.inf):  # NaN passes the Hermitian gate and inf - inf warns
+        for k in (0, 1):
+            values = np.full(5, 0.25, dtype=complex)
+            values[2 + k] = values[2 - k] = bad
+            with pytest.raises(ValueError, match="^weight table must be finite$"):
+                PSDFunction(m=1, values=values)
     c = PSDFunction(m=1, values=np.array([0.1, 0.2, 1.0, 0.2, 0.1], dtype=complex))
     assert c.value(-2) == 0.1 and c.value(2) == 0.1
     for k in (-3, 3):
@@ -321,6 +314,8 @@ def _count_sites():
                                lambda v: KernelParams(family="gaussian", l_gauss=7.0, nodes=v)),
         "SamplingScheme.n_target": (ValueError, "n_target",
                                     lambda v: SamplingScheme(kind="poisson", n_target=v)),
+        "random_loadings.d": (ValueError, "d", lambda v: random_loadings(v, 2, 0)),
+        "random_loadings.r": (ValueError, "r", lambda v: random_loadings(3, v, 0)),
         "pca_ratios.top": (ValueError, "top", lambda v: pca_ratios(path, top=v)),
     }
     return [pytest.param(*site, id=name) for name, site in sites.items()]
