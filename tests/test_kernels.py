@@ -321,11 +321,16 @@ def _count_sites():
     return [pytest.param(*site, id=name) for name, site in sites.items()]
 
 
+@pytest.mark.parametrize("value", [0, -1, 2.0, 2.5, True, np.int64(0), "3"],
+                         ids=["0", "-1", "2.0", "2.5", "True", "int64-0", "str-3"])
 @pytest.mark.parametrize("error, name, call", _count_sites())
-def test_every_count_argument_names_itself_and_takes_a_numpy_integer(error, name, call):
-    for value in (0, -1, 2.0, True, np.int64(0)):
-        with pytest.raises(ValueError) as caught:
-            call(value)
-        assert type(caught.value) is error
-        assert str(caught.value) == f"{name} must be a positive integer"
+def test_every_count_argument_names_itself(error, name, call, value):
+    with pytest.raises(ValueError) as caught:
+        call(value)
+    assert type(caught.value) is error
+    assert str(caught.value) == f"{name} must be a positive integer"
+
+
+@pytest.mark.parametrize("error, name, call", _count_sites())
+def test_every_count_argument_takes_a_numpy_integer(error, name, call):
     call(np.int64(3))
