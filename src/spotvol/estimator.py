@@ -80,7 +80,7 @@ from .kernels import (
     require_count,
 )
 from .market_data import (IncrementTable, ObservationSet, floats, increments, read_rows,
-                          require_times, write_rows)
+                          require_times, require_unique_ids, write_rows)
 
 METHODS = ("generic", "classical", "psd_direct", "psd_factorized")
 KERNEL_METHODS = ("generic", "psd_direct", "psd_factorized")  # weights come from a measure
@@ -252,7 +252,7 @@ class VolMatrix:
 
 @dataclass(frozen=True)
 class VolPath:
-    """Estimated finite matrices over times that ``require_times`` accepts."""
+    """Estimated finite matrices, over times that ``require_times`` accepts and unique asset ids."""
 
     times: np.ndarray
     matrices: np.ndarray  # (n, d, d)
@@ -263,6 +263,7 @@ class VolPath:
         matrices = np.asarray(self.matrices, dtype=float)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "matrices", matrices)
+        require_unique_ids(self.asset_ids, EstimationError)
         d = len(self.asset_ids)
         if matrices.shape != (times.size, d, d):
             raise EstimationError(

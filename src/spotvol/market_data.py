@@ -51,6 +51,12 @@ def require_times(times, error, prefix: str = "") -> np.ndarray:
     raise error(f"{prefix}times must be strictly increasing, got {times[i + 1]} after {times[i]}")
 
 
+def require_unique_ids(ids, error) -> None:
+    """The one asset-id rule, of panels, increment tables and vol paths: no id repeats."""
+    if not _distinct(ids):
+        raise error("asset ids must be unique")
+
+
 @dataclass(frozen=True)
 class TickSeries:
     """One asset's 2 or more ticks: times that ``require_times`` accepts, finite log-prices."""
@@ -88,9 +94,7 @@ class ObservationSet:
         object.__setattr__(self, "series", tuple(self.series))
         if not self.series:
             raise MarketDataError("observation set must contain at least one asset")
-        ids = [s.asset_id for s in self.series]
-        if len(set(ids)) != len(ids):
-            raise MarketDataError("asset ids must be unique")
+        require_unique_ids([s.asset_id for s in self.series], MarketDataError)
         if not self.time_span > 0.0:
             raise MarketDataError("time_span must be positive")
         require_finite("time_span", self.time_span, error=MarketDataError)
@@ -124,13 +128,14 @@ class AssetIncrements:
 
 @dataclass(frozen=True)
 class IncrementTable:
-    """Increment series for every asset of an observation set: at least one asset."""
+    """Increment series for every asset of an observation set: at least one asset, ids unique."""
 
     assets: tuple[AssetIncrements, ...]
 
     def __post_init__(self) -> None:
         if not self.assets:
             raise MarketDataError("increment table must contain at least one asset")
+        require_unique_ids([a.asset_id for a in self.assets], MarketDataError)
 
     @property
     def d(self) -> int:
@@ -164,13 +169,15 @@ def load_csv(path, price_kind: str = "log") -> ObservationSet:
     log-transformed; with ``"log"`` the price column is taken as is.
 
     The file is parsed in one pass of numpy's C reader, which ``np.loadtxt``
-    feeds in blocks from the path, and its rows are grouped by asset with one
-    stable sort of the ids. A ``path`` that is not a ``str`` or
-    ``os.PathLike`` (an open file descriptor, say), a name ending in one of
-    ``COMPRESSED_SUFFIXES`` or holding ``://``, and any file that fails a
-    check or looks unusual, are read by the row parser. Both end in one core,
-    ``_panel``, so they give one result. The row parser alone raises; each of
-    its errors names the file, and the physical line where one row is at fault.
+    feeds in blocks from the path. A file whose assets each come in one run
+    of rows, as ``write_csv`` writes them, is cut into those runs; any other
+    is grouped by asset with one stable sort of the ids. A ``path`` that is
+    not a ``str`` or ``os.PathLike`` (an open file descriptor, say), a name
+    ending in one of ``COMPRESSED_SUFFIXES`` or holding ``://``, and any
+    file that fails a check or looks unusual, are read by the row parser.
+    Both end in one core, ``_panel``, so they give one result. The row parser
+    alone raises; each of its errors names the file, and the physical line
+    where one row is at fault.
     """
     if price_kind not in PRICE_KINDS:
         raise MarketDataError(
@@ -188,29 +195,37 @@ def _load_fast(path, price_kind: str) -> ObservationSet | None:
     a name, or a ``path`` that is not a ``str`` or ``os.PathLike`` naming a
     ``str``, falls back before anything is opened.
 
-    A prescan by its own handle checks the header. Input that cannot be read
-    twice, such as a pipe, falls back before a byte of it is read. Ids are
-    read as 16-byte latin-1 fields: an id that may have been cut short falls
-    back, and so does a file holding a NUL, which such a field would drop
-    from the end of an id. A blank body falls back before ``loadtxt``, which
-    warns on it. An error opening the file propagates, as it would from the
-    row parser.
+    A prescan of the bytes by its own handle checks the header. Input that
+    cannot be read twice, such as a pipe, falls back before a byte of it is
+    read. Ids are read as 16-byte latin-1 fields: an id that may have been
+    cut short falls back, and so does a file holding a NUL, which such a
+    field would drop from the end of an id. A body of ASCII whitespace falls
+    back before ``loadtxt``, which warns on it; on a body that is not UTF-8,
+    or holds only other whitespace (U+3000, say), ``loadtxt`` raises a
+    ``ValueError``, which falls back. An error opening the file propagates,
+    as it would from the row parser.
 
-    One stable sort of the ids groups the rows by asset; their views go to
-    ``_panel``, the row parser's core, and any error it raises falls back.
+    One scan of the parsed ids finds their runs. If no id opens a second
+    run, as in a file ``write_csv`` wrote, each asset is one run and its rows
+    are slices of the parsed columns; otherwise one stable sort of the ids
+    groups the rows by asset. Either way the rows of each asset keep their
+    file order. Their views go to ``_panel``, the row parser's core, and any
+    error it raises falls back. The run route peaks at the parse, a copy of
+    its prices and the output times; the sort route at the parse, its sort
+    order and the gathered columns.
     """
     name = os.fspath(path) if isinstance(path, os.PathLike) else path
     if not isinstance(name, str) or name.endswith(COMPRESSED_SUFFIXES) or "://" in name:
         return None
     try:
-        with open(name, newline="", encoding="utf-8") as fh:
+        with open(name, "rb") as fh:
             if not fh.seekable():
                 return None
-            if fh.readline() != ",".join(TICK_HEADER) + "\n":
+            if fh.readline() != (",".join(TICK_HEADER) + "\n").encode():
                 return None
             blank = True
-            for chunk in iter(lambda: fh.read(1 << 16), ""):
-                if "\0" in chunk:
+            for chunk in iter(lambda: fh.read(1 << 16), b""):
+                if b"\0" in chunk:
                     return None
                 blank = blank and chunk.isspace()
         if blank:
@@ -219,24 +234,50 @@ def _load_fast(path, price_kind: str) -> ObservationSet | None:
                           ndmin=1, dtype=[("a", "S16"), ("t", float), ("p", float)])
     except ValueError:
         return None
-    order = np.argsort(rows["a"], kind="stable")  # ids grouped, file order kept within each
-    ids = rows["a"][order]
-    starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
-    ends = np.append(starts[1:], ids.size)
-    rank = np.argsort(order[starts])  # assets in order of first appearance
-    starts, ends = starts[rank], ends[rank]
+    ids = rows["a"]
+    starts, ends = _runs(ids)
+    if _distinct(ids[starts]):  # each asset is one run: its rows, in file order
+        times, prices = rows["t"], rows["p"].copy()  # copied, so the output holds none of the parse
+    else:  # an id recurs after another asset's rows
+        order = np.argsort(ids, kind="stable")  # ids grouped, file order kept within each
+        ids = ids[order]
+        starts, ends = _runs(ids)
+        rank = np.argsort(order[starts])  # assets in order of first appearance
+        starts, ends = starts[rank], ends[rank]
+        times, prices = rows["t"][order], rows["p"][order]
+        del order
+    del rows
     ids = ids[starts]
     names = [i.decode("latin-1") for i in ids]
     if any(len(i) >= ids.itemsize or not n or n != n.strip() or '"' in n
            for i, n in zip(ids, names)):
         return None
-    times, prices = rows["t"][order], rows["p"][order]
-    del rows, order  # the peak is one parse, its sort order and the output
     try:
         return _panel(path, [(n, times[a:b], prices[a:b]) for n, a, b in zip(names, starts, ends)],
                       price_kind)
     except MarketDataError:
         return None
+
+
+def _runs(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each run of equal ids in a 16-byte id column starts, and where it ends.
+
+    Two ids are equal when their bytes are, so each is compared as two 8-byte words.
+    """
+    words = ids.view(np.dtype((np.uint64, 2)))
+    new = (words[1:, 0] != words[:-1, 0]) | (words[1:, 1] != words[:-1, 1])
+    starts = np.flatnonzero(np.concatenate(([True], new)))
+    return starts, np.append(starts[1:], ids.size)
+
+
+def _distinct(ids) -> bool:
+    """Whether no id repeats; it stops at the first that does."""
+    seen = set()
+    for i in ids:
+        if i in seen:
+            return False
+        seen.add(i)
+    return True
 
 
 def _load_rows(path, price_kind: str) -> ObservationSet:

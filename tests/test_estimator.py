@@ -905,11 +905,13 @@ def test_counts_must_be_positive_integers(entry, value):
     assert excinfo.type is ValueError
 
 
-def test_vol_path_rejects_non_finite_times():
+def test_vol_path_validation():
     with pytest.raises(EstimationError, match="finite"):
         VolPath(times=np.array([np.nan]), matrices=np.ones((1, 1, 1)), asset_ids=("A1",))
     with pytest.raises(EstimationError, match="finite"):
         VolPath(times=np.array([0.2, np.inf]), matrices=np.ones((2, 1, 1)), asset_ids=("A1",))
+    with pytest.raises(EstimationError, match="^asset ids must be unique$"):
+        VolPath(times=np.array([0.5]), matrices=np.ones((1, 2, 2)), asset_ids=("A", "A"))
 
 
 @pytest.mark.parametrize("t, message", [
@@ -935,9 +937,12 @@ def test_vol_matrix_requires_a_square_matrix(shape):
     assert str(caught.value) == f"matrix has shape {shape}, expected a square 2-d array"
 
 
-def test_an_empty_increment_table_is_rejected_at_construction():
+def test_increment_table_validation():
     with pytest.raises(MarketDataError, match="^increment table must contain at least one asset$"):
         IncrementTable(assets=())
+    asset = AssetIncrements("A", np.array([0.5, 1.0]), np.array([0.1, -0.2]))
+    with pytest.raises(MarketDataError, match="^asset ids must be unique$"):
+        IncrementTable(assets=(asset, asset))
 
 
 def test_vol_csv_roundtrip(rng):

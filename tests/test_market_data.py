@@ -213,6 +213,47 @@ def test_load_csv_hands_np_loadtxt_a_str_path(tmp_path, monkeypatch):
     assert len(first_args) == 1 and type(first_args[0]) is str
 
 
+@pytest.mark.parametrize("body, sorts", [
+    ("B,0,2.0\nB,1,2.5\nA,0,1.5\nA,2,1.25\n", False),
+    ("A,0,1.5\nA,2,1.25\nA,3,1.75\n", False),
+    ("A,0,1.5\nA,1,1.25\nB,1,2.0\nB,2,2.5\nA,3,1.75\n", True),
+    ("asset_0001,0,1.5\nasset_0001,2,1.25\nasset_0002,1,2.0\nasset_0002,3,2.5\n", False),
+], ids=["B then A", "one asset", "A recurs after B", "ids alike in their first 8 bytes"])
+def test_load_csv_sorts_only_a_file_whose_assets_are_not_each_one_run(tmp_path, monkeypatch,
+                                                                       body, sorts):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return argsort(*args, **kwargs)
+
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", spy)
+    path = _write(tmp_path, "asset,time,price\n" + body)
+    assert market_data._load_fast(path, "log") is not None
+    assert loaded(load_csv(path)) == loaded(market_data._load_rows(path, "log"))
+    assert bool(calls) is sorts
+
+
+@pytest.mark.parametrize("body", [b" \t\r\n\n", "\u3000\n".encode(), "\x85\n".encode(), b"\x1c"],
+                         ids=["ASCII", "U+3000", "U+0085", "U+001C"])
+def test_load_csv_reads_a_body_of_whitespace_by_the_row_parser(tmp_path, body):
+    # the prescan reads bytes, so only ASCII whitespace is blank to it; np.loadtxt rejects the rest
+    path = tmp_path / "ticks.csv"
+    path.write_bytes(b"asset,time,price\n" + body)
+    assert market_data._load_fast(path, "log") is None
+    with pytest.raises(MarketDataError, match=r"ticks\.csv: no data rows$"):
+        load_csv(path)
+
+
+def test_load_csv_reads_a_file_that_is_not_utf8_by_the_row_parser(tmp_path):
+    path = tmp_path / "ticks.csv"
+    path.write_bytes(b"asset,time,price\nA,0,1.5\n\xff,1,2.0\nA,2,1.25\n")
+    assert market_data._load_fast(path, "log") is None
+    with pytest.raises(UnicodeDecodeError):
+        load_csv(path)
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
 def test_load_csv_reads_a_pipe_by_the_row_parser(tmp_path):
     # the fast path must not read a byte of input it cannot read twice
@@ -233,7 +274,8 @@ def test_load_csv_rejects_an_unknown_price_kind(tmp_path):
 
 
 def test_load_csv_peak_memory_is_a_few_times_its_output(rng, tmp_path):
-    # one structured parse (32 B a row), its sort order (8 B) and the output (16 B)
+    # write_csv groups the rows, so the run route: one structured parse (32 B a row), a copy of
+    # its prices and the output times (8 B each)
     series = []
     for j in range(3):
         times = np.concatenate([[0.0], np.sort(rng.random(20_000)), [1.0]])

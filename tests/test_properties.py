@@ -368,12 +368,14 @@ ID_CHARS = "ABXYZabz019_.-é"
 @st.composite
 def tick_files(draw, lo=st.one_of(st.just(0.0), st.floats(-1e3, 1e3)),
                span=st.floats(1e-3, 1e3)) -> list[list[str]]:
-    """Rows of a tick file: 1 to 4 assets interleaved, ticks at the global endpoints.
+    """Rows of a tick file: 1 to 4 assets, grouped or interleaved, ticks at the global endpoints.
 
     Times are lo + span k / 1000 for integers k in [0, 1000], so they stay
     distinct once normalized. The first asset holds both ends, k = 0 and
     1000; the others hold each end or not. Prices are positive, so the rows
-    read under both price kinds.
+    read under both price kinds. Grouped, each asset's rows form one run and
+    the assets come in their drawn, unsorted order: ``load_csv`` cuts such a
+    file into its runs, and sorts interleaved rows by id.
     """
     lo, span = draw(lo), draw(span)
     ids = draw(st.lists(st.text(ID_CHARS, min_size=1, max_size=6), min_size=1, max_size=4,
@@ -387,6 +389,8 @@ def tick_files(draw, lo=st.one_of(st.just(0.0), st.floats(-1e3, 1e3)),
         times = [lo + span * k / 1000 for k in sorted(steps)]
         prices = draw(st.lists(st.floats(1e-3, 1e3), min_size=len(times), max_size=len(times)))
         ticks.append([[asset, repr(t), repr(p)] for t, p in zip(times, prices)])
+    if draw(st.booleans()):
+        return [row for rows in ticks for row in rows]
     # interleave: the k-th appearance of asset j in the drawn order is its k-th tick
     slots = draw(st.permutations([j for j, rows in enumerate(ticks) for _ in rows]))
     per_asset = [iter(rows) for rows in ticks]
