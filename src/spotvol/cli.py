@@ -33,17 +33,6 @@ def _eval_grid(points: int) -> np.ndarray:
     return np.arange(1, points + 1) / points
 
 
-def _kernel_params(family: str | None, fields: dict) -> kernels.KernelParams:
-    family = family if family is not None else "gaussian"
-    stray = kernels.stray_field(family, fields)
-    if stray is not None:
-        families = kernels.FIELD_FAMILIES[stray]
-        plural = "s" if len(families) > 1 else ""
-        flag = "--" + stray.replace("_", "-")
-        raise ValueError(f"{flag} applies only to the {' and '.join(families)} kernel{plural}")
-    return kernels.KernelParams(family=family, **fields)
-
-
 def _build_model(args) -> simulation.SimModel:
     d = args.d
     kernels.require_count("--d", d)
@@ -89,14 +78,11 @@ def _cmd_estimate(args) -> int:
     for flag, value in counts:
         if value is not None:
             kernels.require_count(flag, value)
-    if args.L is not None and method != "classical":
-        raise ValueError("--L applies only to --method classical")
-    fields = {name: getattr(args, name) for name in kernels.FIELD_FAMILIES}
+    fields = {name: getattr(args, name) for name in kernels.FIELD_FAMILIES
+              if getattr(args, name) is not None}  # each flag the user gave, 0 included
     kernel = None
-    if method in est_mod.KERNEL_METHODS:
-        kernel = _kernel_params(args.kernel, fields)
-    elif args.kernel is not None or kernels.stray_field(None, fields) is not None:
-        raise ValueError("kernel flags apply only to the psd-* and generic methods")
+    if method in est_mod.KERNEL_METHODS or args.kernel is not None or fields:
+        kernel = kernels.KernelParams(family=args.kernel or "gaussian", **fields)
     config = est_mod.EstimatorConfig(
         method=method,
         eval_grid=_eval_grid(args.grid),
@@ -287,7 +273,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--gamma", type=float, default=None, help="cauchy scale")
     p_est.add_argument("--l-gauss", dest="l_gauss", type=float, default=None, help="gaussian rate")
     p_est.add_argument("--nodes", type=int, default=None, help="quadrature nodes (default 2M+1)")
-    p_est.add_argument("--wrap", action="store_true", help="periodize the kernel density")
+    p_est.add_argument("--wrap", action="store_true", default=None,
+                       help="periodize the kernel density")
     p_est.add_argument("--grid", type=int, default=150, help="evaluation points (times l/grid)")
     p_est.add_argument(
         "--per-real-time",

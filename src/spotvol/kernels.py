@@ -67,15 +67,6 @@ def require_hermitian(values, mirrored, error: type[Exception] = ValueError) -> 
         raise error(f"weight table is not Hermitian: max|c(-k) - conj(c(k))| = {herm:.3e}")
 
 
-def stray_field(family: str | None, values) -> str | None:
-    """The first field of ``values`` (field -> value) off its default that ``family`` lacks, else None."""
-    defaults = {f.name: f.default for f in fields(KernelParams)}
-    for name, value in values.items():
-        if value != defaults[name] and family not in FIELD_FAMILIES[name]:
-            return name
-    return None
-
-
 def _reduced(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     r = x - np.round(x)
     near = np.abs(r) < INTEGER_GUARD
@@ -118,7 +109,8 @@ class KernelParams:
     resolved from the cutoff by ``make_measure``. With wrap=True the
     continuous densities are replaced by their 1-periodized version before
     discretization: the cauchy's in closed form, the gaussian's as a series
-    truncated at |n| <= WRAP_TERMS.
+    truncated at |n| <= WRAP_TERMS. A field that ``FIELD_FAMILIES`` does not
+    give to the family must stay at its default.
     """
 
     family: str
@@ -130,12 +122,12 @@ class KernelParams:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}; expected one of {FAMILIES}")
-        stray = stray_field(self.family, {name: getattr(self, name) for name in FIELD_FAMILIES})
-        if stray is not None:
-            families = FIELD_FAMILIES[stray]
-            group = (f"the {families[0]} family" if len(families) == 1
-                     else f"the continuous families ({', '.join(families)})")
-            raise ValueError(f"{stray} applies only to {group}, not {self.family!r}")
+        defaults = {f.name: f.default for f in fields(self)}
+        for name, families in FIELD_FAMILIES.items():
+            if getattr(self, name) != defaults[name] and self.family not in families:
+                group = (f"the {families[0]} family" if len(families) == 1
+                         else f"the continuous families ({', '.join(families)})")
+                raise ValueError(f"{name} applies only to {group}, not {self.family!r}")
         if self.gamma is not None and not 0.0 < self.gamma < math.inf:
             raise ValueError(f"cauchy family requires a finite gamma > 0, got {self.gamma!r}")
         if self.l_gauss is not None and not 0.0 < self.l_gauss < math.inf:

@@ -262,6 +262,8 @@ class FactorModel:
         if loadings.ndim != 2 or loadings.shape[0] < 1 or loadings.shape[1] < 1:
             raise ValueError("loadings must be a (d, r) matrix")
         require_finite("loadings", loadings)
+        if np.ndim(self.idio) != 0:
+            raise ValueError(f"idio must be a scalar, got an array of shape {np.shape(self.idio)}")
         if not (math.isfinite(self.idio) and self.idio >= 0.0):
             raise ValueError(f"idio must be finite and nonnegative, got {self.idio!r}")
 

@@ -150,40 +150,28 @@ def test_estimate_warns_when_cutoff_exceeds_ticks(tmp_path, capsys):
     assert "cutoff M=15" in capsys.readouterr().err
 
 
-def test_estimate_flag_validation(small_ticks, tmp_path, capsys):
-    # gamma only applies to the cauchy kernel
-    assert run(["estimate", "--input", small_ticks, "--kernel", "gaussian",
-                "--gamma", 0.2, "--out", tmp_path / "v.csv"]) == 1
-    assert "--gamma" in capsys.readouterr().err
-    # kernel flags are rejected for the classical method
-    assert run(["estimate", "--input", small_ticks, "--method", "classical",
-                "--nodes", 31, "--out", tmp_path / "v.csv"]) == 1
-    err = capsys.readouterr().err
-    assert "kernel flags" in err
-    # the smoothing order belongs to the classical method alone
-    assert run(["estimate", "--input", small_ticks, "--L", 4,
-                "--out", tmp_path / "v.csv"]) == 1
-    assert "--L" in capsys.readouterr().err
-
-
-def test_estimate_checks_its_flags_before_reading_the_ticks(tmp_path, capsys):
-    missing = tmp_path / "missing.csv"
-    for flags, message in [(["--L", 4], "--L applies only to --method classical"),
-                           (["--method", "classical", "--wrap"], "kernel flags apply only"),
-                           (["--kernel", "cauchy", "--l-gauss", 3.0], "--l-gauss applies only"),
-                           (["--grid", 0], "grid must be a positive integer")]:
-        assert run(["estimate", "--input", missing, *flags, "--out", tmp_path / "v.csv"]) == 1
-        err = capsys.readouterr().err
-        assert message in err and "missing.csv" not in err
-    assert not (tmp_path / "v.csv").exists()
-
-
-@pytest.mark.parametrize("kernel", ["flat", "fejer"])
-def test_estimate_rejects_nodes_for_the_exact_kernels(small_ticks, tmp_path, capsys, kernel):
+@pytest.mark.parametrize("flags, message", [
+    (["--method", "psd-factorized", "--L", 4], "method 'psd_factorized' takes no smoothing order l"),
+    (["--method", "psd-direct", "--L", 4], "method 'psd_direct' takes no smoothing order l"),
+    (["--method", "generic", "--L", 4], "method 'generic' takes no smoothing order l"),
+    (["--method", "classical", "--kernel", "gaussian"], "method 'classical' takes no kernel parameters"),
+    (["--method", "classical", "--gamma", 0], "gamma applies only to the cauchy family, not 'gaussian'"),
+    (["--method", "classical", "--l-gauss", 3], "method 'classical' takes no kernel parameters"),
+    (["--method", "classical", "--nodes", 5], "method 'classical' takes no kernel parameters"),
+    (["--method", "classical", "--wrap"], "method 'classical' takes no kernel parameters"),
+    (["--kernel", "cauchy", "--l-gauss", 3], "l_gauss applies only to the gaussian family, not 'cauchy'"),
+    (["--kernel", "flat", "--nodes", 5],
+     "nodes applies only to the continuous families (cauchy, gaussian), not 'flat'"),
+    (["--kernel", "fejer", "--nodes", 5],
+     "nodes applies only to the continuous families (cauchy, gaussian), not 'fejer'"),
+], ids=["L-psd-factorized", "L-psd-direct", "L-generic", "classical-kernel", "classical-gamma-0",
+        "classical-l-gauss", "classical-nodes", "classical-wrap", "cauchy-l-gauss", "flat-nodes",
+        "fejer-nodes"])
+def test_estimate_checks_its_flags_before_reading_the_ticks(tmp_path, capsys, flags, message):
+    # KernelParams and EstimatorConfig state these rules; the command line passes its flags on
     out = tmp_path / "v.csv"
-    assert run(["estimate", "--input", small_ticks, "--kernel", kernel, "--nodes", 5,
-                "--out", out]) == 1
-    assert "--nodes applies only to the cauchy and gaussian kernels" in capsys.readouterr().err
+    assert run(["estimate", "--input", tmp_path / "missing.csv", *flags, "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

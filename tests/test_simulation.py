@@ -142,6 +142,10 @@ def test_sin_vol_validation():
         (lambda: FactorModel(loadings=np.array([[0.5], [np.nan]]), idio=0.1), "loadings must be finite"),
         (lambda: FactorModel(loadings=np.ones((2, 1)), idio=np.nan), "idio must be finite"),
         (lambda: FactorModel(loadings=np.ones((2, 1)), idio=np.inf), "idio must be finite"),
+        (lambda: FactorModel(loadings=np.ones((2, 1)), idio=np.array([0.1, 0.2])),
+         r"idio must be a scalar, got an array of shape \(2,\)"),
+        (lambda: FactorModel(loadings=np.ones((2, 1)), idio=np.array([[0.1]])),
+         r"idio must be a scalar, got an array of shape \(1, 1\)"),
         (lambda: FactorModel(loadings=np.ones((0, 2)), idio=0.1), r"loadings must be a \(d, r\) matrix"),
         (lambda: FactorModel(loadings=np.ones((2, 0)), idio=0.1), r"loadings must be a \(d, r\) matrix"),
         (lambda: FactorModel(loadings=np.ones(3), idio=0.1), r"loadings must be a \(d, r\) matrix"),
@@ -149,6 +153,7 @@ def test_sin_vol_validation():
     ids=[
         "const-corr-empty", "const-corr-nan", "const-corr-inf", "sin-vol-empty", "sin-vol-nan-base",
         "sin-vol-nan-swing", "sin-vol-nan-corr", "factor-nan-loadings", "factor-nan-idio", "factor-inf-idio",
+        "factor-1-d-idio", "factor-2-d-idio",
         "factor-no-assets", "factor-no-factors", "factor-1-d-loadings",
     ],
 )
