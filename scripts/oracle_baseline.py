@@ -31,7 +31,7 @@ def run_one(seed: int) -> float:
         kernel=sv.KernelParams(family="gaussian"),
     )
     path = sv.estimate_path(obs, config)
-    return sv.score(path, oracle, burn=0.1).mean_rel_frobenius
+    return sv.score(path, oracle).mean_rel_frobenius
 
 
 def main() -> None:

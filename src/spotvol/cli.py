@@ -82,7 +82,9 @@ def _cmd_estimate(args) -> int:
               if getattr(args, name) is not None}  # each flag the user gave, 0 included
     kernel = None
     if method in est_mod.KERNEL_METHODS or args.kernel is not None or fields:
-        kernel = kernels.KernelParams(family=args.kernel or "gaussian", **fields)
+        # a method without a kernel gets the bare family, so EstimatorConfig names the method
+        given = fields if method in est_mod.KERNEL_METHODS else {}
+        kernel = kernels.KernelParams(family=args.kernel or "gaussian", **given)
     config = est_mod.EstimatorConfig(
         method=method,
         eval_grid=_eval_grid(args.grid),

@@ -3,9 +3,9 @@
 Four estimators of the instantaneous covariance matrix V(t) from per-asset
 increment series, all built from windowed Fourier sums of the increments:
 
-* ``estimate_generic``      reference form: an explicit sum over a mirrored
-  fiber of frequency pairs, checked once by ``GenericSpec``, weighted by a
-  ``PSDFunction``, Hermitian by construction, so the sum is real. Quadratic
+* ``estimate_generic``      reference form: an explicit sum over the mirrored
+  fiber ``build_fiber(M)`` of frequency pairs, weighted by the Hermitian
+  ``PSDFunction`` that ``GenericSpec`` holds, so the sum is real. Quadratic
   in the tick counts; kept for tests and benchmarks.
 * ``estimate_classical``    kernel-product form
   (1/(2M+1)) sum_{l,l'} K_{L+1}(t - t^j_l) D_M(t^j_l - t^{j'}_{l'}) dX dX',
@@ -67,7 +67,6 @@ from __future__ import annotations
 
 from contextlib import closing
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -106,29 +105,14 @@ def _require_finite(times, matrices: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class GenericSpec:
-    """Fiber of frequency pairs and weight table, checked once so the generic estimator is real.
+    """Weight table of the generic estimator, which sums the fiber ``build_fiber(table.m)``.
 
-    ``fiber[k]`` holds the pairs (s, s') with s + s' = k summed at frequency
-    k, and ``fiber[-k]`` their negations. ``table`` gives each frequency its
-    weight c(k); as a ``PSDFunction`` it is finite and Hermitian, and it
-    covers every key of the fiber.
+    ``table`` gives each frequency k in [-2m, 2m] its weight c(k); as a
+    ``PSDFunction`` it is finite and Hermitian, and the fiber is mirrored, so
+    the sum is real.
     """
 
-    fiber: Mapping[int, tuple[tuple[int, int], ...]]
     table: PSDFunction
-
-    def __post_init__(self) -> None:
-        for k, pairs in self.fiber.items():
-            for s, sp in pairs:
-                if s + sp != k:
-                    raise EstimationError(f"fiber pair ({s}, {sp}) does not sum to {k}")
-            if abs(k) > 2 * self.table.m:
-                raise EstimationError(f"weight table must cover every frequency: k={k} lies "
-                                      f"outside [-{2 * self.table.m}, {2 * self.table.m}]")
-            mirror = sorted((-s, -sp) for s, sp in pairs)
-            if -k not in self.fiber or sorted(self.fiber[-k]) != mirror:
-                raise EstimationError(f"fiber is not mirrored: fiber[{-k}] must hold the "
-                                      f"negated pairs of fiber[{k}]")
 
 
 def build_fiber(m: int) -> dict[int, tuple[tuple[int, int], ...]]:
@@ -150,8 +134,8 @@ def build_fiber(m: int) -> dict[int, tuple[tuple[int, int], ...]]:
 
 
 def generic_spec_from_psd(c: PSDFunction) -> GenericSpec:
-    """The PSD fiber at the table's cutoff, weighted by the table itself."""
-    return GenericSpec(build_fiber(c.m), c)
+    """The generic estimator's spec: the PSD fiber at the table's cutoff, weighted by ``c``."""
+    return GenericSpec(c)
 
 
 def fourier_coefficients(inc: IncrementTable, order: int) -> np.ndarray:
@@ -303,6 +287,8 @@ class EstimatorConfig:
         if self.l is not None:
             require_count("smoothing order", self.l, EstimationError)
         object.__setattr__(self, "eval_grid", require_times(self.eval_grid, EstimationError))
+        if self.kernel is not None and not isinstance(self.kernel, KernelParams):
+            raise EstimationError(f"kernel must be a KernelParams, got {self.kernel!r}")
         if self.method in KERNEL_METHODS and self.kernel is None:
             raise EstimationError(f"method {self.method!r} requires kernel parameters")
         if self.method not in KERNEL_METHODS and self.kernel is not None:
@@ -509,12 +495,13 @@ def _classical_form(inc: IncrementTable, m: int, l: int | None, block: int):
 def _generic_form(inc: IncrementTable, spec: GenericSpec, block: int):
     """``_on_grid``'s form of sum_k c_k e^{2 pi i k t} sum_{(s, s') in fiber[k]} a_j(s) a_{j'}(s').
 
-    Each a_j(s) is its own exp sum over the ticks, and the fiber sums, which
-    do not depend on t, are built once per block. Phases are accumulated over
-    k elementwise, so a time sums alike in a block of any size.
+    The fiber is ``build_fiber`` at the table's cutoff. Each a_j(s) is its own exp sum over
+    the ticks, and the fiber sums, which do not depend on t, are built once per block.
+    Phases are accumulated over k elementwise, so a time sums alike in a block of any size.
     """
     assets = inc.assets
     d = len(assets)
+    fiber = build_fiber(spec.table.m)
 
     def at(times: np.ndarray, out: np.ndarray) -> None:
         raw = np.zeros((times.size, d, d), dtype=complex)
@@ -522,7 +509,7 @@ def _generic_form(inc: IncrementTable, spec: GenericSpec, block: int):
             tj, dxj = assets[j].times, assets[j].dx
             for jp in range(d):
                 tp, dxp = assets[jp].times, assets[jp].dx
-                for k, pairs in spec.fiber.items():
+                for k, pairs in fiber.items():
                     ck = spec.table.value(k)
                     if ck == 0.0:
                         continue
@@ -541,8 +528,8 @@ def estimate_generic(inc: IncrementTable, spec: GenericSpec, t: float) -> VolMat
     """Reference evaluation of the generic estimator at one time.
 
     Every fiber pair recomputes its exp sums over the ticks (no table reuse).
-    Intended for tests and small inputs. ``spec`` holds a mirrored fiber and
-    a Hermitian weight table, so the sum is real up to rounding; its real
+    Intended for tests and small inputs. The fiber is mirrored and
+    ``spec.table`` is Hermitian, so the sum is real up to rounding; its real
     part is returned.
     """
     return VolMatrix(t=float(t), entries=_on_grid(_generic_form, (inc, spec), [t])[0])

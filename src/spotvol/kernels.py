@@ -55,6 +55,15 @@ def require_finite(name: str, *arrays, error: type[Exception] = ValueError) -> N
         raise error(f"{name} must be finite")
 
 
+def require_scalar(name: str, value, error: type[Exception] = ValueError) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` is one real number (or a 0-d array of one)."""
+    array = np.asarray(value)
+    if array.ndim != 0:
+        raise error(f"{name} must be a scalar, got an array of shape {array.shape}")
+    if array.dtype.kind not in "biuf":
+        raise error(f"{name} must be a real number, got {value!r}")
+
+
 def require_hermitian(values, mirrored, error: type[Exception] = ValueError) -> None:
     """The weight-table rule: finite (``require_finite``), then Hermitian, else raise ``error``.
 
@@ -122,6 +131,11 @@ class KernelParams:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}; expected one of {FAMILIES}")
+        for name in ("gamma", "l_gauss", "wrap"):
+            if getattr(self, name) is not None:
+                require_scalar(name, getattr(self, name))
+        if self.nodes is not None:
+            require_count("nodes", self.nodes)
         defaults = {f.name: f.default for f in fields(self)}
         for name, families in FIELD_FAMILIES.items():
             if getattr(self, name) != defaults[name] and self.family not in families:
@@ -132,8 +146,6 @@ class KernelParams:
             raise ValueError(f"cauchy family requires a finite gamma > 0, got {self.gamma!r}")
         if self.l_gauss is not None and not 0.0 < self.l_gauss < math.inf:
             raise ValueError(f"gaussian family requires a finite l_gauss > 0, got {self.l_gauss!r}")
-        if self.nodes is not None:
-            require_count("nodes", self.nodes)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import require_finite
+from .kernels import require_finite, require_scalar
 
 PRICE_KINDS = ("log", "raw")
 TICK_HEADER = ("asset", "time", "price")  # columns of the long tick format
@@ -95,6 +95,7 @@ class ObservationSet:
         if not self.series:
             raise MarketDataError("observation set must contain at least one asset")
         require_unique_ids([s.asset_id for s in self.series], MarketDataError)
+        require_scalar("time_span", self.time_span, error=MarketDataError)
         if not self.time_span > 0.0:
             raise MarketDataError("time_span must be positive")
         require_finite("time_span", self.time_span, error=MarketDataError)

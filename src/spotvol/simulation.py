@@ -40,7 +40,7 @@ import numpy as np
 
 from .market_data import ObservationSet, TickSeries
 from .estimator import VolPath, default_asset_ids
-from .kernels import PSD_FLOOR_RTOL, is_positive_int, require_count, require_finite
+from .kernels import PSD_FLOOR_RTOL, is_positive_int, require_count, require_finite, require_scalar
 from . import spectral
 
 _MASK64 = (1 << 64) - 1
@@ -52,6 +52,7 @@ SALT_SAMPLING = 2  # Poisson arrival times
 SALT_MODEL = 3     # model setup draws (factor loadings)
 
 SAMPLING_KINDS = ("sync", "poisson")  # a shared uniform grid, or per-asset Poisson arrivals
+BURN = 0.1  # score leaves out the times within BURN of either end
 
 _TWO_NEG53 = 2.0 ** -53
 
@@ -231,8 +232,7 @@ class SinVolModel:
         object.__setattr__(self, "swing", swing)
         if base.shape != swing.shape or base.ndim != 1 or base.size == 0:
             raise ValueError("base and swing must be nonempty 1-d arrays of equal length")
-        if np.ndim(self.corr) != 0:
-            raise ValueError(f"corr must be a scalar, got an array of shape {np.shape(self.corr)}")
+        require_scalar("corr", self.corr)
         for name, value in (("base", base), ("swing", swing), ("corr", self.corr)):
             require_finite(name, value)
         if np.any(swing < 0.0) or np.any(base - swing <= 0.0):
@@ -262,8 +262,7 @@ class FactorModel:
         if loadings.ndim != 2 or loadings.shape[0] < 1 or loadings.shape[1] < 1:
             raise ValueError("loadings must be a (d, r) matrix")
         require_finite("loadings", loadings)
-        if np.ndim(self.idio) != 0:
-            raise ValueError(f"idio must be a scalar, got an array of shape {np.shape(self.idio)}")
+        require_scalar("idio", self.idio)
         if not (math.isfinite(self.idio) and self.idio >= 0.0):
             raise ValueError(f"idio must be finite and nonnegative, got {self.idio!r}")
 
@@ -294,11 +293,10 @@ def random_loadings(d: int, r: int, seed: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FinePath:
-    """Log-price paths on the equispaced fine grid, started at zero."""
+    """Log-price paths on the equispaced fine grid, started at zero; ``sample`` names them A1..Ad."""
 
     times: np.ndarray      # (steps + 1,)
     values: np.ndarray     # (d, steps + 1)
-    asset_ids: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -360,7 +358,7 @@ def simulate(model: SimModel, fine_steps: int, seed: int) -> tuple[FinePath, Ora
         def vol(t: float) -> np.ndarray:
             return cov.copy()
     values = np.concatenate([np.zeros((d, 1)), np.cumsum(dx, axis=1)], axis=1)
-    return FinePath(times=tgrid, values=values, asset_ids=default_asset_ids(d)), OracleVolPath(vol)
+    return FinePath(times=tgrid, values=values), OracleVolPath(vol)
 
 
 @dataclass(frozen=True)
@@ -422,8 +420,9 @@ def sample(fine: FinePath, scheme: SamplingScheme, seed: int) -> ObservationSet:
     else:
         rngs = [substream(seed, SALT_SAMPLING, j * 101) for j in range(d)]
         indices = _poisson_indices(rngs, scheme.n_target, steps)
+    ids = default_asset_ids(d)
     series = tuple(
-        TickSeries(fine.asset_ids[j], fine.times[idx], fine.values[j, idx])
+        TickSeries(ids[j], fine.times[idx], fine.values[j, idx])
         for j, idx in enumerate(indices)
     )
     return ObservationSet(series=series, time_span=1.0)
@@ -441,17 +440,14 @@ class ScoreCard:
     max_ratio_error: float
 
 
-def score(est: VolPath, oracle: OracleVolPath, burn: float = 0.1) -> ScoreCard:
-    """Relative Frobenius error and eigen-ratio error on [burn, 1 - burn].
+def score(est: VolPath, oracle: OracleVolPath) -> ScoreCard:
+    """Relative Frobenius error and eigen-ratio error on [BURN, 1 - BURN].
 
-    The boundary is excluded because the smoothing kernels degrade there;
-    burn must lie in [0, 0.5).
+    The boundary is excluded because the smoothing kernels degrade there.
     """
-    if not 0.0 <= burn < 0.5:
-        raise ValueError("burn must lie in [0, 0.5)")
-    mask = (est.times >= burn) & (est.times <= 1.0 - burn)
+    mask = (est.times >= BURN) & (est.times <= 1.0 - BURN)
     if not np.any(mask):
-        raise ValueError(f"no evaluation times inside [{burn}, {1.0 - burn}]")
+        raise ValueError(f"no evaluation times inside [{BURN}, {1.0 - BURN}]")
     times = est.times[mask]
     est_mats = est.matrices[mask]
     true_mats = oracle.path(times)

@@ -221,7 +221,7 @@ def test_ac07_oracle_accuracy_gate():
             method="psd_factorized", eval_grid=np.arange(1, 151) / 150, m=15, kernel=kernel
         )
         path = sv.estimate_path(obs, config)
-        errors.append(sv.score(path, oracle, burn=0.1).mean_rel_frobenius)
+        errors.append(sv.score(path, oracle).mean_rel_frobenius)
     mean_err = float(np.mean(errors))
     bound = ORACLE_BASELINE * 1.10
     elapsed = time.perf_counter() - start

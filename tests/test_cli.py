@@ -155,18 +155,20 @@ def test_estimate_warns_when_cutoff_exceeds_ticks(tmp_path, capsys):
     (["--method", "psd-direct", "--L", 4], "method 'psd_direct' takes no smoothing order l"),
     (["--method", "generic", "--L", 4], "method 'generic' takes no smoothing order l"),
     (["--method", "classical", "--kernel", "gaussian"], "method 'classical' takes no kernel parameters"),
-    (["--method", "classical", "--gamma", 0], "gamma applies only to the cauchy family, not 'gaussian'"),
+    (["--method", "classical", "--gamma", 0], "method 'classical' takes no kernel parameters"),
     (["--method", "classical", "--l-gauss", 3], "method 'classical' takes no kernel parameters"),
     (["--method", "classical", "--nodes", 5], "method 'classical' takes no kernel parameters"),
     (["--method", "classical", "--wrap"], "method 'classical' takes no kernel parameters"),
+    (["--method", "classical", "--kernel", "flat", "--nodes", 5],
+     "method 'classical' takes no kernel parameters"),
     (["--kernel", "cauchy", "--l-gauss", 3], "l_gauss applies only to the gaussian family, not 'cauchy'"),
     (["--kernel", "flat", "--nodes", 5],
      "nodes applies only to the continuous families (cauchy, gaussian), not 'flat'"),
     (["--kernel", "fejer", "--nodes", 5],
      "nodes applies only to the continuous families (cauchy, gaussian), not 'fejer'"),
 ], ids=["L-psd-factorized", "L-psd-direct", "L-generic", "classical-kernel", "classical-gamma-0",
-        "classical-l-gauss", "classical-nodes", "classical-wrap", "cauchy-l-gauss", "flat-nodes",
-        "fejer-nodes"])
+        "classical-l-gauss", "classical-nodes", "classical-wrap", "classical-flat-nodes",
+        "cauchy-l-gauss", "flat-nodes", "fejer-nodes"])
 def test_estimate_checks_its_flags_before_reading_the_ticks(tmp_path, capsys, flags, message):
     # KernelParams and EstimatorConfig state these rules; the command line passes its flags on
     out = tmp_path / "v.csv"

@@ -202,33 +202,21 @@ def test_fiber_shape_properties(m):
 UNIT_TABLE = PSDFunction(m=1, values=[0, 0, 1, 0, 0])  # c(0) = 1, c(k) = 0 otherwise
 
 
-def test_generic_spec_validation():
-    with pytest.raises(EstimationError, match="sum to"):
-        GenericSpec(fiber={0: ((1, 2),)}, table=UNIT_TABLE)
-    with pytest.raises(EstimationError, match=r"cover every frequency: k=3 lies outside \[-2, 2\]"):
-        GenericSpec(fiber={0: ((0, 0),), 3: ((1, 2),), -3: ((-1, -2),)}, table=UNIT_TABLE)
-    with pytest.raises(EstimationError, match=r"not mirrored: fiber\[-1\] must hold the negated "
-                                              r"pairs of fiber\[1\]"):
-        GenericSpec(fiber={0: ((0, 0),), 1: ((0, 1),)}, table=UNIT_TABLE)
-    with pytest.raises(EstimationError, match=r"not mirrored: fiber\[-1\]"):
-        GenericSpec(fiber={0: ((0, 0),), 1: ()}, table=UNIT_TABLE)
-
-
 # --------------------------------------------------------------------- generic
 
 
 def test_generic_zero_coeffs_gives_zero(rng):
     inc = random_increments(rng, 2, 8)
-    spec = GenericSpec(fiber=build_fiber(2), table=PSDFunction(m=2, values=np.zeros(9)))
+    spec = generic_spec_from_psd(PSDFunction(m=2, values=np.zeros(9)))
     np.testing.assert_array_equal(estimate_generic(inc, spec, 0.3).entries, np.zeros((2, 2)))
 
 
 def test_generic_single_increment_trivial_fiber():
-    # K = {0}, S(0) = {(0, 0)}, c(0) = 1: all exponentials cancel
+    # only c(0) = 1 is nonzero: fiber[0] = {(-1, 1), (0, 0), (1, -1)}, each pair |a(s)|^2 = 1
     inc = one_asset([0.37], [1.0])
-    spec = GenericSpec(fiber={0: ((0, 0),)}, table=UNIT_TABLE)
+    spec = GenericSpec(table=UNIT_TABLE)
     for t in (0.0, 0.25, 1.0):
-        assert abs(estimate_generic(inc, spec, t).entries[0, 0] - 1.0) < 1e-14
+        assert abs(estimate_generic(inc, spec, t).entries[0, 0] - 3.0) < 1e-14
 
 
 def test_generic_no_residue_warning_where_the_matrix_vanishes():
@@ -877,6 +865,13 @@ def test_estimator_config_validation():
         EstimatorConfig(method="psd_factorized", eval_grid=np.array([0.5]))
     with pytest.raises(EstimationError, match="method"):
         EstimatorConfig(method="welch", eval_grid=np.array([0.5]))
+
+
+@pytest.mark.parametrize("method", ["psd_factorized", "classical"])
+def test_config_rejects_a_kernel_that_is_not_kernel_params(method):
+    # a family name once built and failed in estimate_path with an AttributeError
+    with pytest.raises(EstimationError, match=r"^kernel must be a KernelParams, got 'gaussian'$"):
+        EstimatorConfig(method=method, eval_grid=[0.5], kernel="gaussian")
 
 
 @pytest.mark.parametrize("method, extra, match", [

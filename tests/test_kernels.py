@@ -21,8 +21,8 @@ from spotvol.kernels import (
     require_finite,
     verify_psd_function,
 )
-from spotvol.market_data import ObservationSet, TickSeries, increments
-from spotvol.simulation import SamplingScheme, random_loadings
+from spotvol.market_data import MarketDataError, ObservationSet, TickSeries, increments
+from spotvol.simulation import FactorModel, SamplingScheme, SinVolModel, random_loadings
 from spotvol.spectral import pca_ratios
 
 
@@ -247,6 +247,8 @@ def test_kernel_params_validation():
         KernelParams(family="gaussian", l_gauss=np.inf)
     with pytest.raises(ValueError, match="nodes"):
         KernelParams(family="cauchy", gamma=0.1, nodes=0)
+    with pytest.raises(ValueError, match="^nodes must be a positive integer$"):
+        KernelParams(family="flat", nodes=np.array([5, 7]))  # read before the family rule
     with pytest.raises(ValueError, match="wrap"):
         KernelParams(family="fejer", wrap=True)
     with pytest.raises(ValueError, match="family"):
@@ -334,3 +336,40 @@ def test_every_count_argument_names_itself(error, name, call, value):
 @pytest.mark.parametrize("error, name, call", _count_sites())
 def test_every_count_argument_takes_a_numpy_integer(error, name, call):
     call(np.int64(3))
+
+
+def _scalar_sites():
+    """One ``pytest.param(error, name, call, good)`` for every library scalar argument.
+
+    ``good`` is a value the argument takes.
+    """
+    series = (TickSeries("A1", np.linspace(0.0, 1.0, 9), np.arange(9.0)),)
+    sites = {
+        "gamma": (ValueError, lambda v: KernelParams(family="cauchy", gamma=v), 0.2),
+        "l_gauss": (ValueError, lambda v: KernelParams(family="gaussian", l_gauss=v), 3.0),
+        "wrap": (ValueError, lambda v: KernelParams(family="gaussian", wrap=v), True),
+        "corr": (ValueError, lambda v: SinVolModel(base=[1.0], swing=[0.5], corr=v), 0.3),
+        "idio": (ValueError, lambda v: FactorModel(loadings=np.ones((2, 1)), idio=v), 0.1),
+        "time_span": (MarketDataError, lambda v: ObservationSet(series=series, time_span=v), 2.0),
+    }
+    return [pytest.param(error, name, call, good, id=name)
+            for name, (error, call, good) in sites.items()]
+
+
+@pytest.mark.parametrize("value, message", [
+    (np.array([0.1, 0.2]), "must be a scalar, got an array of shape (2,)"),
+    (np.array([[0.1]]), "must be a scalar, got an array of shape (1, 1)"),
+    ("0.1", "must be a real number, got '0.1'"),
+], ids=["1-d", "2-d", "str"])
+@pytest.mark.parametrize("error, name, call, good", _scalar_sites())
+def test_every_scalar_argument_names_itself(error, name, call, good, value, message):
+    with pytest.raises(ValueError) as caught:
+        call(value)
+    assert type(caught.value) is error
+    assert str(caught.value) == f"{name} {message}"
+
+
+@pytest.mark.parametrize("error, name, call, good", _scalar_sites())
+def test_every_scalar_argument_takes_a_numpy_scalar(error, name, call, good):
+    call(np.asarray(good)[()])  # a numpy scalar
+    call(np.asarray(good))  # a 0-d array

@@ -17,3 +17,11 @@ def test_path_hashes_prints_every_digest_ok():
     verdicts = [line.split()[1:] for line in proc.stdout.splitlines()]
     assert verdicts == [["ok", name] for name in
                         ("estimators", "ingest", "simulator", "pca", "row-parser", "generic")]
+
+
+def test_perfbench_tests_pass():
+    # perfbench builds and calls library names, and its own tests catch a rename or a dropped
+    # argument; they run in a subprocess, since both test trees import a module named conftest
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "perfbench/tests"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
